@@ -1,6 +1,6 @@
 """Cooling a continuously measured harmonic oscillator with filtered feedback.
 
-The package is organized around five layers:
+The package is organized into seven modules:
 
 * :mod:`filtercool.numerics` -- dense matrix kernel and deterministic RNG,
 * :mod:`filtercool.filters` -- state-space filter realizations (M, b),

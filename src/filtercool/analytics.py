@@ -4,12 +4,17 @@ All energies are returned in units of hbar*omega; 1/2 is the ground-state
 value.  The exact expressions agree with the steady states of the moment
 systems wherever those are well defined, and the large-Omega expansions
 give the leading 1/Omega corrections used to rank the low-pass protocols.
+
+The ``energy_*`` functions also take broadcasting numpy arrays and then
+return arrays, so a whole grid is evaluated by the same formula as a point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .moment_systems import PHYSICAL_MIN, ProtocolKind
 
@@ -35,7 +40,8 @@ class EnergyResult:
 
     ``note`` is one of PHYSICAL, UNPHYSICAL or NOT_APPLICABLE; the energy is
     NaN in the NOT_APPLICABLE case (vanishing denominator, no meaningful
-    closed-form value).
+    closed-form value).  Scalar inputs give a float, a bool and a str; array
+    inputs give arrays of the broadcast shape in all three fields.
     """
 
     energy_over_hw: float
@@ -43,17 +49,18 @@ class EnergyResult:
     note: str
 
 
-def _classify(energy: float) -> EnergyResult:
+def _classify(energy, na=False) -> EnergyResult:
+    energy = np.where(na, np.nan, energy)
     physical = energy >= PHYSICAL_MIN - 1e-9
-    return EnergyResult(energy, physical, PHYSICAL if physical else UNPHYSICAL)
-
-
-_NA = EnergyResult(float("nan"), False, NOT_APPLICABLE)
+    note = np.where(na, NOT_APPLICABLE, np.where(physical, PHYSICAL, UNPHYSICAL))
+    if energy.ndim == 0:
+        return EnergyResult(float(energy), bool(physical), str(note))
+    return EnergyResult(energy, physical, note)
 
 
 def _require_positive(**kwargs):
     for name, v in kwargs.items():
-        if not v > 0:
+        if not np.all(v > 0):
             raise ValueError(f"{name} must be positive, got {v}")
 
 
@@ -101,9 +108,8 @@ def energy_3layer(lam: float, gamma: float, Omega: float, omega: float) -> Energ
                                    - 2.0 * g**3 * (w**2 - 8.0 * Om**2)
                                    + g**2 * (-9.0 * w**2 * Om + 24.0 * Om**3)
                                    + 4.0 * g * (-3.0 * w**2 * Om**2 + 4.0 * Om**4))
-    if abs(den) <= _DENOM_REL_TOL * abs(num):
-        return _NA
-    return _classify(0.5 * num / den)
+    na = abs(den) <= _DENOM_REL_TOL * abs(num)
+    return _classify(0.5 * num / np.where(na, 1.0, den), na)
 
 
 def energy_bandpass(lam: float, gamma: float, Omega: float, omega: float) -> EnergyResult:
@@ -115,18 +121,18 @@ def energy_bandpass(lam: float, gamma: float, Omega: float, omega: float) -> Ene
     energy.
     """
     _require_positive(lam=lam, gamma=gamma, omega=omega)
-    if Omega < 0:
+    if np.any(Omega < 0):
         raise ValueError(f"Omega must be nonnegative, got {Omega}")
     g, Om, w = gamma, Omega, omega
     den = 4.0 * g * g + w * w - 4.0 * Om * Om
     scale = 4.0 * g * g + w * w + 4.0 * Om * Om
-    if abs(den) <= _DENOM_REL_TOL * scale:
-        return _NA
+    na = abs(den) <= _DENOM_REL_TOL * scale
+    den = np.where(na, 1.0, den)
     base = 0.5 * (lam / g + g / (4.0 * lam))
     e = (base * (1.0 + (Om * Om / (w * w)) * (4.0 * g * g - w * w + 4.0 * Om * Om) / den)
          + 0.5 * g * Om * Om * (3.0 * w * w - 4.0 * g * g - 4.0 * Om * Om)
          / (4.0 * lam * w * w * den))
-    return _classify(e)
+    return _classify(e, na)
 
 
 def energy_2layer_largeOmega(lam: float, gamma: float, Omega: float) -> float:

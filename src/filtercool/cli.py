@@ -203,6 +203,8 @@ def _merge_options(ns: argparse.Namespace) -> dict:
                 value = opt.type(value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"option '{opt.name}': {exc}") from exc
+            if opt.type in (float, _float_list) and not np.all(np.isfinite(value)):
+                raise ConfigError(f"option '{opt.name}' must be finite, got {value}")
         if value is None and opt.required:
             raise ConfigError(f"option '{opt.name}' is required")
         merged[opt.dest] = value

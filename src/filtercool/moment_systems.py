@@ -72,8 +72,14 @@ class ProtocolParams:
 
     @property
     def effective_gamma(self) -> float:
-        """Series combination of the two cascade bandwidths: 1/g = 1/gamma + 1/Omega."""
-        if self.Omega is None:
+        """Series combination 1/g = 1/gamma + 1/Omega of the first two cascade bandwidths.
+
+        A single stage has the one bandwidth gamma.  Band-pass raises
+        ValueError, since its Omega is a center frequency, not a bandwidth.
+        """
+        if self.kind is ProtocolKind.BANDPASS:
+            raise ValueError("band-pass has no series-combined bandwidth")
+        if self.kind is ProtocolKind.LOWPASS1:
             return self.gamma
         return 1.0 / (1.0 / self.gamma + 1.0 / self.Omega)
 

@@ -8,6 +8,11 @@ energy; ties go to the protocol with fewer filter stages.  Stability is
 read from the moment-system eigenvalues because the closed form alone
 cannot distinguish a stable fixed point from the formal solution of a
 runaway system.
+
+The sweep is one array pass per protocol over the whole mesh.  Each
+hand-typed moment matrix is affine in (gamma, Omega) at fixed (lam, omega)
+with small-integer coefficients, so three builds assemble every cell's
+A = A0 + gamma dA_gamma + Omega dA_Omega, bit-equal to a per-cell build.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import analytics
-from .analytics import NOT_APPLICABLE, EnergyResult
 from .moment_systems import (
     STABILITY_TOL,
     ProtocolKind,
@@ -105,22 +109,23 @@ class PhaseGridResult:
     winner: np.ndarray
 
 
+def _moment_matrices(kind: ProtocolKind, spec: GridSpec) -> np.ndarray:
+    """Every cell's moment matrix, shape ``(n_gamma, n_Omega, dim, dim)``."""
+    a11, a21, a12 = (build_moment_system(ProtocolParams(spec.lam, spec.omega, g, Om, kind)).A
+                     for g, Om in ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0)))
+    d_gamma, d_Omega = a21 - a11, a12 - a11
+    return ((a11 - d_gamma - d_Omega + spec.gamma_values[:, None, None, None] * d_gamma)
+            + spec.Omega_values[:, None, None] * d_Omega)
+
+
 def _stability_map(kind: ProtocolKind, spec: GridSpec) -> np.ndarray:
     """Boolean stability per cell from the moment-system eigenvalues."""
-    ng, nO = spec.gamma_values.size, spec.Omega_values.size
-    if kind is ProtocolKind.LOWPASS1:
-        return np.ones((ng, nO), dtype=bool)  # single eigenvalue -2*gamma
-    dim = build_moment_system(ProtocolParams(
-        spec.lam, spec.omega, spec.gamma_values[0], spec.Omega_values[0], kind)).dim
-    mats = np.empty((ng * nO, dim, dim))
-    for i, g in enumerate(spec.gamma_values):
-        for j, Om in enumerate(spec.Omega_values):
-            p = ProtocolParams(spec.lam, spec.omega, g, Om, kind)
-            mats[i * nO + j] = build_moment_system(p).A
+    if kind is ProtocolKind.LOWPASS1:  # single eigenvalue -2*gamma
+        return np.ones((spec.gamma_values.size, spec.Omega_values.size), dtype=bool)
+    mats = _moment_matrices(kind, spec)
     eig = np.linalg.eigvals(mats)
-    scale = np.abs(mats).sum(axis=2).max(axis=1)  # infinity norm per matrix
-    stable = eig.real.max(axis=1) < -STABILITY_TOL * scale
-    return stable.reshape(ng, nO)
+    scale = np.abs(mats).sum(axis=-1).max(axis=-1)  # infinity norm per matrix
+    return eig.real.max(axis=-1) < -STABILITY_TOL * scale
 
 
 def sweep(spec: GridSpec, n_crosscheck: int = 50) -> PhaseGridResult:
@@ -131,40 +136,27 @@ def sweep(spec: GridSpec, n_crosscheck: int = 50) -> PhaseGridResult:
     at relative 1e-9; a mismatch raises, since it would mean the two
     implementations have diverged.
     """
-    ng, nO = spec.gamma_values.size, spec.Omega_values.size
+    gamma, Omega = np.meshgrid(spec.gamma_values, spec.Omega_values, indexing="ij")
     energies: Dict[ProtocolKind, np.ndarray] = {}
     flags: Dict[ProtocolKind, np.ndarray] = {}
     for kind in spec.protocols:
-        e = np.full((ng, nO), np.nan)
-        f = np.full((ng, nO), FLAG_OK, dtype=object)
-        stable = _stability_map(kind, spec)
-        fn = _ENERGY_FN[kind]
-        for i, g in enumerate(spec.gamma_values):
-            for j, Om in enumerate(spec.Omega_values):
-                res: EnergyResult = fn(spec.lam, g, Om, spec.omega)
-                e[i, j] = res.energy_over_hw
-                if res.note == NOT_APPLICABLE:
-                    f[i, j] = FLAG_NA
-                elif not stable[i, j]:
-                    f[i, j] = FLAG_UNSTABLE
-                elif not res.physical:
-                    f[i, j] = FLAG_UNPHYSICAL
-        energies[kind] = e
+        unstable = ~_stability_map(kind, spec)
+        res = _ENERGY_FN[kind](spec.lam, gamma, Omega, spec.omega)
+        f = np.full(gamma.shape, FLAG_OK, dtype=object)
+        f[~res.physical] = FLAG_UNPHYSICAL
+        f[unstable] = FLAG_UNSTABLE
+        f[res.note == analytics.NOT_APPLICABLE] = FLAG_NA
+        energies[kind] = res.energy_over_hw
         flags[kind] = f
 
-    winner = np.full((ng, nO), "none", dtype=object)
-    order = {k: idx for idx, k in enumerate(ALL_PROTOCOLS)}
-    for i in range(ng):
-        for j in range(nO):
-            best = None
-            for kind in spec.protocols:
-                if flags[kind][i, j] != FLAG_OK:
-                    continue
-                key = (energies[kind][i, j], kind.n_layers, order[kind])
-                if best is None or key < best[0]:
-                    best = (key, kind)
-            if best is not None:
-                winner[i, j] = best[1].value
+    # Ties go to fewer filter stages, then to the earlier protocol.
+    kinds = sorted(spec.protocols, key=lambda k: (k.n_layers, ALL_PROTOCOLS.index(k)))
+    ok = np.stack([flags[k] == FLAG_OK for k in kinds])
+    e = np.stack([energies[k] for k in kinds])
+    e_min = np.where(ok, e, np.inf).min(axis=0)
+    first_best = (ok & (e == e_min)).argmax(axis=0)
+    winner = np.array([k.value for k in kinds], dtype=object)[first_best]
+    winner[~ok.any(axis=0)] = "none"
 
     _crosscheck(spec, energies, n_crosscheck)
     return PhaseGridResult(spec, energies, flags, winner)

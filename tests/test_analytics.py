@@ -230,3 +230,62 @@ class TestOracleAgreementAllProtocols:
                 exact = fns[kind](lam, g, Om, w).energy_over_hw
                 assert abs(ss.energy_over_hw - exact) <= 1e-9 * max(abs(exact), 1.0)
                 checked += 1
+
+
+def _energy_1layer_4(lam, gamma, Omega, omega):
+    return energy_1layer(lam, gamma)
+
+
+def _array_cells():
+    rng = np.random.default_rng(11)
+    lam, g, Om, w = rng.uniform(0.1, 10.0, (4, 300))
+    # append a root of the three-stage denominator (w^2 = 64/27 at
+    # gamma = Omega = 1) and a band-pass resonance (4 g^2 + w^2 = 4 Om^2)
+    return (np.append(lam, [1.0, 1.0]), np.append(g, [1.0, 1.5]),
+            np.append(Om, [1.0, 2.5]), np.append(w, [math.sqrt(64.0 / 27.0), 4.0]))
+
+
+ENERGY_FNS = [_energy_1layer_4, energy_2layer, energy_3layer, energy_bandpass]
+
+
+class TestArrayInputs:
+    @pytest.mark.parametrize("fn", ENERGY_FNS)
+    def test_matches_scalar_calls(self, fn):
+        cells = _array_cells()
+        res = fn(*cells)
+        scalar = [fn(*(float(v) for v in cell)) for cell in zip(*cells)]
+        assert np.array_equal(res.note, [r.note for r in scalar])
+        assert np.array_equal(res.physical, [r.physical for r in scalar])
+        np.testing.assert_allclose(res.energy_over_hw,
+                                   [r.energy_over_hw for r in scalar], rtol=1e-14)
+
+    def test_denominator_roots_flagged(self):
+        cells = _array_cells()
+        assert energy_3layer(*cells).note[-2] == NOT_APPLICABLE
+        assert energy_bandpass(*cells).note[-1] == NOT_APPLICABLE
+        assert np.isnan(energy_bandpass(*cells).energy_over_hw[-1])
+
+    def test_broadcast_shape(self):
+        g, Om = np.geomspace(0.1, 10.0, 4), np.geomspace(0.1, 10.0, 3)
+        res = energy_3layer(1.0, g[:, None], Om[None, :], 1.0)
+        assert res.energy_over_hw.shape == res.physical.shape == res.note.shape == (4, 3)
+        assert res.energy_over_hw[2, 1] == pytest.approx(
+            energy_3layer(1.0, g[2], Om[1], 1.0).energy_over_hw, rel=1e-14)
+
+    @pytest.mark.parametrize("fn, args", [
+        (_energy_1layer_4, (1.0, 2.0, 1.0, 1.0)),
+        (energy_2layer, (1.0, 2.0, 2.0, 1.0)),
+        (energy_3layer, (1.0, 1.0, 1.0, math.sqrt(64.0 / 27.0))),  # not applicable
+        (energy_bandpass, (1.0, 1.0, 2.0, 1.0)),  # unphysical
+    ])
+    def test_scalar_calls_return_python_types(self, fn, args):
+        res = fn(*args)
+        assert type(res.energy_over_hw) is float
+        assert type(res.physical) is bool
+        assert type(res.note) is str
+
+    @pytest.mark.parametrize("fn", ENERGY_FNS)
+    def test_nonpositive_entry_rejected(self, fn):
+        g = np.array([1.0, 2.0, -1.0])
+        with pytest.raises(ValueError):
+            fn(1.0, g, 1.0, 1.0)

@@ -190,3 +190,23 @@ class TestExitCodes:
                      "--ntraj", "2", "--seed", "0", "--fock", "6",
                      "--stride", "400", "--output", str(out)])
         assert code == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["phase-diagram", "--gamma-max", "inf"],
+    ["filter-response", "--filter", "lowpass", "--gammas", "1", "--t-max", "nan"],
+    ["filter-response", "--filter", "lowpass", "--gammas", "1,inf"],
+    ["evolve", "--protocol", "lowpass1", "--gamma", "1", "--dt", "nan"],
+    ["evolve", "--protocol", "lowpass1", "--gamma", "1", "--e0", "nan"],
+    ["trajectory", "--protocol", "lowpass1", "--gamma", "1", "--dt", "inf"],
+])
+def test_non_finite_float_flag_exits_2(args, tmp_path, capsys):
+    assert main(args + ["--output", str(tmp_path / "out.csv")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"protocol": "lowpass1", "gamma": 1.0, "dt": NaN}')
+    assert main(["evolve", "--config", str(cfg)]) == 2
+    assert "'dt' must be finite" in capsys.readouterr().err

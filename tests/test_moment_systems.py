@@ -49,6 +49,14 @@ class TestProtocolParams:
         p = params(ProtocolKind.LOWPASS2, gamma=2.0, Omega=2.0)
         assert p.effective_gamma == pytest.approx(1.0)
 
+    def test_single_stage_effective_gamma_is_its_bandwidth(self):
+        # an Omega given to the single stage does not enter its bandwidth
+        assert params(ProtocolKind.LOWPASS1, gamma=2.0, Omega=3.0).effective_gamma == 2.0
+
+    def test_bandpass_has_no_effective_gamma(self):
+        with pytest.raises(ValueError):
+            params(ProtocolKind.BANDPASS, gamma=2.0, Omega=3.0).effective_gamma
+
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_two_layer(params(ProtocolKind.LOWPASS1, gamma=1.0))

@@ -1,13 +1,18 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from filtercool import phase_diagram
 from filtercool.analytics import energy_1layer, energy_bandpass
-from filtercool.moment_systems import ProtocolKind
+from filtercool.moment_systems import ProtocolKind, ProtocolParams, build_moment_system
 from filtercool.phase_diagram import (
     ALL_PROTOCOLS,
     CSV_HEADER,
     FLAG_OK,
     GridSpec,
+    _moment_matrices,
     export_phase_csv,
     load_phase_csv,
     sweep,
@@ -103,6 +108,30 @@ class TestSweep:
         assert abs(np.log(b / a)) < np.log(cell_ratio)
 
 
+class TestArrayAssembly:
+    @pytest.mark.parametrize("kind", [ProtocolKind.LOWPASS2, ProtocolKind.LOWPASS3,
+                                      ProtocolKind.BANDPASS])
+    def test_assembled_matrices_equal_per_cell_builds(self, kind):
+        spec = GridSpec.log_spaced(n_gamma=23, n_Omega=19, lam=0.37, omega=2.9)
+        mats = _moment_matrices(kind, spec)
+        for i, g in enumerate(spec.gamma_values):
+            for j, Om in enumerate(spec.Omega_values):
+                p = ProtocolParams(spec.lam, spec.omega, g, Om, kind)
+                assert np.array_equal(mats[i, j], build_moment_system(p).A)
+
+    def test_three_builds_per_protocol(self, monkeypatch):
+        calls = []
+
+        def counting_build(p):
+            calls.append(p.kind)
+            return build_moment_system(p)
+
+        monkeypatch.setattr(phase_diagram, "build_moment_system", counting_build)
+        sweep(GridSpec.log_spaced(n_gamma=17, n_Omega=13), n_crosscheck=0)
+        assert Counter(calls) == {ProtocolKind.LOWPASS2: 3, ProtocolKind.LOWPASS3: 3,
+                                  ProtocolKind.BANDPASS: 3}
+
+
 class TestCsv:
     def test_single_cell_round_trip(self, tmp_path):
         spec = GridSpec(np.array([2.0]), np.array([3.0]))
@@ -136,3 +165,11 @@ class TestCsv:
                           if flags[row][col] == FLAG_OK]
             expected = min(qualifying)[3].value if qualifying else "none"
             assert winner[row] == expected
+
+    def test_digest_pinned(self, tmp_path):
+        # 30 x 30 over the default ranges with all four protocols; pins every
+        # printed digit, flag and winner of the export byte for byte
+        path = tmp_path / "grid.csv"
+        export_phase_csv(sweep(GridSpec.log_spaced(n_gamma=30, n_Omega=30)), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "c5a7f0cadb9745de0f6ffd69942e78e1e5e40c92a84153d399ac5617053f13e6"
