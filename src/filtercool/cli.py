@@ -213,6 +213,8 @@ def _merge_options(ns: argparse.Namespace) -> dict:
 
 def _protocol_params(cfg: dict) -> ProtocolParams:
     kind = ProtocolKind(cfg["protocol"])
+    if kind is ProtocolKind.LOWPASS1 and cfg["Omega"] is not None:
+        raise ConfigError("lowpass1 has a single bandwidth; Omega does not apply")
     try:
         return ProtocolParams(cfg["lambda"], cfg["omega"], cfg["gamma"],
                               cfg["Omega"], kind)

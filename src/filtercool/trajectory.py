@@ -3,19 +3,36 @@
 Each trajectory co-integrates two coupled pieces with a shared Wiener
 increment per measurement channel:
 
-* the conditioned density matrix, evolving under the diffusive stochastic
-  master equation for weak monitoring of Hermitian operators A_k with
-  strength lam (unitary drift, backaction dissipators, and the nonlinear
-  innovation term), and
+* the conditioned quantum state under weak monitoring of Hermitian
+  operators A_k with strength lam, and
 * the filtered signal vector of each channel, dG = M G dt + b z_k dt, where
   the record z_k dt = <A_k> dt + dW_k / sqrt(4 lam) reuses the same dW_k
   that drove the state update.
 
-Integration is Euler-Maruyama on the density matrix with re-Hermitization
-and trace renormalization after every step.  Feedback enters by recomputing
-the Hamiltonian from the current signals at every step; for the trap-shift
-rules used by the cooling protocols the engine exploits their linearity in
-x and p so whole ensembles can be stepped as one batched array operation.
+The measurement has unit efficiency, so a pure state stays pure.  When the
+initial state is pure, :func:`run_ensemble` steps the state vector psi with
+the stochastic Schroedinger equation (SSE), a_k = <A_k>,
+
+    dpsi = [-i (H - <H>) dt - (lam/2) sum_k (A_k - a_k)^2 dt
+            + sqrt(lam) sum_k (A_k - a_k) dW_k] psi,
+
+one Euler-Maruyama move followed by renormalization per step.  It
+reproduces the diffusive stochastic master equation (SME) term for term
+(Wiseman & Milburn, Quantum Measurement and Control, 2010, ch. 4; Jacobs &
+Steck, Contemp. Phys. 47, 279, 2006) at O(d^2) instead of O(d^3) work per
+step.  H is centred on <H>: the exact flow ignores a constant added to H,
+and with the centring the Euler step does too.
+
+A mixed initial state is stepped as a density matrix under the SME
+(unitary drift, backaction dissipators and the nonlinear innovation term),
+Euler-Maruyama with re-Hermitization and trace renormalization after every
+step.  This path is exact for mixed input; :func:`step` uses it, and it is
+the reference the SSE path is tested against.
+
+Feedback enters by recomputing the Hamiltonian from the current signals at
+every step; for the trap-shift rules used by the cooling protocols the
+engine exploits their linearity in x and p so whole ensembles can be
+stepped as one batched array operation.
 
 Ensembles are reproducible by construction: trajectory i draws its noise
 from ``NoiseStream(base_seed, i)`` and statistics are reduced in trajectory
@@ -41,6 +58,14 @@ EDGE_POPULATION_LIMIT = 1e-3
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-10
 
+#: An initial state whose top eigenvalue exceeds 1 - _PURE_TOL is stepped
+#: as a state vector.
+_PURE_TOL = 1e-12
+
+#: Steps of noise drawn at once per trajectory; bounds the noise buffer at
+#: chunk_size * NOISE_BLOCK * channels doubles whatever the step count.
+NOISE_BLOCK = 1024
+
 
 class TrajectoryError(NumericalError):
     """A trajectory produced a non-finite state."""
@@ -55,8 +80,11 @@ class QuantumState:
     """Finite-dimensional density matrix (the conditioned state).
 
     Hermiticity (to 1e-12) and unit trace (to 1e-10) are enforced on
-    construction; positivity is not, since the integrator can transiently
-    produce slightly negative eigenvalues (see :meth:`min_eigenvalue`).
+    construction; positivity is not, since the density-matrix integrator
+    (the mixed-state path of :func:`run_ensemble` and :func:`step`) can
+    transiently produce slightly negative eigenvalues (see
+    :meth:`min_eigenvalue`).  Pure states are stepped as state vectors,
+    which cannot lose positivity.
     """
 
     rho: np.ndarray
@@ -346,8 +374,20 @@ class TrajectoryRecord:
 # stepping kernel
 
 
+def _expect(state: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Real <op> for a batch of state vectors (n, d) or density matrices (n, d, d)."""
+    if state.ndim == 2:
+        return (state.conj() * (state[:, None, :] @ op.T)[:, 0]).sum(axis=1).real
+    return np.einsum('nij,ji->n', state, op).real
+
+
 class _Engine:
-    """Precomputed batched stepping kernel for one SystemModel."""
+    """Precomputed batched stepping kernel for one SystemModel.
+
+    A batch is either state vectors, shape (n, d), stepped by
+    :meth:`step_psi`, or density matrices, shape (n, d, d), stepped by
+    :meth:`step_batch`; the observables accept both.
+    """
 
     def __init__(self, model: SystemModel):
         self.model = model
@@ -379,13 +419,24 @@ class _Engine:
         else:
             self.mode = "generic"
             self.fb = fb
+        # State-vector path: one product psi @ W yields H0 psi, every A_k psi
+        # and A_k^2 psi, and x psi, p psi for the trap shift (blocks 1 and 2
+        # when the measured pair is (x, p)).
+        mats = [self.H0, *self.ops, *self.ops_sq]
+        if self.mode == "trap":
+            xp = (self.osc.x, self.osc.p)
+            if all(np.array_equal(A, B) for A, B in zip(self.ops, xp)):
+                self.trap_blocks = (1, 2)
+            else:
+                self.trap_blocks = (len(mats), len(mats) + 1)
+                mats += xp
+        self.W = np.concatenate([A.T for A in mats], axis=1)
 
-    def op_means(self, rho: np.ndarray) -> np.ndarray:
+    def op_means(self, state: np.ndarray) -> np.ndarray:
         """Conditional <A_k> for the whole batch, shape (n, channels)."""
         if not self.n_ch:
-            return np.zeros((rho.shape[0], 0))
-        return np.stack([np.einsum('nij,ji->n', rho, A).real for A in self.ops],
-                        axis=1)
+            return np.zeros((state.shape[0], 0))
+        return np.stack([_expect(state, A) for A in self.ops], axis=1)
 
     def _commutator(self, rho: np.ndarray, G: np.ndarray) -> np.ndarray:
         if self.mode == "trap":
@@ -397,13 +448,23 @@ class _Engine:
                     - gx * (self.osc.x @ rho - rho @ self.osc.x)
                     - gp * (self.osc.p @ rho - rho @ self.osc.p))
         if self.mode == "generic":
-            H = np.stack([np.asarray(self.fb(Gi), dtype=complex) for Gi in G])
+            H = self._feedback_hamiltonians(G)
             return H @ rho - rho @ H
         return self.H0 @ rho - rho @ self.H0
 
+    def _feedback_hamiltonians(self, G: np.ndarray) -> np.ndarray:
+        return np.stack([np.asarray(self.fb(Gi), dtype=complex) for Gi in G])
+
+    def _filter_step(self, G, a, dW, dt):
+        """dG = M G dt + b z dt with z dt = <A> dt + dW / sqrt(4 lam)."""
+        if self.m and self.n_ch:
+            z_dt = a * dt + dW * self.noise_gain
+            G = G + dt * (G @ self.M_T) + self.b[None, None, :] * z_dt[:, :, None]
+        return G
+
     def step_batch(self, rho: np.ndarray, G: np.ndarray, xi: np.ndarray,
                    dt: float):
-        """One Euler-Maruyama step of the whole batch; returns (rho, G)."""
+        """One Euler-Maruyama SME step of a density-matrix batch; returns (rho, G)."""
         dW = xi * np.sqrt(dt)
         a = self.op_means(rho)
         drho = (-1j * dt) * self._commutator(rho, G)
@@ -418,30 +479,75 @@ class _Engine:
         rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
         trace = np.einsum('nii->n', rho).real
         rho = rho / trace[:, None, None]
-        if self.m and self.n_ch:
-            z_dt = a * dt + dW * self.noise_gain
-            G = G + dt * (G @ self.M_T) + self.b[None, None, :] * z_dt[:, :, None]
-        return rho, G
+        return rho, self._filter_step(G, a, dW, dt)
 
-    def energies(self, rho: np.ndarray, G: np.ndarray) -> np.ndarray:
+    def step_psi(self, psi: np.ndarray, G: np.ndarray, xi: np.ndarray,
+                 dt: float):
+        """One Euler-Maruyama SSE step of a state-vector batch; returns (psi, G)."""
+        n, d, ch = psi.shape[0], self.d, self.n_ch
+        dW = xi * np.sqrt(dt)
+        # A stack of row products: each trajectory's arithmetic is then the
+        # same for any batch size, which one (n, d) @ (d, K) BLAS call is not.
+        prod = (psi[:, None, :] @ self.W).reshape(n, -1, d)
+        ev = (psi.conj()[:, None, :] * prod).sum(axis=2).real
+        a = ev[:, 1:1 + ch]
+        if self.mode == "generic":
+            Hpsi = (self._feedback_hamiltonians(G) @ psi[:, :, None])[:, :, 0]
+            eH = (psi.conj() * Hpsi).sum(axis=1).real
+        else:
+            Hpsi, eH = prod[:, 0], ev[:, 0]
+            if self.mode == "trap":
+                # H(G) = H0 - w(gx x + gp p) + const; the constant drops out.
+                w = self.osc.omega
+                gx = w * G[:, 0, self.tap]
+                gp = w * G[:, 1, self.tap]
+                ix, ip = self.trap_blocks
+                Hpsi = Hpsi - gx[:, None] * prod[:, ix] - gp[:, None] * prod[:, ip]
+                eH = eH - gx * ev[:, ix] - gp * ev[:, ip]
+        dpsi = (-1j * dt) * (Hpsi - eH[:, None] * psi)
+        if ch:
+            # sum_k [-(lam/2)(A_k - a_k)^2 dt + sqrt(lam)(A_k - a_k) dW_k] psi,
+            # expanded in powers of A_k
+            kick = self.sqrt_lam * dW + (self.lam * dt) * a
+            dpsi += (-0.5 * self.lam * dt) * prod[:, 1 + ch:1 + 2 * ch].sum(axis=1)
+            dpsi += (kick[:, :, None] * prod[:, 1:1 + ch]).sum(axis=1)
+            dpsi -= ((kick - (0.5 * self.lam * dt) * a) * a).sum(axis=1)[:, None] * psi
+        psi = psi + dpsi
+        psi /= np.sqrt((psi.real**2 + psi.imag**2).sum(axis=1))[:, None]
+        return psi, self._filter_step(G, a, dW, dt)
+
+    def populations(self, state: np.ndarray) -> np.ndarray:
+        """Basis-state populations, shape (n, d)."""
+        if state.ndim == 2:
+            return state.real**2 + state.imag**2
+        return np.einsum('nii->ni', state).real
+
+    def energies(self, state: np.ndarray, G: np.ndarray) -> np.ndarray:
         """<H(G)> for the whole batch (H0 when there is no feedback)."""
-        eH0 = np.einsum('nij,ji->n', rho, self.H0).real
+        if self.mode == "generic":
+            H = self._feedback_hamiltonians(G)
+            if state.ndim == 2:
+                Hpsi = (H @ state[:, :, None])[:, :, 0]
+                return (state.conj() * Hpsi).sum(axis=1).real
+            return np.einsum('nij,nji->n', H, state).real
+        eH0 = _expect(state, self.H0)
         if self.mode == "trap":
             w = self.osc.omega
             gx = G[:, 0, self.tap]
             gp = G[:, 1, self.tap]
-            ex = np.einsum('nij,ji->n', rho, self.osc.x).real
-            ep = np.einsum('nij,ji->n', rho, self.osc.p).real
+            ex = _expect(state, self.osc.x)
+            ep = _expect(state, self.osc.p)
             return eH0 - w * (gx * ex + gp * ep) + 0.5 * w * (gx**2 + gp**2)
-        if self.mode == "generic":
-            H = np.stack([np.asarray(self.fb(Gi), dtype=complex) for Gi in G])
-            return np.einsum('nij,nji->n', H, rho).real
         return eH0
 
 
 def step(state: QuantumState, signals: np.ndarray, model: SystemModel,
          dt: float, noise) -> tuple:
-    """Advance one trajectory by a single Euler-Maruyama step.
+    """Advance one trajectory by a single Euler-Maruyama step of the SME.
+
+    This is the density-matrix SME reference: it accepts mixed states, and
+    the state-vector path :func:`run_ensemble` takes for pure states is
+    tested against it.
 
     ``noise`` is either a numpy Generator (one standard normal is drawn per
     channel) or an array of per-channel standard-normal draws; internally
@@ -471,14 +577,20 @@ def step(state: QuantumState, signals: np.ndarray, model: SystemModel,
     return QuantumState(rho[0]), G[0]
 
 
-def _initial_batch(model: SystemModel, config: TrajectoryConfig, n: int):
+def _initial_state(model: SystemModel, config: TrajectoryConfig):
+    """One trajectory's start: (state vector or density matrix, signals).
+
+    A pure initial state comes back as its state vector, so that the run
+    steps the SSE; a mixed one as its density matrix.
+    """
     if config.initial_state is not None:
         state = config.initial_state
         if state.dim != model.dim:
             raise ValueError("initial state dimension does not match the model")
     else:
         state = QuantumState.ground_state_of(model.H0)
-    rho = np.broadcast_to(state.rho, (n, model.dim, model.dim)).copy()
+    evals, evecs = np.linalg.eigh(state.rho)
+    state0 = evecs[:, -1] if evals[-1] > 1.0 - _PURE_TOL else state.rho
     shape = (model.n_channels, model.n_signal_components)
     if config.initial_signals is not None:
         G0 = np.asarray(config.initial_signals, dtype=float)
@@ -486,8 +598,7 @@ def _initial_batch(model: SystemModel, config: TrajectoryConfig, n: int):
             raise ValueError(f"initial signals must have shape {shape}, got {G0.shape}")
     else:
         G0 = np.zeros(shape)
-    G = np.broadcast_to(G0, (n,) + shape).copy()
-    return rho, G
+    return state0, G0
 
 
 def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryRecord:
@@ -495,8 +606,10 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
 
     Trajectory i is driven by ``NoiseStream(config.base_seed, i)``; the
     default initial condition is the ground state of H0 with zero signals.
-    The output is deterministic for fixed configuration, independent of
-    chunking.  A run whose top-two basis populations ever exceed
+    A pure initial state (top eigenvalue above 1 - 1e-12) is stepped as a
+    state vector (SSE), a mixed one as a density matrix (SME).  The output
+    is deterministic for fixed configuration, independent of chunking.  A
+    run whose top-two basis populations ever exceed
     ``EDGE_POPULATION_LIMIT`` is flagged (and a warning is emitted), since
     its energies are no longer trustworthy.
 
@@ -510,6 +623,8 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     n_rec = config.n_steps // config.record_stride + 1
     n_traj = config.n_traj
     ch, m = engine.n_ch, engine.m
+    state0, G0 = _initial_state(model, config)
+    advance = engine.step_psi if state0.ndim == 1 else engine.step_batch
 
     energy = np.empty((n_traj, n_rec))
     opmeans = np.empty((n_traj, n_rec, ch))
@@ -520,32 +635,39 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     for start in range(0, n_traj, config.chunk_size):
         stop = min(start + config.chunk_size, n_traj)
         n = stop - start
-        rho, G = _initial_batch(model, config, n)
-        xi = np.empty((n, config.n_steps, ch))
-        for i in range(n):
-            xi[i] = NoiseStream(config.base_seed, start + i).normal(
-                (config.n_steps, ch))
+        state = np.broadcast_to(state0, (n,) + state0.shape).copy()
+        G = np.broadcast_to(G0, (n,) + G0.shape).copy()
+        # Each trajectory's Philox stream is read in sequence, block by
+        # block, so the draws equal one up-front (n_steps, ch) array.
+        gens = [NoiseStream(config.base_seed, start + i).generator()
+                for i in range(n)]
+        xi = np.empty((n, min(NOISE_BLOCK, config.n_steps), ch))
 
-        def record(slot, rho=None, G=None, sl=slice(start, stop)):
-            energy[sl, slot] = engine.energies(rho, G)
-            opmeans[sl, slot] = engine.op_means(rho)
+        def record(slot, state=None, G=None, sl=slice(start, stop)):
+            energy[sl, slot] = engine.energies(state, G)
+            opmeans[sl, slot] = engine.op_means(state)
             signals[sl, slot] = G
             if track_edge:
-                pops = np.einsum('nii->ni', rho).real[:, -2:].sum(axis=1)
+                pops = engine.populations(state)[:, -2:].sum(axis=1)
                 np.maximum(edge[sl], pops, out=edge[sl])
 
-        record(0, rho, G)
+        record(0, state, G)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for s in range(config.n_steps):
-                rho, G = engine.step_batch(rho, G, xi[:, s, :], config.dt)
-                ok = np.isfinite(rho.view(float)).all(axis=(1, 2)) & \
+                j = s % NOISE_BLOCK
+                if j == 0:
+                    rows = min(NOISE_BLOCK, config.n_steps - s)
+                    for i, gen in enumerate(gens):
+                        xi[i, :rows] = gen.standard_normal((rows, ch))
+                state, G = advance(state, G, xi[:, j, :], config.dt)
+                ok = np.isfinite(state.view(float)).reshape(n, -1).all(axis=1) & \
                     np.isfinite(G.reshape(n, -1)).all(axis=1)
                 if not ok.all():
                     bad = int(np.nonzero(~ok)[0][0]) + start
                     raise TrajectoryError(
                         f"trajectory {bad} became non-finite at step {s + 1}")
                 if (s + 1) % config.record_stride == 0:
-                    record((s + 1) // config.record_stride, rho, G)
+                    record((s + 1) // config.record_stride, state, G)
 
     times = np.arange(n_rec) * (config.record_stride * config.dt)
     max_edge = float(edge.max()) if track_edge else 0.0

@@ -210,3 +210,12 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     cfg.write_text('{"protocol": "lowpass1", "gamma": 1.0, "dt": NaN}')
     assert main(["evolve", "--config", str(cfg)]) == 2
     assert "'dt' must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["steady-state", "evolve", "trajectory"])
+def test_lowpass1_rejects_Omega(command, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([command, "--protocol", "lowpass1", "--gamma", "2",
+                 "--Omega", "5", "--output", str(out)]) == 2
+    assert "Omega does not apply" in capsys.readouterr().err
+    assert not out.exists()

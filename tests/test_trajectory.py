@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from filtercool import trajectory
 from filtercool.filters import lowpass_cascade
 from filtercool.moment_systems import ProtocolKind, ProtocolParams
 from filtercool.numerics import NoiseStream
@@ -261,3 +262,64 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             TrajectoryConfig(dt=1e-3, n_steps=10, n_traj=1, base_seed=0,
                              record_stride=3)
+
+
+class TestStateVectorPath:
+    def test_sse_matches_sme_with_common_noise(self):
+        # run_ensemble steps the pure start as a state vector; a loop of
+        # step() integrates the density-matrix SME on the same draws
+        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        model = oscillator_cooling_model(p, 14)
+        dt, n_steps, n_traj, stride, seed = 1e-3, 400, 40, 40, 5
+        cfg = TrajectoryConfig(dt=dt, n_steps=n_steps, n_traj=n_traj,
+                               base_seed=seed, record_stride=stride)
+        rec = run_ensemble(model, cfg)
+        sme = np.empty((n_traj, rec.times.size))
+        for i in range(n_traj):
+            gen = NoiseStream(seed, i).generator()
+            state = QuantumState.ground_state_of(model.H0)
+            signals = np.zeros((2, 2))
+            sme[i, 0] = state.expectation(model.feedback(signals))
+            for s in range(1, n_steps + 1):
+                state, signals = step(state, signals, model, dt, gen)
+                if s % stride == 0:
+                    sme[i, s // stride] = state.expectation(model.feedback(signals))
+        dev = np.abs(sme.mean(axis=0) - rec.energy_mean)
+        assert dev[0] < 1e-12
+        assert (dev[1:] <= 0.5 * rec.energy_stderr[1:]).all()
+
+    def test_mixed_initial_state_runs_density_matrix_path(self):
+        rho = np.zeros((10, 10), dtype=complex)
+        rho[0, 0], rho[1, 1] = 0.7, 0.3
+        p = ProtocolParams(1.0, 1.0, 2.0, None, ProtocolKind.LOWPASS1)
+        model = oscillator_cooling_model(p, 10)
+        cfg = TrajectoryConfig(dt=1e-3, n_steps=20, n_traj=3, base_seed=2,
+                               record_stride=10, initial_state=QuantumState(rho))
+        rec = run_ensemble(model, cfg)
+        assert rec.energy_mean[0] == pytest.approx(0.8, abs=1e-12)
+        assert np.isfinite(rec.energy_mean).all()
+
+    def test_trap_path_chunk_independent(self):
+        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        model = oscillator_cooling_model(p, 24)
+        recs = [run_ensemble(model, TrajectoryConfig(
+            dt=5e-4, n_steps=30, n_traj=11, base_seed=9, record_stride=10,
+            chunk_size=chunk)) for chunk in (1, 5, 64)]
+        for rec in recs[1:]:
+            assert np.array_equal(rec.energy_mean, recs[0].energy_mean)
+            assert np.array_equal(rec.energy_stderr, recs[0].energy_stderr)
+            assert np.array_equal(rec.op_mean, recs[0].op_mean)
+            assert np.array_equal(rec.signal_var, recs[0].signal_var)
+
+    def test_noise_block_size_does_not_change_results(self, monkeypatch):
+        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        model = oscillator_cooling_model(p, 8)
+        cfg = TrajectoryConfig(dt=1e-3, n_steps=50, n_traj=4, base_seed=1,
+                               record_stride=5)
+        ref = run_ensemble(model, cfg)
+        monkeypatch.setattr(trajectory, "NOISE_BLOCK", 7)
+        rec = run_ensemble(model, cfg)
+        assert np.array_equal(rec.energy_mean, ref.energy_mean)
+        assert np.array_equal(rec.op_mean, ref.op_mean)
+        assert np.array_equal(rec.signal_mean, ref.signal_mean)
+        assert np.array_equal(rec.signal_var, ref.signal_var)
