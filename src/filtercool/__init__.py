@@ -53,6 +53,7 @@ from .numerics import (
     eigenvalues,
     integrate_affine,
     mat_exp,
+    propagate_affine,
     solve_linear,
 )
 from .phase_diagram import GridSpec, PhaseGridResult, export_phase_csv, sweep

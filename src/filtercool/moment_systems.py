@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import eigenvalues, integrate_affine, solve_linear
+from .numerics import eigenvalues, propagate_affine, solve_linear
 
 #: Relative slack used for the stability and physicality classifications.
 STABILITY_TOL = 1e-9
@@ -262,8 +262,14 @@ def steady_state(sys: MomentSystem) -> SteadyState:
 
 
 def evolve(sys: MomentSystem, x0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
-    """RK4 path of the moment system from x0; shape (n_steps + 1, dim)."""
-    return integrate_affine(sys.A, sys.c, x0, dt, n_steps)
+    """Exact path of the moment system from x0 at the times k*dt; shape (n_steps + 1, dim).
+
+    The system is affine, so ``numerics.propagate_affine`` steps it with one
+    matrix exponential and has no dt error: ``dt`` sets only where the path
+    is sampled.  Raises ``NumericalError`` naming the step and time at which
+    an unstable system overflows.
+    """
+    return propagate_affine(sys.A, sys.c, x0, dt, n_steps)
 
 
 def characteristic_polynomial(a: np.ndarray) -> np.ndarray:

@@ -1,10 +1,18 @@
 import csv
 import json
+import re
+import tracemalloc
 
 import pytest
 
 from filtercool.cli import load_config, main
 from filtercool.cli import ConfigError
+from filtercool.moment_systems import (
+    ProtocolKind,
+    ProtocolParams,
+    build_moment_system,
+    steady_state,
+)
 
 
 def read_rows(path):
@@ -94,6 +102,37 @@ class TestEvolve:
         assert float(rows[1][1]) == 1.0  # energy starts at e0
         assert all(float(v) == 0.0 for v in rows[1][2:])
         assert len(rows) == 7
+
+    def test_long_run_stays_bounded(self, tmp_path):
+        # 1e8 steps stepped at the stride: the rows in between are never held
+        out = tmp_path / "ev.csv"
+        tracemalloc.start()
+        try:
+            code = main(["evolve", "--protocol", "lowpass2", "--gamma", "2",
+                         "--Omega", "2", "--dt", "1e-3", "--steps", "100000000",
+                         "--stride", "1000000", "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 10_000_000
+        rows = read_rows(out)[1:]
+        assert len(rows) == 101
+        assert rows[-1][0] == "100000"
+        ss = steady_state(build_moment_system(
+            ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)))
+        assert float(rows[-1][1]) == pytest.approx(ss.energy_over_hw, rel=1e-9)
+
+    def test_unstable_system_exits_3_naming_the_time(self, capsys):
+        # max Re(eigenvalue) = 0.19: the energy overflows near t = 3657
+        code = main(["evolve", "--protocol", "bandpass", "--gamma", "0.1",
+                     "--Omega", "1", "--dt", "0.01", "--steps", "500000",
+                     "--stride", "100"])
+        assert code == 3
+        err = capsys.readouterr().err
+        match = re.search(r"t = ([0-9.e+]+)", err)
+        assert match, err
+        assert 3650.0 < float(match.group(1)) < 3665.0
 
 
 class TestTrajectory:

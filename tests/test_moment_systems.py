@@ -20,7 +20,7 @@ from filtercool.moment_systems import (
     evolve,
     steady_state,
 )
-from filtercool.numerics import SingularMatrixError
+from filtercool.numerics import SingularMatrixError, integrate_affine
 
 
 def params(kind, lam=1.0, omega=1.0, gamma=1.0, Omega=None):
@@ -229,6 +229,36 @@ class TestEvolve:
         path = evolve(sys, x0, dt, n)
         for k in (200, 700, 1400, 2000):
             assert abs(path[k, 0] - sol.sol(k * dt)[0]) < 1e-8
+
+
+EVOLVE_CASES = [
+    params(ProtocolKind.LOWPASS1, gamma=2.0),
+    params(ProtocolKind.LOWPASS2, gamma=2.0, Omega=2.0),
+    params(ProtocolKind.LOWPASS3, gamma=5.0, Omega=20.0),
+    params(ProtocolKind.BANDPASS, gamma=3.0, Omega=1.0),
+]
+
+
+class TestExactEvolve:
+    @pytest.mark.parametrize("p", EVOLVE_CASES, ids=lambda p: p.kind.value)
+    def test_matches_rk4_reference(self, p):
+        sys = build_moment_system(p)
+        x0 = np.zeros(sys.dim)
+        x0[sys.energy_index] = 2.0
+        exact = evolve(sys, x0, 1e-3, 4000)
+        rk4 = integrate_affine(sys.A, sys.c, x0, 1e-3, 4000)
+        np.testing.assert_allclose(exact, rk4, rtol=1e-8, atol=1e-8 * np.abs(rk4).max())
+
+    @pytest.mark.parametrize("p", EVOLVE_CASES, ids=lambda p: p.kind.value)
+    def test_stride_invariance(self, p):
+        # the CLI steps at its output stride and relies on this
+        sys = build_moment_system(p)
+        x0 = np.zeros(sys.dim)
+        x0[sys.energy_index] = 2.0
+        dt, n, stride = 1e-3, 4000, 40
+        fine = evolve(sys, x0, dt, n)[::stride]
+        coarse = evolve(sys, x0, stride * dt, n // stride)
+        np.testing.assert_allclose(coarse, fine, rtol=1e-12, atol=1e-12 * np.abs(fine).max())
 
 
 class TestCharacteristicPolynomial:

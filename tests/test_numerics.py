@@ -9,6 +9,7 @@ from filtercool.numerics import (
     eigenvalues,
     integrate_affine,
     mat_exp,
+    propagate_affine,
     solve_linear,
 )
 
@@ -154,6 +155,38 @@ class TestIntegrateAffine:
     def test_bad_dt(self):
         with pytest.raises(ValueError):
             integrate_affine(np.zeros((1, 1)), np.zeros(1), [1.0], 0.0, 5)
+
+
+class TestPropagateAffine:
+    def test_exact_scalar_relaxation(self):
+        g, Uinf, U0, dt = 1.0, 0.75, 2.0, 1e-3
+        path = propagate_affine([[-2.0 * g]], [2.0 * g * Uinf], [U0], dt, 1000)
+        t = np.arange(1001) * dt
+        exact = Uinf + (U0 - Uinf) * np.exp(-2.0 * g * t)
+        np.testing.assert_allclose(path[:, 0], exact, rtol=1e-13)
+
+    def test_singular_drift(self):
+        # A = 0 has no fixed point; the augmented exponential still steps it
+        path = propagate_affine(np.zeros((2, 2)), np.ones(2), [1.0, -2.0], 0.1, 50)
+        t = np.arange(51) * 0.1
+        np.testing.assert_allclose(path, np.array([1.0, -2.0]) + t[:, None],
+                                   rtol=1e-13, atol=1e-14)
+
+    def test_overflow_reports_step_and_time(self):
+        # e^(50 k) first exceeds the float range at k = 15
+        with pytest.raises(NumericalError, match=r"step 15 \(t = 7\.5\)"):
+            propagate_affine(np.array([[100.0]]), np.zeros(1), [1.0], 0.5, 500)
+
+    @pytest.mark.parametrize("args", [
+        (np.zeros((1, 1)), np.zeros(1), [1.0], 0.0, 5),
+        (np.zeros((1, 1)), np.zeros(1), [1.0], -0.1, 5),
+        (np.zeros((2, 2)), np.zeros(1), [1.0, 0.0], 0.1, 5),
+        (np.zeros((2, 2)), np.zeros(2), [1.0], 0.1, 5),
+        (np.zeros((2, 3)), np.zeros(2), [1.0, 0.0], 0.1, 5),
+    ])
+    def test_bad_input(self, args):
+        with pytest.raises(ValueError):
+            propagate_affine(*args)
 
 
 class TestNoiseStream:
