@@ -44,7 +44,7 @@ from .moment_systems import (
     steady_state,
 )
 from .numerics import NumericalError
-from .phase_diagram import ALL_PROTOCOLS, GridSpec, export_phase_csv, sweep
+from .phase_diagram import ALL_PROTOCOLS, GridSpec, export_phase_csv, sweep, write_rows
 from .trajectory import TrajectoryConfig, oscillator_cooling_model, run_ensemble
 
 
@@ -54,6 +54,11 @@ class ConfigError(ValueError):
 
 def _fmt(x) -> str:
     return f"{float(x):.12g}"
+
+
+def _float_row(n: int) -> str:
+    """``write_rows`` format of n numbers, each written as ``_fmt`` writes it."""
+    return ",".join(["%.12g"] * n) + "\r\n"
 
 
 def _float_list(value) -> Tuple[float, ...]:
@@ -254,12 +259,10 @@ def _cmd_filter_response(cfg: dict) -> None:
     if cfg["t_max"] <= 0 or cfg["points"] < 2:
         raise ConfigError("t-max must be positive and points at least 2")
     times = np.linspace(0.0, cfg["t_max"], cfg["points"])
+    h = np.array([impulse_response(model, t) for t in times])
     with _open_output(cfg["output"]) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"h_{k + 1}" for k in range(model.n)])
-        for t in times:
-            h = impulse_response(model, t)
-            writer.writerow([_fmt(t)] + [_fmt(v) for v in h])
+        csv.writer(fh).writerow(["t"] + [f"h_{k + 1}" for k in range(model.n)])
+        write_rows(fh, _float_row(1 + model.n), [times, *h.T])
 
 
 def _cmd_steady_state(cfg: dict) -> None:
@@ -292,11 +295,10 @@ def _cmd_evolve(cfg: dict) -> None:
         path = evolve(system, x0, cfg["dt"] * stride, cfg["steps"] // stride)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    times = [j * stride * cfg["dt"] for j in range(len(path))]
     with _open_output(cfg["output"]) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + list(system.labels))
-        for j, row in enumerate(path):
-            writer.writerow([_fmt(j * stride * cfg["dt"])] + [_fmt(v) for v in row])
+        csv.writer(fh).writerow(["t"] + list(system.labels))
+        write_rows(fh, _float_row(1 + system.dim), [times, *path.T])
 
 
 def _cmd_trajectory(cfg: dict) -> None:
@@ -313,15 +315,13 @@ def _cmd_trajectory(cfg: dict) -> None:
     record = run_ensemble(model, run_cfg)
     tap = model.feedback.tap_index
     with _open_output(cfg["output"]) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "mean_energy", "stderr_energy",
-                         "mean_Dx", "var_Dx", "mean_Dp", "var_Dp"])
-        for k, t in enumerate(record.times):
-            writer.writerow([
-                _fmt(t), _fmt(record.energy_mean[k]), _fmt(record.energy_stderr[k]),
-                _fmt(record.signal_mean[0, tap, k]), _fmt(record.signal_var[0, tap, k]),
-                _fmt(record.signal_mean[1, tap, k]), _fmt(record.signal_var[1, tap, k]),
-            ])
+        csv.writer(fh).writerow(["t", "mean_energy", "stderr_energy",
+                                 "mean_Dx", "var_Dx", "mean_Dp", "var_Dp"])
+        write_rows(fh, _float_row(7), [
+            record.times, record.energy_mean, record.energy_stderr,
+            record.signal_mean[0, tap], record.signal_var[0, tap],
+            record.signal_mean[1, tap], record.signal_var[1, tap],
+        ])
 
 
 def _cmd_phase_diagram(cfg: dict) -> None:

@@ -13,6 +13,17 @@ The sweep is one array pass per protocol over the whole mesh.  Each
 hand-typed moment matrix is affine in (gamma, Omega) at fixed (lam, omega)
 with small-integer coefficients, so three builds assemble every cell's
 A = A0 + gamma dA_gamma + Omega dA_Omega, bit-equal to a per-cell build.
+
+The eigenvalues are not taken from A itself.  Every filtered-feedback
+moment system is one complex Lyapunov equation dX/dt = K X + X K^dagger + Q
+for a small complex drift K (:func:`filter_drift`, m x m or (m+1) x (m+1)
+for an m-component filter), so the spectrum of A is
+{lambda_i(K) + conj(lambda_j(K))} and its largest real part is
+2 max Re lambda(K).  A cell is stable when 2 max Re lambda(K) <
+-STABILITY_TOL ||A||_inf: the threshold of :func:`moment_systems.steady_state`,
+with ||A||_inf summed entry by entry from the affine parts of A, so no
+per-cell A is ever held.  ``steady_state`` keeps the direct eigenvalues of
+A and is the per-cell oracle of the cross-check.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from .moment_systems import (
     steady_state,
 )
 from .numerics import NumericalError, SingularMatrixError
+from .trajectory import protocol_filter, protocol_tap_index
 
 ALL_PROTOCOLS = (ProtocolKind.LOWPASS1, ProtocolKind.LOWPASS2,
                  ProtocolKind.LOWPASS3, ProtocolKind.BANDPASS)
@@ -51,6 +63,13 @@ _ENERGY_FN = {
 }
 
 _CROSSCHECK_RTOL = 1e-9
+
+#: (gamma, Omega) of the three builds that fix a matrix affine in them.
+_AFFINE_POINTS = ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
+
+#: One row of the phase CSV: gamma, Omega, E1, E2, E3, Ebp, winner and the
+#: four flags, ending in the line terminator ``csv.writer`` writes.
+_PHASE_ROW = "%.12g," * 6 + "%s,%s;%s;%s;%s\r\n"
 
 
 @dataclass
@@ -101,31 +120,95 @@ class PhaseGridResult:
     All cell arrays are indexed ``[i_gamma, j_Omega]``.  ``winner`` holds
     protocol names (``ProtocolKind.value``) or ``"none"`` when no protocol
     qualifies in a cell.
+
+    The cross-check fields count the sampled cells re-solved through the
+    moment systems (``crosscheck_cells``), the sampled cells it could not
+    check because the closed form is not finite or the moment matrix is
+    singular (``crosscheck_skipped``), and the largest
+    |solved - closed form| / max(|closed form|, 1) among the checked ones
+    (0 when none was checked).
     """
 
     spec: GridSpec
     energies: Dict[ProtocolKind, np.ndarray]
     flags: Dict[ProtocolKind, np.ndarray]
     winner: np.ndarray
+    crosscheck_cells: int = 0
+    crosscheck_skipped: int = 0
+    crosscheck_max_residual: float = 0.0
+
+
+def filter_drift(params: ProtocolParams) -> np.ndarray:
+    """Complex drift K of the closed loop of a protocol's filter and oscillator.
+
+    With the filter dG = M G dt + b z dt fed the measured mean
+    alpha = <x> + i<p>, and the trap centred on the tapped component, the
+    moment system is dX/dt = K X + X K^dagger + Q.  When M 1 + b = 0 (every
+    low-pass cascade) the filter passes DC unchanged and the mean drops out
+    of zeta = G - alpha 1, whose drift is K = M - i omega 1 e_tap^T (m x m).
+    Otherwise (band-pass) the state is (G, alpha) and
+    K = [[M, b], [i omega e_tap^T, -i omega]].
+    """
+    fm = protocol_filter(params)
+    tap = protocol_tap_index(params.kind)
+    m = fm.n
+    if not (fm.M.sum(axis=1) + fm.b).any():
+        k = fm.M.astype(complex)
+        k[:, tap] -= 1j * params.omega
+        return k
+    k = np.zeros((m + 1, m + 1), dtype=complex)
+    k[:m, :m] = fm.M
+    k[:m, m] = fm.b
+    k[m, tap] = 1j * params.omega
+    k[m, m] = -1j * params.omega
+    return k
+
+
+def _affine_parts(build, kind: ProtocolKind, spec: GridSpec):
+    """``(X0, dX_gamma, dX_Omega)`` of a matrix ``build(params)`` affine in (gamma, Omega)."""
+    x11, x21, x12 = (build(ProtocolParams(spec.lam, spec.omega, g, Om, kind))
+                     for g, Om in _AFFINE_POINTS)
+    d_gamma, d_Omega = x21 - x11, x12 - x11
+    return x11 - d_gamma - d_Omega, d_gamma, d_Omega
+
+
+def _on_grid(parts, spec: GridSpec) -> np.ndarray:
+    """Every cell's matrix from its affine parts, shape ``(n_gamma, n_Omega, n, n)``."""
+    x0, d_gamma, d_Omega = parts
+    return ((x0 + spec.gamma_values[:, None, None, None] * d_gamma)
+            + spec.Omega_values[:, None, None] * d_Omega)
+
+
+def _moment_parts(kind: ProtocolKind, spec: GridSpec):
+    return _affine_parts(lambda p: build_moment_system(p).A, kind, spec)
 
 
 def _moment_matrices(kind: ProtocolKind, spec: GridSpec) -> np.ndarray:
     """Every cell's moment matrix, shape ``(n_gamma, n_Omega, dim, dim)``."""
-    a11, a21, a12 = (build_moment_system(ProtocolParams(spec.lam, spec.omega, g, Om, kind)).A
-                     for g, Om in ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0)))
-    d_gamma, d_Omega = a21 - a11, a12 - a11
-    return ((a11 - d_gamma - d_Omega + spec.gamma_values[:, None, None, None] * d_gamma)
-            + spec.Omega_values[:, None, None] * d_Omega)
+    return _on_grid(_moment_parts(kind, spec), spec)
+
+
+def _inf_norms(parts, spec: GridSpec) -> np.ndarray:
+    """||A||_inf per cell, summed one nonzero entry of A at a time over the grid."""
+    a0, d_gamma, d_Omega = parts
+    gamma = spec.gamma_values[:, None]
+    norms = np.zeros((spec.gamma_values.size, spec.Omega_values.size))
+    for i in range(a0.shape[0]):
+        row = np.zeros_like(norms)
+        for j in np.flatnonzero((a0[i] != 0) | (d_gamma[i] != 0) | (d_Omega[i] != 0)):
+            row += np.abs((a0[i, j] + gamma * d_gamma[i, j]) + spec.Omega_values * d_Omega[i, j])
+        np.maximum(norms, row, out=norms)
+    return norms
 
 
 def _stability_map(kind: ProtocolKind, spec: GridSpec) -> np.ndarray:
-    """Boolean stability per cell from the moment-system eigenvalues."""
+    """Boolean stability per cell from the eigenvalues of the complex drift K."""
     if kind is ProtocolKind.LOWPASS1:  # single eigenvalue -2*gamma
         return np.ones((spec.gamma_values.size, spec.Omega_values.size), dtype=bool)
-    mats = _moment_matrices(kind, spec)
-    eig = np.linalg.eigvals(mats)
-    scale = np.abs(mats).sum(axis=-1).max(axis=-1)  # infinity norm per matrix
-    return eig.real.max(axis=-1) < -STABILITY_TOL * scale
+    norms = _inf_norms(_moment_parts(kind, spec), spec)
+    drifts = _on_grid(_affine_parts(filter_drift, kind, spec), spec)
+    rate = np.linalg.eigvals(drifts).real.max(axis=-1)
+    return 2.0 * rate < -STABILITY_TOL * norms
 
 
 def sweep(spec: GridSpec, n_crosscheck: int = 50) -> PhaseGridResult:
@@ -158,14 +241,17 @@ def sweep(spec: GridSpec, n_crosscheck: int = 50) -> PhaseGridResult:
     winner = np.array([k.value for k in kinds], dtype=object)[first_best]
     winner[~ok.any(axis=0)] = "none"
 
-    _crosscheck(spec, energies, n_crosscheck)
-    return PhaseGridResult(spec, energies, flags, winner)
+    checked, skipped, worst = _crosscheck(spec, energies, n_crosscheck)
+    return PhaseGridResult(spec, energies, flags, winner, checked, skipped, worst)
 
 
-def _crosscheck(spec: GridSpec, energies, n_cells: int):
-    """Spot-check the closed forms against moment-system steady states."""
-    if n_cells <= 0:
-        return
+def _crosscheck(spec: GridSpec, energies, n_cells: int) -> Tuple[int, int, float]:
+    """Spot-check the closed forms against moment-system steady states.
+
+    Returns the cells checked, the cells skipped and the worst relative
+    residual (see :class:`PhaseGridResult`).
+    """
+    checked, skipped, worst = 0, 0, 0.0
     rng = np.random.default_rng(1234)
     ng, nO = spec.gamma_values.size, spec.Omega_values.size
     for _ in range(n_cells):
@@ -174,22 +260,36 @@ def _crosscheck(spec: GridSpec, energies, n_cells: int):
         kind = spec.protocols[int(rng.integers(len(spec.protocols)))]
         exact = energies[kind][i, j]
         if not np.isfinite(exact):
+            skipped += 1
             continue
         p = ProtocolParams(spec.lam, spec.omega, spec.gamma_values[i],
                            spec.Omega_values[j], kind)
         try:
             solved = steady_state(build_moment_system(p)).energy_over_hw
         except SingularMatrixError:
+            skipped += 1
             continue
         if abs(solved - exact) > _CROSSCHECK_RTOL * max(abs(exact), 1.0):
             raise NumericalError(
                 f"closed form and moment system disagree for {kind.value} at "
                 f"gamma={spec.gamma_values[i]}, Omega={spec.Omega_values[j]}: "
                 f"{exact} vs {solved}")
+        checked += 1
+        worst = max(worst, abs(solved - exact) / max(abs(exact), 1.0))
+    return checked, skipped, float(worst)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def write_rows(fh, fmt: str, columns) -> None:
+    """Write the line ``fmt % row`` for each row of the zipped ``columns``.
+
+    The CSV writers of the package share this loop: one ``%``-format per row
+    in place of a ``csv.writer`` row of separately formatted fields.  ``fmt``
+    ends in ``"\\r\\n"``, the line ending ``csv.writer`` writes, and its
+    fields must need no quoting.  Array columns are turned into lists first,
+    so ``%`` formats Python numbers.
+    """
+    fh.writelines(map(fmt.__mod__, zip(*(
+        c.tolist() if isinstance(c, np.ndarray) else c for c in columns))))
 
 
 def export_phase_csv(result: PhaseGridResult, path) -> None:
@@ -198,25 +298,23 @@ def export_phase_csv(result: PhaseGridResult, path) -> None:
     Energies are in units of hbar*omega with 12 significant digits (``nan``
     for protocols that are not applicable or not requested); ``flags`` joins
     the four per-protocol flags with semicolons in the order E1;E2;E3;Ebp.
+    Rows run over Omega fastest.
     """
     spec = result.spec
+    ng, nO = spec.gamma_values.size, spec.Omega_values.size
+    energies, flags = [], []
+    for kind in ALL_PROTOCOLS:
+        if kind in result.energies:
+            energies.append(result.energies[kind].ravel())
+            flags.append(result.flags[kind].ravel())
+        else:
+            energies.append(np.full(ng * nO, np.nan))
+            flags.append(np.full(ng * nO, FLAG_NA, dtype=object))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i, g in enumerate(spec.gamma_values):
-            for j, Om in enumerate(spec.Omega_values):
-                row = [_fmt(g), _fmt(Om)]
-                fl = []
-                for kind in ALL_PROTOCOLS:
-                    if kind in result.energies:
-                        row.append(_fmt(result.energies[kind][i, j]))
-                        fl.append(result.flags[kind][i, j])
-                    else:
-                        row.append("nan")
-                        fl.append(FLAG_NA)
-                row.append(result.winner[i, j])
-                row.append(";".join(fl))
-                writer.writerow(row)
+        csv.writer(fh).writerow(CSV_HEADER)
+        write_rows(fh, _PHASE_ROW,
+                   [np.repeat(spec.gamma_values, nO), np.tile(spec.Omega_values, ng),
+                    *energies, result.winner.ravel(), *flags])
 
 
 def load_phase_csv(path):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import tracemalloc
@@ -133,6 +134,18 @@ class TestEvolve:
         match = re.search(r"t = ([0-9.e+]+)", err)
         assert match, err
         assert 3650.0 < float(match.group(1)) < 3665.0
+
+    def test_bench_run_digest_pinned(self, tmp_path):
+        # the benchmark's three-stage run (2001 rows), as csv.writer wrote it
+        # from fields formatted one at a time
+        out = tmp_path / "ev.csv"
+        code = main(["evolve", "--e0", "2.0", "--protocol", "lowpass3",
+                     "--lambda", "1.0", "--omega", "1.0", "--gamma", "5.0",
+                     "--Omega", "20.0", "--dt", "0.001", "--steps", "80000",
+                     "--stride", "40", "--output", str(out)])
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "5f5d05572a71c07b0d0f99b697503959839c836878262a5a4b61d6d4f8263e4a"
 
 
 class TestTrajectory:

@@ -1,22 +1,40 @@
+import csv
 import hashlib
+import io
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from filtercool import phase_diagram
 from filtercool.analytics import energy_1layer, energy_bandpass
-from filtercool.moment_systems import ProtocolKind, ProtocolParams, build_moment_system
+from filtercool.moment_systems import (
+    STABILITY_TOL,
+    ProtocolKind,
+    ProtocolParams,
+    build_moment_system,
+)
+from filtercool.numerics import NumericalError, SingularMatrixError
 from filtercool.phase_diagram import (
     ALL_PROTOCOLS,
     CSV_HEADER,
     FLAG_OK,
     GridSpec,
     _moment_matrices,
+    _stability_map,
     export_phase_csv,
+    filter_drift,
     load_phase_csv,
     sweep,
+    write_rows,
 )
+
+_DRIFT_PROTOCOLS = (ProtocolKind.LOWPASS2, ProtocolKind.LOWPASS3, ProtocolKind.BANDPASS)
+_RATE = st.floats(min_value=0.01, max_value=100.0)
 
 
 class TestGridSpec:
@@ -132,6 +150,103 @@ class TestArrayAssembly:
                                   ProtocolKind.BANDPASS: 3}
 
 
+class TestDriftStability:
+    @pytest.mark.parametrize("kind", _DRIFT_PROTOCOLS)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(lam=_RATE, omega=_RATE, gamma=_RATE, Omega=_RATE)
+    @example(lam=1.0, omega=1.0, gamma=1.0, Omega=2.0)   # band-pass runaway point
+    @example(lam=1.0, omega=1.0, gamma=0.1, Omega=1.0)   # unstable band-pass transient
+    @example(lam=1.0, omega=5.0, gamma=20.0, Omega=0.5)  # unstable three-stage cascade
+    def test_moment_spectrum_is_pair_sums_of_drift(self, kind, lam, omega, gamma, Omega):
+        # eig(A) = {lambda_i(K) + conj lambda_j(K)} as multisets, stable or not
+        p = ProtocolParams(lam, omega, gamma, Omega, kind)
+        a = build_moment_system(p).A
+        lk = np.linalg.eigvals(filter_drift(p))
+        pair_sums = (lk[:, None] + lk.conj()[None, :]).ravel()
+        eig = np.linalg.eigvals(a)
+        assert pair_sums.size == eig.size
+        dist = np.abs(eig[:, None] - pair_sums[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        # a defective pair of K eigenvalues moves those of A by ~sqrt(eps)
+        assert dist[rows, cols].max() <= 1e-6 * np.linalg.norm(a, np.inf)
+
+    def test_examples_include_unstable_systems(self):
+        for p in (ProtocolParams(1.0, 1.0, 1.0, 2.0, ProtocolKind.BANDPASS),
+                  ProtocolParams(1.0, 1.0, 0.1, 1.0, ProtocolKind.BANDPASS),
+                  ProtocolParams(1.0, 5.0, 20.0, 0.5, ProtocolKind.LOWPASS3)):
+            assert np.linalg.eigvals(build_moment_system(p).A).real.max() > 0
+
+    @pytest.mark.parametrize("spec", [
+        GridSpec.log_spaced(n_gamma=30, n_Omega=30),
+        GridSpec.log_spaced(n_gamma=100, n_Omega=100),
+        GridSpec.log_spaced(),
+        GridSpec.log_spaced(n_gamma=60, n_Omega=70, lam=0.37, omega=2.9),
+    ], ids=["30x30", "100x100", "200x200", "lam0.37-omega2.9"])
+    def test_map_equals_moment_matrix_eigenvalues(self, spec):
+        n_unstable = 0
+        for kind in _DRIFT_PROTOCOLS:
+            mats = _moment_matrices(kind, spec)
+            scale = np.abs(mats).sum(axis=-1).max(axis=-1)
+            direct = np.linalg.eigvals(mats).real.max(axis=-1) < -STABILITY_TOL * scale
+            assert np.array_equal(_stability_map(kind, spec), direct), kind
+            n_unstable += (~direct).sum()
+        assert n_unstable > 0  # the grid crosses a stability boundary
+
+    def test_map_memory_bounded(self):
+        # a (cells, 9, 9) batch plus its |A| copy would take 15 MB here
+        spec = GridSpec.log_spaced(n_gamma=100, n_Omega=100)
+        tracemalloc.start()
+        try:
+            _stability_map(ProtocolKind.LOWPASS3, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+
+
+class TestCrosscheckCounts:
+    def test_counts_and_residual(self):
+        result = sweep(GridSpec.log_spaced(n_gamma=30, n_Omega=30), n_crosscheck=50)
+        assert result.crosscheck_cells + result.crosscheck_skipped == 50
+        assert result.crosscheck_cells > 0
+        assert 0.0 <= result.crosscheck_max_residual <= phase_diagram._CROSSCHECK_RTOL
+
+    def test_non_finite_closed_form_skipped(self):
+        # band-pass alone on its resonance 4 gamma^2 + omega^2 = 4 Omega^2,
+        # where the closed form is not finite
+        spec = GridSpec(np.array([1.0]), np.array([np.sqrt(2.0)]), omega=2.0,
+                        protocols=(ProtocolKind.BANDPASS,))
+        assert not np.isfinite(sweep(spec, n_crosscheck=0).energies[ProtocolKind.BANDPASS]).all()
+        result = sweep(spec, n_crosscheck=7)
+        assert (result.crosscheck_cells, result.crosscheck_skipped) == (0, 7)
+        assert result.crosscheck_max_residual == 0.0
+
+    def test_singular_cells_skipped(self, monkeypatch):
+        def singular(system):
+            raise SingularMatrixError("singular")
+
+        monkeypatch.setattr(phase_diagram, "steady_state", singular)
+        result = sweep(GridSpec.log_spaced(n_gamma=5, n_Omega=5), n_crosscheck=9)
+        assert (result.crosscheck_cells, result.crosscheck_skipped) == (0, 9)
+
+    def test_mismatch_raises(self, monkeypatch):
+        real = phase_diagram.steady_state
+
+        def shifted(system):
+            ss = real(system)
+            ss.energy_over_hw += 1e-6
+            return ss
+
+        monkeypatch.setattr(phase_diagram, "steady_state", shifted)
+        with pytest.raises(NumericalError, match="disagree"):
+            sweep(GridSpec.log_spaced(n_gamma=5, n_Omega=5), n_crosscheck=9)
+
+    def test_no_crosscheck(self):
+        result = sweep(GridSpec.log_spaced(n_gamma=5, n_Omega=5), n_crosscheck=0)
+        assert (result.crosscheck_cells, result.crosscheck_skipped,
+                result.crosscheck_max_residual) == (0, 0, 0.0)
+
+
 class TestCsv:
     def test_single_cell_round_trip(self, tmp_path):
         spec = GridSpec(np.array([2.0]), np.array([3.0]))
@@ -173,3 +288,25 @@ class TestCsv:
         export_phase_csv(sweep(GridSpec.log_spaced(n_gamma=30, n_Omega=30)), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "c5a7f0cadb9745de0f6ffd69942e78e1e5e40c92a84153d399ac5617053f13e6"
+
+    def test_default_grid_digest_pinned(self, tmp_path):
+        # the default 200 x 200 grid, as csv.writer wrote it from fields
+        # formatted one at a time
+        path = tmp_path / "grid.csv"
+        export_phase_csv(sweep(GridSpec.log_spaced()), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "162403b11e2368f87dc76aeba3967b74a05d197379ad52d2c12591dc63638f07"
+
+    def test_write_rows_matches_csv_writer(self):
+        # the reference: csv.writer over fields formatted one at a time
+        values = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308,
+                  123456789012345.0, 0.1 + 0.2, np.nan, np.inf, -np.inf]
+        cols = [np.array(values), np.array(values[::-1]), np.roll(values, 5)]
+        text = ["lowpass2", "none", "ok;na;unstable;unphysical"] * 4 + ["bandpass"]
+        ref = io.StringIO()
+        writer = csv.writer(ref)
+        for row in zip(*cols, text):
+            writer.writerow([f"{float(x):.12g}" for x in row[:3]] + [row[3]])
+        out = io.StringIO()
+        write_rows(out, "%.12g,%.12g,%.12g,%s\r\n", [*cols, text])
+        assert out.getvalue() == ref.getvalue()
