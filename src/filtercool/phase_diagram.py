@@ -24,6 +24,22 @@ for an m-component filter), so the spectrum of A is
 with ||A||_inf summed entry by entry from the affine parts of A, so no
 per-cell A is ever held.  ``steady_state`` keeps the direct eigenvalues of
 A and is the per-cell oracle of the cross-check.
+
+Nor are eigenvalues taken from K, except near the threshold.  The threshold
+says that B = (K + delta I)/||A||_inf, with delta = STABILITY_TOL
+||A||_inf / 2, has every eigenvalue in the left half plane.
+:func:`numerics.hurwitz_test` decides that for thousands of cells per array
+pass from the characteristic polynomial of B (degree 2 or 3): the Cayley map
+to the unit disk, then the Schur-Cohn recursion on the complex coefficients.
+Its margin is a lower bound on min_j |1 - |k_j|| over the reflection
+coefficients, net of a running rounding-error bound; for a root near the
+imaginary axis it is about the root's distance from the threshold in units
+of ||A||_inf.  A cell whose margin is below STABILITY_MARGIN = 1e-8 (about
+sqrt(eps), the eigenvalue error a defective pair can carry) is decided as
+before, by ``np.linalg.eigvals`` of its K.  On the default 200 x 200 grid
+1 856 of the 120 000 (cell, protocol) pairs fall back: 1 845 band-pass and
+11 three-stage cells.  ``PhaseGridResult.stability_fallback_cells`` reports
+the count.
 """
 
 from __future__ import annotations
@@ -42,7 +58,7 @@ from .moment_systems import (
     build_moment_system,
     steady_state,
 )
-from .numerics import NumericalError, SingularMatrixError
+from .numerics import NumericalError, SingularMatrixError, hurwitz_test
 from .trajectory import protocol_filter, protocol_tap_index
 
 ALL_PROTOCOLS = (ProtocolKind.LOWPASS1, ProtocolKind.LOWPASS2,
@@ -64,6 +80,15 @@ _ENERGY_FN = {
 
 _CROSSCHECK_RTOL = 1e-9
 
+#: Smallest :func:`hurwitz_test` margin (a lower bound on min_j |1 - |k_j||)
+#: at which the polynomial test decides a cell; cells below it, which lie
+#: within about 1e-8 ||A||_inf of the threshold, are decided by ``eigvals``.
+STABILITY_MARGIN = 1e-8
+
+#: Cells per block of the stability map: its working arrays take about
+#: 0.4 KB per cell of a 3 x 3 drift, whatever the grid size.
+_BLOCK_CELLS = 4096
+
 #: (gamma, Omega) of the three builds that fix a matrix affine in them.
 _AFFINE_POINTS = ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
 
@@ -76,9 +101,9 @@ _PHASE_ROW = "%.12g," * 6 + "%s,%s;%s;%s;%s\r\n"
 class GridSpec:
     """Log-style sweep axes and the fixed protocol parameters.
 
-    Axis values must be positive and strictly increasing; they are the
-    actual gamma and Omega values evaluated (use :meth:`log_spaced` for the
-    usual geometric grids).
+    Axis values must be positive, finite and strictly increasing; they are
+    the actual gamma and Omega values evaluated (use :meth:`log_spaced` for
+    the usual geometric grids).  Each protocol may appear once.
     """
 
     gamma_values: np.ndarray
@@ -93,13 +118,16 @@ class GridSpec:
         for name, ax in (("gamma", self.gamma_values), ("Omega", self.Omega_values)):
             if ax.size == 0:
                 raise ValueError(f"{name} axis is empty")
-            if (ax <= 0).any() or (np.diff(ax) <= 0).any():
-                raise ValueError(f"{name} axis must be positive and strictly increasing")
+            if not (np.isfinite(ax) & (ax > 0)).all() or (np.diff(ax) <= 0).any():
+                raise ValueError(f"{name} axis must be positive, finite and strictly increasing")
         if not (self.lam > 0 and self.omega > 0):
             raise ValueError("lam and omega must be positive")
         self.protocols = tuple(self.protocols)
         if not self.protocols:
             raise ValueError("need at least one protocol")
+        if len(set(self.protocols)) != len(self.protocols):
+            raise ValueError("protocols must not repeat, got "
+                             + ",".join(k.value for k in self.protocols))
 
     @classmethod
     def log_spaced(cls, gamma_range=(0.1, 100.0), Omega_range=(0.1, 1000.0),
@@ -107,7 +135,12 @@ class GridSpec:
                    lam: float = 1.0, omega: float = 1.0,
                    protocols: Tuple[ProtocolKind, ...] = ALL_PROTOCOLS) -> "GridSpec":
         """Geometrically spaced grid; defaults bracket both decision
-        thresholds and the band-pass resonance."""
+        thresholds and the band-pass resonance.  Both ends of each range
+        must be positive and finite."""
+        for name, ends in (("gamma", gamma_range), ("Omega", Omega_range)):
+            if not all(np.isfinite(v) and v > 0 for v in ends):
+                raise ValueError(f"{name} range ends must be positive and finite, "
+                                 f"got {tuple(ends)}")
         return cls(np.geomspace(*gamma_range, n_gamma),
                    np.geomspace(*Omega_range, n_Omega),
                    lam, omega, protocols)
@@ -127,6 +160,10 @@ class PhaseGridResult:
     singular (``crosscheck_skipped``), and the largest
     |solved - closed form| / max(|closed form|, 1) among the checked ones
     (0 when none was checked).
+
+    ``stability_fallback_cells`` counts the (cell, protocol) pairs whose
+    stability the characteristic-polynomial test left to ``eigvals``
+    (see :func:`hurwitz_test` and ``STABILITY_MARGIN``).
     """
 
     spec: GridSpec
@@ -136,6 +173,7 @@ class PhaseGridResult:
     crosscheck_cells: int = 0
     crosscheck_skipped: int = 0
     crosscheck_max_residual: float = 0.0
+    stability_fallback_cells: int = 0
 
 
 def filter_drift(params: ProtocolParams) -> np.ndarray:
@@ -172,11 +210,11 @@ def _affine_parts(build, kind: ProtocolKind, spec: GridSpec):
     return x11 - d_gamma - d_Omega, d_gamma, d_Omega
 
 
-def _on_grid(parts, spec: GridSpec) -> np.ndarray:
-    """Every cell's matrix from its affine parts, shape ``(n_gamma, n_Omega, n, n)``."""
+def _on_grid(parts, gamma: np.ndarray, Omega: np.ndarray) -> np.ndarray:
+    """The matrix at each (gamma, Omega) pair of the broadcast axes, from its
+    affine parts; shape ``(*broadcast shape, n, n)``."""
     x0, d_gamma, d_Omega = parts
-    return ((x0 + spec.gamma_values[:, None, None, None] * d_gamma)
-            + spec.Omega_values[:, None, None] * d_Omega)
+    return (x0 + gamma[..., None, None] * d_gamma) + Omega[..., None, None] * d_Omega
 
 
 def _moment_parts(kind: ProtocolKind, spec: GridSpec):
@@ -185,7 +223,7 @@ def _moment_parts(kind: ProtocolKind, spec: GridSpec):
 
 def _moment_matrices(kind: ProtocolKind, spec: GridSpec) -> np.ndarray:
     """Every cell's moment matrix, shape ``(n_gamma, n_Omega, dim, dim)``."""
-    return _on_grid(_moment_parts(kind, spec), spec)
+    return _on_grid(_moment_parts(kind, spec), spec.gamma_values[:, None], spec.Omega_values)
 
 
 def _inf_norms(parts, spec: GridSpec) -> np.ndarray:
@@ -201,14 +239,47 @@ def _inf_norms(parts, spec: GridSpec) -> np.ndarray:
     return norms
 
 
-def _stability_map(kind: ProtocolKind, spec: GridSpec) -> np.ndarray:
-    """Boolean stability per cell from the eigenvalues of the complex drift K."""
+def _stability(kind: ProtocolKind, spec: GridSpec) -> Tuple[np.ndarray, int]:
+    """Stability per cell, and how many cells fell back to ``eigvals``.
+
+    The threshold 2 max Re lambda(K) < -STABILITY_TOL ||A||_inf says that
+    (K + delta I)/||A||_inf with delta = STABILITY_TOL ||A||_inf / 2 is
+    Hurwitz, which :func:`hurwitz_test` decides.  A cell whose margin is
+    below STABILITY_MARGIN (or nan) is decided as before, from the
+    eigenvalues of its K.  The grid is taken in blocks of gamma rows of
+    about _BLOCK_CELLS cells, so the working arrays do not grow with it.
+    """
+    shape = (spec.gamma_values.size, spec.Omega_values.size)
     if kind is ProtocolKind.LOWPASS1:  # single eigenvalue -2*gamma
-        return np.ones((spec.gamma_values.size, spec.Omega_values.size), dtype=bool)
+        return np.ones(shape, dtype=bool), 0
     norms = _inf_norms(_moment_parts(kind, spec), spec)
-    drifts = _on_grid(_affine_parts(filter_drift, kind, spec), spec)
-    rate = np.linalg.eigvals(drifts).real.max(axis=-1)
-    return 2.0 * rate < -STABILITY_TOL * norms
+    parts = _affine_parts(filter_drift, kind, spec)
+    stable = np.empty(shape, dtype=bool)
+    n_fallback = 0
+    step = max(1, _BLOCK_CELLS // shape[1])
+    for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
+        gamma = spec.gamma_values[rows]
+        scale = norms[rows]
+        shifted = _on_grid(parts, gamma[:, None], spec.Omega_values)
+        shifted /= scale[..., None, None]
+        for i in range(shifted.shape[-1]):
+            shifted[..., i, i] += STABILITY_TOL / 2
+        block, margin = hurwitz_test(shifted)
+        uncertain = ~(margin >= STABILITY_MARGIN)
+        if uncertain.any():
+            i_gamma, j_Omega = np.nonzero(uncertain)
+            drifts = _on_grid(parts, gamma[i_gamma], spec.Omega_values[j_Omega])
+            rate = np.linalg.eigvals(drifts).real.max(axis=-1)
+            block[uncertain] = 2.0 * rate < -STABILITY_TOL * scale[uncertain]
+        stable[rows] = block
+        n_fallback += int(uncertain.sum())
+    return stable, n_fallback
+
+
+def _stability_map(kind: ProtocolKind, spec: GridSpec) -> np.ndarray:
+    """Boolean stability per cell, as :func:`sweep` flags it."""
+    return _stability(kind, spec)[0]
 
 
 def sweep(spec: GridSpec, n_crosscheck: int = 50) -> PhaseGridResult:
@@ -222,12 +293,14 @@ def sweep(spec: GridSpec, n_crosscheck: int = 50) -> PhaseGridResult:
     gamma, Omega = np.meshgrid(spec.gamma_values, spec.Omega_values, indexing="ij")
     energies: Dict[ProtocolKind, np.ndarray] = {}
     flags: Dict[ProtocolKind, np.ndarray] = {}
+    n_fallback = 0
     for kind in spec.protocols:
-        unstable = ~_stability_map(kind, spec)
+        stable, n = _stability(kind, spec)
+        n_fallback += n
         res = _ENERGY_FN[kind](spec.lam, gamma, Omega, spec.omega)
         f = np.full(gamma.shape, FLAG_OK, dtype=object)
         f[~res.physical] = FLAG_UNPHYSICAL
-        f[unstable] = FLAG_UNSTABLE
+        f[~stable] = FLAG_UNSTABLE
         f[res.note == analytics.NOT_APPLICABLE] = FLAG_NA
         energies[kind] = res.energy_over_hw
         flags[kind] = f
@@ -242,7 +315,8 @@ def sweep(spec: GridSpec, n_crosscheck: int = 50) -> PhaseGridResult:
     winner[~ok.any(axis=0)] = "none"
 
     checked, skipped, worst = _crosscheck(spec, energies, n_crosscheck)
-    return PhaseGridResult(spec, energies, flags, winner, checked, skipped, worst)
+    return PhaseGridResult(spec, energies, flags, winner, checked, skipped, worst,
+                           n_fallback)
 
 
 def _crosscheck(spec: GridSpec, energies, n_cells: int) -> Tuple[int, int, float]:

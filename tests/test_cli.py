@@ -1,10 +1,16 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filtercool.cli import load_config, main
 from filtercool.cli import ConfigError
@@ -179,6 +185,29 @@ class TestPhaseDiagram:
     def test_output_required(self):
         assert main(["phase-diagram", "--gamma-points", "2"]) == 2
 
+    def test_duplicate_protocols_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "phase.csv"
+        assert main(["phase-diagram", "--protocols", "lowpass2,lowpass2",
+                     "--gamma-points", "3", "--Omega-points", "3",
+                     "--output", str(out)]) == 2
+        assert "must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--gamma-min", "--Omega-min"])
+    def test_negative_range_end_prints_only_the_error(self, flag, tmp_path):
+        # numpy's log10 warning from geomspace must not reach the user
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "filtercool.cli", "phase-diagram", flag, "-1",
+             "--output", str(tmp_path / "phase.csv")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("filtercool: error:"), proc.stderr
+        assert "positive and finite" in lines[0]
+
 
 class TestConfigFile:
     def test_empty_file_plus_flags(self, tmp_path):
@@ -271,3 +300,70 @@ def test_lowpass1_rejects_Omega(command, tmp_path, capsys):
                  "--Omega", "5", "--output", str(out)]) == 2
     assert "Omega does not apply" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _log_rate(lo=-1.0, hi=1.0):
+    return st.floats(min_value=lo, max_value=hi).map(lambda x: 10.0 ** x)
+
+
+@st.composite
+def _command_options(draw):
+    """A subcommand and a full set of its options, keyed by flag name."""
+    command = draw(st.sampled_from(["steady-state", "evolve", "phase-diagram"]))
+    if command == "phase-diagram":
+        g_lo, O_lo = draw(_log_rate()), draw(_log_rate())
+        opts = {"gamma-min": g_lo, "gamma-max": g_lo * draw(_log_rate(0.1, 2.0)),
+                "gamma-points": draw(st.integers(1, 4)),
+                "Omega-min": O_lo, "Omega-max": O_lo * draw(_log_rate(0.1, 2.0)),
+                "Omega-points": draw(st.integers(1, 4)),
+                "lambda": draw(_log_rate()), "omega": draw(_log_rate()),
+                "protocols": draw(st.lists(st.sampled_from(
+                    [k.value for k in ProtocolKind]), min_size=1, max_size=4, unique=True))}
+        return command, opts
+    kind = draw(st.sampled_from(list(ProtocolKind)))
+    opts = {"protocol": kind.value, "lambda": draw(_log_rate()),
+            "omega": draw(_log_rate()), "gamma": draw(_log_rate())}
+    if kind is not ProtocolKind.LOWPASS1:
+        opts["Omega"] = draw(_log_rate())
+    if command == "evolve":
+        stride = draw(st.integers(1, 5))
+        opts.update({"e0": draw(st.floats(0.5, 5.0)), "dt": draw(_log_rate(-3.0, -1.0)),
+                     "steps": stride * draw(st.integers(1, 40)), "stride": stride})
+    return command, opts
+
+
+def _as_flags(opts):
+    flags = []
+    for name, value in opts.items():
+        if isinstance(value, list):
+            text = ",".join(value)
+        else:
+            text = repr(value) if isinstance(value, float) else str(value)
+        flags += [f"--{name}", text]
+    return flags
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=_command_options(), split=st.lists(st.booleans(), min_size=10, max_size=10))
+def test_config_file_equals_flags(tmp_path_factory, case, split):
+    # the same options as flags, as a config file, and split between the two
+    command, opts = case
+    in_file = [dict(zip(opts, split))[name] for name in opts]
+    variants = {
+        "flags": ({}, opts),
+        "config": (opts, {}),
+        "split": ({n: v for n, v, f in zip(opts, opts.values(), in_file) if f},
+                  {n: v for n, v, f in zip(opts, opts.values(), in_file) if not f}),
+    }
+    tmp = tmp_path_factory.mktemp("equivalence")
+    outputs = {}
+    for name, (file_opts, flag_opts) in variants.items():
+        cfg = tmp / f"{name}.json"
+        cfg.write_text(json.dumps(file_opts))
+        out = tmp / f"{name}.csv"
+        code = main([command, "--config", str(cfg), *_as_flags(flag_opts),
+                     "--output", str(out)])
+        outputs[name] = (code, out.read_bytes() if out.exists() else None)
+    assert outputs["flags"][0] == 0
+    assert outputs["config"] == outputs["flags"]
+    assert outputs["split"] == outputs["flags"]

@@ -7,6 +7,7 @@ from filtercool.numerics import (
     NumericalError,
     SingularMatrixError,
     eigenvalues,
+    hurwitz_test,
     integrate_affine,
     mat_exp,
     propagate_affine,
@@ -117,6 +118,49 @@ class TestEigenvalues:
             wa = np.sort_complex(eigenvalues(A))
             wp = np.sort_complex(eigenvalues(P @ A @ P.T))
             assert np.abs(wa - wp).max() < 1e-8
+
+
+class TestHurwitzTest:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_certified_decisions_match_eigenvalues(self, m):
+        rng = np.random.default_rng(m)
+        b = (rng.standard_normal((4000, m, m)) + 1j * rng.standard_normal((4000, m, m))) / m
+        stable, margin = hurwitz_test(b)
+        direct = np.linalg.eigvals(b).real.max(axis=-1) < 0
+        certified = margin > 0
+        assert certified.mean() > 0.99
+        assert np.array_equal(stable[certified], direct[certified])
+        assert 0 < direct.sum() < direct.size  # both outcomes occur
+
+    def test_known_spectra(self):
+        stable, margin = hurwitz_test(np.array([
+            np.diag([-1.0 + 2j, -0.5 - 3j]),   # complex, not conjugate
+            np.diag([-1.0, 0.25 + 1j]),
+            [[0.0, 1.0], [-1.0, -1e-3]],       # lightly damped rotation
+            [[-2.0, 100.0], [0.0, -3.0]],      # far from normal
+        ], dtype=complex))
+        assert stable.tolist() == [True, False, True, True]
+        assert (margin > 0).all()
+        # the rotation's roots -5e-4 +- i map to |z| = 1 - 2 * 5e-4 / |1 -+ i|^2,
+        # and the first reflection coefficient is their product
+        assert margin[2] == pytest.approx(1e-3, rel=1e-3)
+
+    @pytest.mark.parametrize("b", [
+        np.diag([0.0, -1.0]),        # a root on the imaginary axis
+        np.diag([1e-3j, -1.0]),
+        np.diag([1.0, -1.0]),        # s = 1, where the Cayley map has its pole
+    ])
+    def test_boundary_roots_never_certified(self, b):
+        _, margin = hurwitz_test(b.astype(complex))
+        assert not margin > 0
+
+    def test_stacked_leading_axes(self):
+        b = np.zeros((2, 3, 2, 2), dtype=complex)
+        b[..., 0, 0], b[..., 1, 1] = -1.0, -2.0
+        b[1, 2, 1, 1] = 0.5
+        stable, margin = hurwitz_test(b)
+        assert stable.shape == margin.shape == (2, 3)
+        assert stable.sum() == 5 and not stable[1, 2]
 
 
 class TestIntegrateAffine:

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import io
+import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -18,12 +20,17 @@ from filtercool.moment_systems import (
     ProtocolParams,
     build_moment_system,
 )
-from filtercool.numerics import NumericalError, SingularMatrixError
+from filtercool.numerics import NumericalError, SingularMatrixError, hurwitz_test
 from filtercool.phase_diagram import (
     ALL_PROTOCOLS,
     CSV_HEADER,
+    FLAG_NA,
     FLAG_OK,
+    FLAG_UNPHYSICAL,
+    FLAG_UNSTABLE,
+    STABILITY_MARGIN,
     GridSpec,
+    PhaseGridResult,
     _moment_matrices,
     _stability_map,
     export_phase_csv,
@@ -35,6 +42,7 @@ from filtercool.phase_diagram import (
 
 _DRIFT_PROTOCOLS = (ProtocolKind.LOWPASS2, ProtocolKind.LOWPASS3, ProtocolKind.BANDPASS)
 _RATE = st.floats(min_value=0.01, max_value=100.0)
+_LOG_RATE = st.floats(min_value=-3.0, max_value=3.0).map(lambda x: 10.0 ** x)
 
 
 class TestGridSpec:
@@ -55,6 +63,32 @@ class TestGridSpec:
         assert spec.gamma_values.size == 5 and spec.Omega_values.size == 7
         assert spec.gamma_values[0] == pytest.approx(0.1)
         assert spec.Omega_values[-1] == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_axis_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(np.array([1.0, bad]), np.array([1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(np.array([1.0]), np.array([1.0, bad]))
+
+    def test_duplicate_protocols_rejected(self):
+        with pytest.raises(ValueError, match="must not repeat"):
+            GridSpec(np.array([1.0]), np.array([1.0]),
+                     protocols=(ProtocolKind.LOWPASS2, ProtocolKind.BANDPASS,
+                                ProtocolKind.LOWPASS2))
+
+    @pytest.mark.parametrize("gamma_range, Omega_range", [
+        ((-1.0, 10.0), (1.0, 10.0)),
+        ((0.0, 10.0), (1.0, 10.0)),
+        ((1.0, 10.0), (1.0, -10.0)),
+        ((1.0, np.inf), (1.0, 10.0)),
+        ((1.0, 10.0), (np.nan, 10.0)),
+    ])
+    def test_log_spaced_bad_range_raises_without_warning(self, gamma_range, Omega_range):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive and finite"):
+                GridSpec.log_spaced(gamma_range, Omega_range, 4, 4)
 
 
 class TestSweep:
@@ -204,6 +238,93 @@ class TestDriftStability:
         assert peak < 5_000_000
 
 
+def _cell_decisions(kind, lam, omega, gamma, Omega):
+    """(polynomial decision, margin, eigvals-of-K decision) of one cell."""
+    p = ProtocolParams(lam, omega, gamma, Omega, kind)
+    k = filter_drift(p)
+    norm = np.linalg.norm(build_moment_system(p).A, np.inf)
+    shifted = k / norm + STABILITY_TOL / 2 * np.eye(k.shape[0])
+    stable, margin = hurwitz_test(shifted)
+    direct = 2.0 * np.linalg.eigvals(k).real.max() < -STABILITY_TOL * norm
+    return bool(stable), float(margin), bool(direct)
+
+
+class TestPolynomialStability:
+    @pytest.mark.parametrize("kind", _DRIFT_PROTOCOLS)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(lam=_LOG_RATE, omega=_LOG_RATE, gamma=_LOG_RATE, Omega=_LOG_RATE)
+    @example(lam=1.0, omega=1.0, gamma=1.0, Omega=2.0)   # band-pass runaway point
+    @example(lam=1.0, omega=1.0, gamma=0.1, Omega=1.0)   # unstable band-pass transient
+    @example(lam=1.0, omega=5.0, gamma=20.0, Omega=0.5)  # unstable three-stage cascade
+    # on and beside the band-pass resonance 4 gamma^2 + omega^2 = 4 Omega^2
+    @example(lam=1.0, omega=2.0, gamma=1.0, Omega=math.sqrt(2.0))
+    @example(lam=0.3, omega=1.0, gamma=0.3, Omega=math.sqrt(0.34) * (1 + 1e-9))
+    @example(lam=2.0, omega=3.0, gamma=0.01, Omega=math.sqrt(2.2501) * (1 - 1e-6))
+    @example(lam=1.0, omega=1e3, gamma=1e-3, Omega=500.000001)
+    def test_certified_decision_equals_drift_eigenvalues(self, kind, lam, omega, gamma, Omega):
+        stable, margin, direct = _cell_decisions(kind, lam, omega, gamma, Omega)
+        if margin >= STABILITY_MARGIN:
+            assert stable == direct
+
+    def test_examples_are_mostly_certified(self):
+        # the property above must not hold only because nothing is certified
+        rng = np.random.default_rng(7)
+        for kind in _DRIFT_PROTOCOLS:
+            draws = 10.0 ** rng.uniform(-3.0, 3.0, size=(200, 4))
+            certified = [_cell_decisions(kind, *d)[1] >= STABILITY_MARGIN for d in draws]
+            assert np.mean(certified) > 0.5, kind
+
+    def test_forced_fallback_leaves_flags_unchanged(self, monkeypatch):
+        spec = GridSpec.log_spaced(n_gamma=40, n_Omega=50)
+        base = sweep(spec, n_crosscheck=0)
+        monkeypatch.setattr(phase_diagram, "STABILITY_MARGIN", np.inf)
+        forced = sweep(spec, n_crosscheck=0)
+        assert forced.stability_fallback_cells == len(_DRIFT_PROTOCOLS) * 40 * 50
+        assert base.stability_fallback_cells < forced.stability_fallback_cells
+        for kind in ALL_PROTOCOLS:
+            assert np.array_equal(forced.flags[kind], base.flags[kind]), kind
+
+    def test_fallback_is_a_small_share(self):
+        # only cells within about 1e-8 ||A||_inf of the threshold fall back:
+        # a few percent of the band-pass cells and none elsewhere
+        result = sweep(GridSpec.log_spaced(n_gamma=100, n_Omega=100), n_crosscheck=0)
+        assert 0 < result.stability_fallback_cells < 0.02 * len(_DRIFT_PROTOCOLS) * 100 * 100
+
+    def test_blocks_do_not_change_the_map(self, monkeypatch):
+        spec = GridSpec.log_spaced(n_gamma=23, n_Omega=31, lam=0.37, omega=2.9)
+        whole = {k: phase_diagram._stability(k, spec) for k in _DRIFT_PROTOCOLS}
+        monkeypatch.setattr(phase_diagram, "_BLOCK_CELLS", 70)  # two rows, then one
+        for kind in _DRIFT_PROTOCOLS:
+            stable, n = phase_diagram._stability(kind, spec)
+            assert np.array_equal(stable, whole[kind][0]) and n == whole[kind][1]
+
+    def test_rounding_bound_certifies_wide_scales(self):
+        # rates over twelve decades: here the polynomial's rounding errors
+        # exceed STABILITY_MARGIN, and only the running error bound keeps
+        # every cell with a positive margin on the side eigvals finds
+        rng = np.random.default_rng(11)
+        checked = 0
+        for kind in _DRIFT_PROTOCOLS:
+            for d in 10.0 ** rng.uniform(-6.0, 6.0, size=(700, 4)):
+                stable, margin, direct = _cell_decisions(kind, *d)
+                if margin > 0:
+                    assert stable == direct, (kind, d)
+                    checked += 1
+        assert checked > 1500
+
+    def test_eigvals_only_for_fallback_cells(self, monkeypatch):
+        seen = []
+        real = np.linalg.eigvals
+
+        def counting(a):
+            seen.append(a.shape[0])
+            return real(a)
+
+        monkeypatch.setattr(phase_diagram.np.linalg, "eigvals", counting)
+        result = sweep(GridSpec.log_spaced(n_gamma=30, n_Omega=30), n_crosscheck=0)
+        assert sum(seen) == result.stability_fallback_cells
+
+
 class TestCrosscheckCounts:
     def test_counts_and_residual(self):
         result = sweep(GridSpec.log_spaced(n_gamma=30, n_Omega=30), n_crosscheck=50)
@@ -296,6 +417,49 @@ class TestCsv:
         export_phase_csv(sweep(GridSpec.log_spaced()), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "162403b11e2368f87dc76aeba3967b74a05d197379ad52d2c12591dc63638f07"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_export_load_round_trip(self, tmp_path_factory, data):
+        axis = st.floats(min_value=1e-6, max_value=1e6)
+        gamma = sorted(data.draw(st.lists(axis, min_size=1, max_size=4, unique=True)))
+        Omega = sorted(data.draw(st.lists(axis, min_size=1, max_size=4, unique=True)))
+        kinds = tuple(data.draw(st.lists(st.sampled_from(ALL_PROTOCOLS), min_size=1,
+                                         max_size=4, unique=True)))
+        spec = GridSpec(np.array(gamma), np.array(Omega), protocols=kinds)
+        shape = (len(gamma), len(Omega))
+        cells = shape[0] * shape[1]
+        flag = st.sampled_from([FLAG_OK, FLAG_UNSTABLE, FLAG_UNPHYSICAL, FLAG_NA])
+        energies = {k: np.array(data.draw(st.lists(st.floats(), min_size=cells,
+                                                   max_size=cells))).reshape(shape)
+                    for k in kinds}
+        flags = {k: np.array(data.draw(st.lists(flag, min_size=cells, max_size=cells)),
+                             dtype=object).reshape(shape) for k in kinds}
+        winner = np.array(data.draw(st.lists(
+            st.sampled_from([k.value for k in kinds] + ["none"]),
+            min_size=cells, max_size=cells)), dtype=object).reshape(shape)
+        result = PhaseGridResult(spec, energies, flags, winner)
+
+        path = tmp_path_factory.mktemp("round_trip") / "grid.csv"
+        export_phase_csv(result, path)
+        g, O, e, w, f = load_phase_csv(path)
+
+        def printed(x):  # what the 12-digit export keeps of each value
+            return np.array([float(f"{v:.12g}") for v in np.ravel(x)])
+
+        assert np.array_equal(g, printed(np.repeat(gamma, shape[1])))
+        assert np.array_equal(O, printed(np.tile(Omega, shape[0])))
+        for col, kind in enumerate(ALL_PROTOCOLS):
+            if kind in kinds:
+                expect = printed(energies[kind])
+                expect_flags = list(flags[kind].ravel())
+            else:
+                expect = np.full(cells, np.nan)
+                expect_flags = [FLAG_NA] * cells
+            assert np.array_equal(e[:, col], expect, equal_nan=True), kind
+            assert np.array_equal(np.isnan(e[:, col]), np.isnan(expect)), kind
+            assert [row[col] for row in f] == expect_flags, kind
+        assert w == list(winner.ravel())
 
     def test_write_rows_matches_csv_writer(self):
         # the reference: csv.writer over fields formatted one at a time
