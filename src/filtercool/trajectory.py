@@ -36,7 +36,11 @@ stepped as one batched array operation.
 
 Ensembles are reproducible by construction: trajectory i draws its noise
 from ``NoiseStream(base_seed, i)`` and statistics are reduced in trajectory
-order, so results are independent of chunking or execution order.
+order, so results are independent of chunking or execution order.  The
+reduction runs while the ensemble is stepped: per-slot sums of the values
+and of their deviations from trajectory 0 are updated at the end of each
+noise block, so a run's memory is set by ``chunk_size``, ``NOISE_BLOCK``
+and the number of records, not by the ensemble size.
 """
 
 from __future__ import annotations
@@ -327,7 +331,12 @@ class TrajectoryConfig:
 
     ``record_stride`` must divide ``n_steps``; observables are recorded at
     step 0 and every stride-th step after.  ``chunk_size`` only bounds
-    memory, results are bit-identical for any value.
+    memory, results are bit-identical for any value.  A run holds one
+    chunk's noise block and record window,
+    chunk_size * (NOISE_BLOCK * ch + (NOISE_BLOCK // record_stride + 1) * q)
+    doubles with q = 1 + ch + ch * m record columns, plus 4 * n_rec * q
+    doubles of per-slot sums; nothing grows with ``n_traj``.  Counts and
+    the seed must be integers, and ``dt`` and ``initial_signals`` finite.
     """
 
     dt: float
@@ -340,12 +349,20 @@ class TrajectoryConfig:
     chunk_size: int = 256
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not (self.dt > 0 and np.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        for name in ("n_steps", "n_traj", "record_stride", "chunk_size",
+                     "base_seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}")
         if self.n_steps < 1 or self.n_traj < 1 or self.chunk_size < 1:
             raise ValueError("n_steps, n_traj and chunk_size must be at least 1")
         if self.record_stride < 1 or self.n_steps % self.record_stride:
             raise ValueError("record_stride must be positive and divide n_steps")
+        if self.initial_signals is not None and not np.isfinite(
+                np.asarray(self.initial_signals, dtype=float)).all():
+            raise ValueError("initial signals must be finite")
 
 
 @dataclass
@@ -601,6 +618,30 @@ def _initial_state(model: SystemModel, config: TrajectoryConfig):
     return state0, G0
 
 
+def _accumulate(acc, ref, win, lo, hi, first_chunk):
+    """Add a chunk's window of record slots lo..hi-1 into the run's sums.
+
+    ``acc`` holds per slot the sums of the values, of their deviations from
+    ``ref`` (trajectory 0's records) and of the squared deviations.  Rows
+    are added one trajectory at a time, so every sum runs in trajectory
+    order whatever the chunking.  Sums start from +0.0, as numpy's sum over
+    the leading axis of the full record does, so means are the same to the
+    bit, signed zeros included.  The window is overwritten.
+    """
+    rows = win[:, :hi - lo]
+    total, dev, dev_sq = acc[:, lo:hi]
+    if first_chunk:
+        ref[lo:hi] = rows[0]
+    for row in rows:
+        total += row
+    np.subtract(rows, ref[lo:hi], out=rows)
+    for row in rows:
+        dev += row
+    np.square(rows, out=rows)
+    for row in rows:
+        dev_sq += row
+
+
 def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryRecord:
     """Simulate ``config.n_traj`` independent trajectories and average them.
 
@@ -613,6 +654,19 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     ``EDGE_POPULATION_LIMIT`` is flagged (and a warning is emitted), since
     its energies are no longer trustworthy.
 
+    Statistics are reduced while the run goes, so no per-trajectory record
+    is kept.  Each chunk writes its records (energy, <A_k>, flattened
+    signals: q = 1 + ch + ch*m values per slot) into a window holding the
+    slots of one noise block, at most ``NOISE_BLOCK // record_stride + 1``,
+    and adds the window into per-slot sums at the end of each block, in
+    trajectory order.  Means are sum / n.  Variances come from sums of the
+    deviations d from trajectory 0's value at each slot,
+    var = (sum d^2 - (sum d)^2 / n) / (n - 1); the shift keeps the
+    cancellation small.  Memory is about
+    chunk_size * (NOISE_BLOCK // record_stride + 1) * q doubles for the
+    window, chunk_size * NOISE_BLOCK * ch for the noise and 4 * n_rec * q
+    for the sums and trajectory 0's records, whatever ``n_traj``.
+
     Raises
     ------
     TrajectoryError
@@ -620,16 +674,24 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
         the trajectory index and step.
     """
     engine = _Engine(model)
-    n_rec = config.n_steps // config.record_stride + 1
+    stride = config.record_stride
+    n_rec = config.n_steps // stride + 1
     n_traj = config.n_traj
     ch, m = engine.n_ch, engine.m
     state0, G0 = _initial_state(model, config)
     advance = engine.step_psi if state0.ndim == 1 else engine.step_batch
 
-    energy = np.empty((n_traj, n_rec))
-    opmeans = np.empty((n_traj, n_rec, ch))
-    signals = np.empty((n_traj, n_rec, ch, m))
-    edge = np.zeros(n_traj)
+    # Per slot and record column: sum of values, of deviations from
+    # trajectory 0 and of squared deviations.
+    q = 1 + ch + ch * m
+    acc = np.zeros((3, n_rec, q))
+    ref = np.empty((n_rec, q))
+    # Noise and record window of one block, shared by all chunks.
+    block = min(NOISE_BLOCK, config.n_steps)
+    n_max = min(config.chunk_size, n_traj)
+    xi_buf = np.empty((n_max, block, ch))
+    win_buf = np.empty((n_max, block // stride + 1, q))
+    max_edge = 0.0
 
     track_edge = model.dim >= 3
     for start in range(0, n_traj, config.chunk_size):
@@ -641,17 +703,19 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
         # block, so the draws equal one up-front (n_steps, ch) array.
         gens = [NoiseStream(config.base_seed, start + i).generator()
                 for i in range(n)]
-        xi = np.empty((n, min(NOISE_BLOCK, config.n_steps), ch))
+        xi, win = xi_buf[:n], win_buf[:n]
+        edge = np.zeros(n)
+        lo = 0  # first slot held in the window
 
-        def record(slot, state=None, G=None, sl=slice(start, stop)):
-            energy[sl, slot] = engine.energies(state, G)
-            opmeans[sl, slot] = engine.op_means(state)
-            signals[sl, slot] = G
+        def record(row, state, G):
+            row[:, 0] = engine.energies(state, G)
+            row[:, 1:1 + ch] = engine.op_means(state)
+            row[:, 1 + ch:] = G.reshape(n, -1)
             if track_edge:
                 pops = engine.populations(state)[:, -2:].sum(axis=1)
-                np.maximum(edge[sl], pops, out=edge[sl])
+                np.maximum(edge, pops, out=edge)
 
-        record(0, state, G)
+        record(win[:, 0], state, G)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for s in range(config.n_steps):
                 j = s % NOISE_BLOCK
@@ -666,31 +730,41 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
                     bad = int(np.nonzero(~ok)[0][0]) + start
                     raise TrajectoryError(
                         f"trajectory {bad} became non-finite at step {s + 1}")
-                if (s + 1) % config.record_stride == 0:
-                    record((s + 1) // config.record_stride, state, G)
+                if (s + 1) % stride == 0:
+                    record(win[:, (s + 1) // stride - lo], state, G)
+                if j == NOISE_BLOCK - 1 or s + 1 == config.n_steps:
+                    hi = (s + 1) // stride + 1
+                    if hi > lo:
+                        _accumulate(acc, ref, win, lo, hi, start == 0)
+                    lo = hi
+        if track_edge:
+            max_edge = max(max_edge, float(edge.max()))
 
-    times = np.arange(n_rec) * (config.record_stride * config.dt)
-    max_edge = float(edge.max()) if track_edge else 0.0
+    times = np.arange(n_rec) * (stride * config.dt)
     warn = track_edge and max_edge > EDGE_POPULATION_LIMIT
     if warn:
         warnings.warn(
             f"top-two basis populations reached {max_edge:.2e}; "
             "results are truncation limited", RuntimeWarning, stacklevel=2)
 
-    def _stderr(arr):
-        if n_traj < 2:
-            return np.zeros(arr.shape[1:])
-        return arr.std(axis=0, ddof=1) / np.sqrt(n_traj)
+    mean = acc[0] / n_traj
+    if n_traj > 1:
+        var = np.maximum(acc[2] - acc[1]**2 / n_traj, 0.0) / (n_traj - 1)
+    else:
+        var = np.zeros((n_rec, q))
+    stderr = np.sqrt(var) / np.sqrt(n_traj)
+
+    def signal_part(stat):
+        return np.moveaxis(stat[:, 1 + ch:].reshape(n_rec, ch, m), 0, -1)
 
     return TrajectoryRecord(
         times=times,
-        energy_mean=energy.mean(axis=0),
-        energy_stderr=_stderr(energy),
-        op_mean=opmeans.mean(axis=0).T,
-        op_stderr=_stderr(opmeans).T,
-        signal_mean=np.moveaxis(signals.mean(axis=0), 0, -1),
-        signal_var=(np.moveaxis(signals.var(axis=0, ddof=1), 0, -1)
-                    if n_traj > 1 else np.zeros((ch, m, n_rec))),
+        energy_mean=mean[:, 0].copy(),
+        energy_stderr=stderr[:, 0].copy(),
+        op_mean=mean[:, 1:1 + ch].T,
+        op_stderr=stderr[:, 1:1 + ch].T,
+        signal_mean=signal_part(mean),
+        signal_var=signal_part(var),
         n_traj=n_traj,
         max_edge_population=max_edge,
         truncation_warning=bool(warn),

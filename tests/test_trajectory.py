@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -323,3 +326,174 @@ class TestStateVectorPath:
         assert np.array_equal(rec.op_mean, ref.op_mean)
         assert np.array_equal(rec.signal_mean, ref.signal_mean)
         assert np.array_equal(rec.signal_var, ref.signal_var)
+
+
+class TestConfigInputs:
+    def _config(self, **kw):
+        args = dict(dt=1e-3, n_steps=10, n_traj=2, base_seed=0)
+        args.update(kw)
+        return TrajectoryConfig(**args)
+
+    @pytest.mark.parametrize("dt", [np.inf, np.nan])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            self._config(dt=dt)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_initial_signals_rejected(self, bad):
+        signals = np.zeros((2, 2))
+        signals[1, 0] = bad
+        with pytest.raises(ValueError, match="initial signals"):
+            self._config(initial_signals=signals)
+
+    @pytest.mark.parametrize("name", ["n_steps", "n_traj", "record_stride",
+                                      "chunk_size", "base_seed"])
+    def test_non_integer_count_or_seed_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            self._config(**{name: 10.0 if name == "n_steps" else 2.0})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = self._config(n_steps=np.int64(10), chunk_size=np.int32(3))
+        assert cfg.n_steps == 10 and cfg.chunk_size == 3
+
+
+def _full_record_reference(model, cfg):
+    """Ensemble statistics from every trajectory's full record.
+
+    Keeps (n_traj, n_rec, ...) arrays and reduces them with numpy's
+    two-pass mean/std/var, the reference that run_ensemble's streamed
+    statistics are held to.  All trajectories are stepped as one batch,
+    with each trajectory's noise drawn up front.
+    """
+    engine = trajectory._Engine(model)
+    state0, G0 = trajectory._initial_state(model, cfg)
+    advance = engine.step_psi if state0.ndim == 1 else engine.step_batch
+    n, ch, m, stride = cfg.n_traj, engine.n_ch, engine.m, cfg.record_stride
+    n_rec = cfg.n_steps // stride + 1
+    xi = np.stack([NoiseStream(cfg.base_seed, i).generator().standard_normal(
+        (cfg.n_steps, ch)) for i in range(n)])
+    state = np.broadcast_to(state0, (n,) + state0.shape).copy()
+    G = np.broadcast_to(G0, (n,) + G0.shape).copy()
+    energy = np.empty((n, n_rec))
+    opmeans = np.empty((n, n_rec, ch))
+    signals = np.empty((n, n_rec, ch, m))
+    for s in range(cfg.n_steps + 1):
+        if s:
+            state, G = advance(state, G, xi[:, s - 1], cfg.dt)
+        if s % stride == 0:
+            energy[:, s // stride] = engine.energies(state, G)
+            opmeans[:, s // stride] = engine.op_means(state)
+            signals[:, s // stride] = G
+
+    def stderr(arr):
+        if n < 2:
+            return np.zeros(arr.shape[1:])
+        return arr.std(axis=0, ddof=1) / np.sqrt(n)
+
+    return dict(
+        energy_mean=energy.mean(axis=0),
+        energy_stderr=stderr(energy),
+        op_mean=opmeans.mean(axis=0).T,
+        op_stderr=stderr(opmeans).T,
+        signal_mean=np.moveaxis(signals.mean(axis=0), 0, -1),
+        signal_var=(np.moveaxis(signals.var(axis=0, ddof=1), 0, -1)
+                    if n > 1 else np.zeros((ch, m, n_rec))),
+    )
+
+
+def _record_arrays(rec):
+    return {f.name: np.asarray(getattr(rec, f.name))
+            for f in dataclasses.fields(rec)}
+
+
+class TestStreamedStatistics:
+    """run_ensemble reduces its statistics while it runs; these tests hold
+    it to the full-record reduction and to chunk and window invariance."""
+
+    def _models(self):
+        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        lowpass2 = oscillator_cooling_model(p, 10)
+        ou = frozen_signal_model(lowpass_cascade((1.0,)), 1.0, mean_A=0.3)
+        # lowpass2 fits one noise block; the OU run spans three, and its
+        # -0.0 start makes the mean at t = 0 a signed zero
+        return [(lowpass2, dict(dt=1e-3, n_steps=60, record_stride=5)),
+                (ou, dict(dt=1e-3, n_steps=2100, record_stride=7,
+                          initial_signals=np.full((1, 1), -0.0)))]
+
+    @pytest.mark.parametrize("n_traj", [1, 2, 9])
+    def test_matches_full_record_reference(self, n_traj):
+        for model, kw in self._models():
+            cfg = TrajectoryConfig(n_traj=n_traj, base_seed=4, chunk_size=4, **kw)
+            rec = run_ensemble(model, cfg)
+            ref = _full_record_reference(model, cfg)
+            for name in ("energy", "op", "signal"):
+                mean, want = getattr(rec, f"{name}_mean"), ref[f"{name}_mean"]
+                assert np.array_equal(mean, want)
+                assert np.array_equal(np.signbit(mean), np.signbit(want))
+            for name, got, want in (
+                    ("energy", rec.energy_stderr**2 * n_traj,
+                     ref["energy_stderr"]**2 * n_traj),
+                    ("op", rec.op_stderr**2 * n_traj, ref["op_stderr"]**2 * n_traj),
+                    ("signal", rec.signal_var, ref["signal_var"])):
+                scale = want + ref[f"{name}_mean"]**2
+                assert (np.abs(got - want) <= 1e-12 * scale).all(), name
+            if n_traj == 1:
+                assert not rec.energy_stderr.any() and not rec.op_stderr.any()
+                assert not rec.signal_var.any()
+            else:
+                assert rec.signal_var[..., -1].all()
+
+    def test_variance_of_large_offset_keeps_its_digits(self):
+        # signals near 1e6 with a spread near 0.1: sums of x and x^2 would
+        # cancel about 13 digits, deviations from trajectory 0 cancel none
+        model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
+        cfg = TrajectoryConfig(dt=1e-3, n_steps=60, n_traj=9, base_seed=2,
+                               record_stride=6, chunk_size=4,
+                               initial_signals=np.full((1, 1), 1e6))
+        got = run_ensemble(model, cfg).signal_var
+        want = _full_record_reference(model, cfg)["signal_var"]
+        assert want[..., 1:].min() > 1e-3
+        assert np.abs(got - want).max() <= 1e-9 * want.max()
+
+    def test_chunk_and_window_invariance(self, monkeypatch):
+        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        model = oscillator_cooling_model(p, 8)
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[0, 0], rho[1, 1] = 0.7, 0.3
+        starts = {"psi": None, "rho": QuantumState(rho)}
+        for label, state in starts.items():
+            def run(chunk):
+                return _record_arrays(run_ensemble(model, TrajectoryConfig(
+                    dt=1e-3, n_steps=42, n_traj=7, base_seed=3, record_stride=3,
+                    initial_state=state, chunk_size=chunk)))
+
+            default_block = run(256)
+            with monkeypatch.context() as mp:
+                # records at every third step straddle 7-step noise blocks
+                mp.setattr(trajectory, "NOISE_BLOCK", 7)
+                recs = [run(chunk) for chunk in (1, 3, 64)]
+            for rec in recs + [default_block]:
+                for name, arr in rec.items():
+                    assert np.array_equal(arr, recs[0][name]), (label, name)
+                    assert np.array_equal(np.signbit(arr), np.signbit(recs[0][name]))
+
+    def test_memory_does_not_grow_with_ensemble_size(self):
+        # 2001 records of 3 columns.  A full record would be 12 MB at 256
+        # trajectories and 49 MB at 1024; the run holds a 256 x 1025 x 3
+        # window (6.3 MB), the 256 x 1024 noise block (2.1 MB) and the
+        # per-slot sums (0.1 MB).
+        model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
+
+        def peak_mb(n_traj):
+            cfg = TrajectoryConfig(dt=1e-3, n_steps=2000, n_traj=n_traj,
+                                   base_seed=0, chunk_size=256)
+            tracemalloc.start()
+            try:
+                run_ensemble(model, cfg)
+                return tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_mb(256), peak_mb(1024)
+        assert large < 1.1 * small
+        assert large < 10.0
