@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moment_systems import PHYSICAL_MIN, ProtocolKind
+from .moment_systems import PHYSICAL_MIN, STABILITY_TOL, ProtocolKind
 
 PHYSICAL = "physical"
 UNPHYSICAL = "unphysical"
@@ -51,7 +51,7 @@ class EnergyResult:
 
 def _classify(energy, na=False) -> EnergyResult:
     energy = np.where(na, np.nan, energy)
-    physical = energy >= PHYSICAL_MIN - 1e-9
+    physical = energy >= PHYSICAL_MIN - STABILITY_TOL
     note = np.where(na, NOT_APPLICABLE, np.where(physical, PHYSICAL, UNPHYSICAL))
     if energy.ndim == 0:
         return EnergyResult(float(energy), bool(physical), str(note))

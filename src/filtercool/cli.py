@@ -52,12 +52,8 @@ class ConfigError(ValueError):
     """Bad configuration file or inconsistent option values."""
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
-
-
 def _float_row(n: int) -> str:
-    """``write_rows`` format of n numbers, each written as ``_fmt`` writes it."""
+    """``write_rows`` format of n numbers, each with 12 significant digits."""
     return ",".join(["%.12g"] * n) + "\r\n"
 
 
@@ -268,17 +264,14 @@ def _cmd_filter_response(cfg: dict) -> None:
 def _cmd_steady_state(cfg: dict) -> None:
     params = _protocol_params(cfg)
     ss = steady_state(build_moment_system(params))
+    Omega = params.Omega if params.Omega is not None else np.nan
     with _open_output(cfg["output"]) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["protocol", "lambda", "omega", "gamma", "Omega",
-                         "energy", "stable", "physical"])
-        writer.writerow([
-            params.kind.value, _fmt(params.lam), _fmt(params.omega),
-            _fmt(params.gamma),
-            _fmt(params.Omega) if params.Omega is not None else "nan",
-            _fmt(ss.energy_over_hw),
-            str(ss.stable).lower(), str(ss.physical).lower(),
-        ])
+        csv.writer(fh).writerow(["protocol", "lambda", "omega", "gamma", "Omega",
+                                 "energy", "stable", "physical"])
+        write_rows(fh, "%s," + "%.12g," * 5 + "%s,%s\r\n",
+                   [[params.kind.value], [params.lam], [params.omega], [params.gamma],
+                    [Omega], [ss.energy_over_hw],
+                    [str(ss.stable).lower()], [str(ss.physical).lower()]])
 
 
 def _cmd_evolve(cfg: dict) -> None:

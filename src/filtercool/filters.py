@@ -202,8 +202,10 @@ def stationary_statistics(model: FilterModel, lam: float,
         If M has an eigenvalue with nonnegative real part ("no stationary
         state").
     """
-    if lam <= 0:
-        raise ValueError("measurement strength lam must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"measurement strength lam must be positive and finite, got {lam}")
+    if not np.isfinite(mean_A):
+        raise ValueError(f"record mean mean_A must be finite, got {mean_A}")
     M, b = model.M, model.b
     n = model.n
     if np.linalg.eigvals(M).real.max() >= 0:

@@ -1,4 +1,10 @@
-"""Exact ensemble moment dynamics for the oscillator cooling protocols.
+"""The cooling protocols and their exact ensemble moment dynamics.
+
+Each protocol is a linear filter (M, b) on the measurement record with the
+trap recentred on one filter component.  This module is the one table of
+them: ``ProtocolKind.n_layers`` and ``.tap``, and
+:meth:`ProtocolParams.filter_model`, read by the moment systems, the phase
+sweep and the Monte Carlo engine alike.
 
 For quadratic trap-shifting feedback the ensemble expectation values close
 into a finite affine ODE system d x/dt = A x + c.  The four protocols are:
@@ -23,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from .filters import FilterModel, bandpass, lowpass_cascade
 from .numerics import eigenvalues, propagate_affine, solve_linear
 
 #: Relative slack used for the stability and physicality classifications.
@@ -41,8 +48,11 @@ class ProtocolKind(enum.Enum):
         """Number of filter stages the protocol hardware needs."""
         return {"lowpass1": 1, "lowpass2": 2, "lowpass3": 3, "bandpass": 2}[self.value]
 
-
-_NEEDS_OMEGA = (ProtocolKind.LOWPASS2, ProtocolKind.LOWPASS3, ProtocolKind.BANDPASS)
+    @property
+    def tap(self) -> int:
+        """Filter component the trap is recentred on (0-based): the last
+        cascade stage, or E1 for band-pass."""
+        return 0 if self is ProtocolKind.BANDPASS else self.n_layers - 1
 
 
 @dataclass(frozen=True)
@@ -66,7 +76,7 @@ class ProtocolParams:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-        if self.kind in _NEEDS_OMEGA:
+        if self.kind is not ProtocolKind.LOWPASS1:
             if self.Omega is None or not (np.isfinite(self.Omega) and self.Omega > 0):
                 raise ValueError(f"{self.kind.value} requires Omega > 0, got {self.Omega}")
 
@@ -82,6 +92,16 @@ class ProtocolParams:
         if self.kind is ProtocolKind.LOWPASS1:
             return self.gamma
         return 1.0 / (1.0 / self.gamma + 1.0 / self.Omega)
+
+    def filter_model(self) -> FilterModel:
+        """The filter the protocol applies to each quadrature record.
+
+        Cascades chain the bandwidths (gamma, Omega, Omega) over their
+        stages; band-pass is centred at Omega with width gamma.
+        """
+        if self.kind is ProtocolKind.BANDPASS:
+            return bandpass(self.gamma, self.Omega)
+        return lowpass_cascade((self.gamma, self.Omega, self.Omega)[:self.kind.n_layers])
 
 
 @dataclass

@@ -67,14 +67,6 @@ def as_real_matrix(a, name: str = "matrix") -> np.ndarray:
     return require_finite(a, name)
 
 
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite complex square matrix as complex128."""
-    a = require_square(np.asarray(a, dtype=complex), name)
-    if not (np.isfinite(a.real).all() and np.isfinite(a.imag).all()):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
 def mat_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     """Matrix exponential exp(a*t) for a square real (or complex) matrix.
 

@@ -59,7 +59,6 @@ from .moment_systems import (
     steady_state,
 )
 from .numerics import NumericalError, SingularMatrixError, hurwitz_test
-from .trajectory import protocol_filter, protocol_tap_index
 
 ALL_PROTOCOLS = (ProtocolKind.LOWPASS1, ProtocolKind.LOWPASS2,
                  ProtocolKind.LOWPASS3, ProtocolKind.BANDPASS)
@@ -120,8 +119,9 @@ class GridSpec:
                 raise ValueError(f"{name} axis is empty")
             if not (np.isfinite(ax) & (ax > 0)).all() or (np.diff(ax) <= 0).any():
                 raise ValueError(f"{name} axis must be positive, finite and strictly increasing")
-        if not (self.lam > 0 and self.omega > 0):
-            raise ValueError("lam and omega must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (self.lam, self.omega)):
+            raise ValueError(f"lam and omega must be positive and finite, "
+                             f"got {self.lam}, {self.omega}")
         self.protocols = tuple(self.protocols)
         if not self.protocols:
             raise ValueError("need at least one protocol")
@@ -187,8 +187,8 @@ def filter_drift(params: ProtocolParams) -> np.ndarray:
     Otherwise (band-pass) the state is (G, alpha) and
     K = [[M, b], [i omega e_tap^T, -i omega]].
     """
-    fm = protocol_filter(params)
-    tap = protocol_tap_index(params.kind)
+    fm = params.filter_model()
+    tap = params.kind.tap
     m = fm.n
     if not (fm.M.sum(axis=1) + fm.b).any():
         k = fm.M.astype(complex)

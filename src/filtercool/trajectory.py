@@ -30,9 +30,10 @@ step.  This path is exact for mixed input; :func:`step` uses it, and it is
 the reference the SSE path is tested against.
 
 Feedback enters by recomputing the Hamiltonian from the current signals at
-every step; for the trap-shift rules used by the cooling protocols the
-engine exploits their linearity in x and p so whole ensembles can be
-stepped as one batched array operation.
+every step.  The cooling protocols recentre the trap on one filter
+component, with filter and tap read from ``moment_systems.ProtocolParams``;
+the engine exploits the linearity of that shift in x and p so whole
+ensembles can be stepped as one batched array operation.
 
 Ensembles are reproducible by construction: trajectory i draws its noise
 from ``NoiseStream(base_seed, i)`` and statistics are reduced in trajectory
@@ -51,8 +52,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .filters import FilterModel, bandpass, lowpass_cascade
-from .moment_systems import ProtocolKind, ProtocolParams
+from .filters import FilterModel
+from .moment_systems import ProtocolParams
 from .numerics import NoiseStream, NumericalError
 
 #: Sum of the top two basis-state populations above which a run is flagged
@@ -266,38 +267,16 @@ class SystemModel:
         return self.filter_model.n if self.filter_model is not None else 0
 
 
-_CASCADE_TAP = {ProtocolKind.LOWPASS1: 0, ProtocolKind.LOWPASS2: 1,
-                ProtocolKind.LOWPASS3: 2, ProtocolKind.BANDPASS: 0}
-
-
-def protocol_filter(params: ProtocolParams) -> FilterModel:
-    """The filter a protocol applies to each quadrature record."""
-    g, Om = params.gamma, params.Omega
-    if params.kind is ProtocolKind.LOWPASS1:
-        return lowpass_cascade((g,))
-    if params.kind is ProtocolKind.LOWPASS2:
-        return lowpass_cascade((g, Om))
-    if params.kind is ProtocolKind.LOWPASS3:
-        return lowpass_cascade((g, Om, Om))
-    return bandpass(g, Om)
-
-
-def protocol_tap_index(kind: ProtocolKind) -> int:
-    """Which filter component the protocol feeds back (0-based)."""
-    return _CASCADE_TAP[kind]
-
-
 def oscillator_cooling_model(params: ProtocolParams, n_fock: int) -> SystemModel:
     """Monitored oscillator with trap-shift feedback on filtered quadratures.
 
     Position and momentum are both measured with strength ``params.lam``;
-    each record passes through the protocol's filter and the trap is
-    recentered on the fed-back component.
+    each record passes through ``params.filter_model()`` and the trap is
+    recentered on component ``params.kind.tap``.
     """
     osc = build_truncated_oscillator(n_fock, params.omega)
-    fm = protocol_filter(params)
-    fb = ShiftedTrapFeedback(osc, protocol_tap_index(params.kind))
-    return SystemModel(osc.H0, (osc.x, osc.p), params.lam, fm, fb)
+    fb = ShiftedTrapFeedback(osc, params.kind.tap)
+    return SystemModel(osc.H0, (osc.x, osc.p), params.lam, params.filter_model(), fb)
 
 
 def measurement_only_model(n_fock: int, omega: float, lam: float,

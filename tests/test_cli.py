@@ -49,6 +49,20 @@ class TestSteadyState:
         _, row = read_rows(out)
         assert row[7] == "false"
 
+    @pytest.mark.parametrize("args, row", [
+        (["lowpass1", "--gamma", "2"], b"lowpass1,1,1,2,nan,0.5,true,true\r\n"),
+        (["lowpass2", "--gamma", "2", "--Omega", "2"],
+         b"lowpass2,1,1,2,2,0.78125,true,true\r\n"),
+        (["bandpass", "--gamma", "1", "--Omega", "2"],
+         b"bandpass,1,1,1,2,-2.92045454545,false,false\r\n"),
+    ])
+    def test_output_bytes_pinned(self, args, row, tmp_path):
+        out = tmp_path / "ss.csv"
+        assert main(["steady-state", "--lambda", "1", "--omega", "1", "--protocol",
+                     *args, "--output", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"protocol,lambda,omega,gamma,Omega,energy,stable,physical\r\n" + row)
+
     def test_negative_gamma_exits_2(self):
         assert main(["steady-state", "--protocol", "lowpass1", "--lambda", "1",
                      "--gamma", "-1"]) == 2

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -191,6 +193,15 @@ class TestStationaryStatistics:
         m = lowpass_cascade((1.0, 3.0))
         mean, _ = stationary_statistics(m, 2.0, mean_A=0.7)
         assert np.abs(mean - 0.7).max() < 1e-12
+
+    @pytest.mark.parametrize("lam, mean_A", [
+        (np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf),
+    ])
+    def test_non_finite_input_rejected(self, lam, mean_A):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                stationary_statistics(lowpass_cascade((1.0, 3.0)), lam, mean_A)
 
     def test_unstable_drift_rejected(self):
         unstable = FilterModel(np.array([[0.5]]), np.array([1.0]))

@@ -21,6 +21,8 @@ from filtercool.moment_systems import (
     steady_state,
 )
 from filtercool.numerics import SingularMatrixError, integrate_affine
+from filtercool.phase_diagram import filter_drift
+from filtercool.trajectory import oscillator_cooling_model
 
 
 def params(kind, lam=1.0, omega=1.0, gamma=1.0, Omega=None):
@@ -60,6 +62,48 @@ class TestProtocolParams:
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_two_layer(params(ProtocolKind.LOWPASS1, gamma=1.0))
+
+
+_TABLE_POINTS = [(0.7, 3.0), (5.0, 0.3)]
+
+
+def _table_filter(kind, g, Om):
+    """The protocol's (M, b), typed out."""
+    if kind is ProtocolKind.LOWPASS1:
+        return [[-g]], [g]
+    if kind is ProtocolKind.LOWPASS2:
+        return [[-g, 0], [Om, -Om]], [g, 0]
+    if kind is ProtocolKind.LOWPASS3:
+        return [[-g, 0, 0], [Om, -Om, 0], [0, Om, -Om]], [g, 0, 0]
+    return [[-g, -Om], [Om, -g]], [g, 0]
+
+
+class TestProtocolTable:
+    @pytest.mark.parametrize("g, Om", _TABLE_POINTS)
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_filter_and_model(self, kind, g, Om):
+        p = ProtocolParams(1.0, 1.3, g, None if kind is ProtocolKind.LOWPASS1 else Om, kind)
+        M, b = _table_filter(kind, g, Om)
+        fm = p.filter_model()
+        np.testing.assert_array_equal(fm.M, M)
+        np.testing.assert_array_equal(fm.b, b)
+        model = oscillator_cooling_model(p, 5)
+        np.testing.assert_array_equal(model.filter_model.M, M)
+        np.testing.assert_array_equal(model.filter_model.b, b)
+        assert model.feedback.tap_index == kind.tap
+
+    def test_taps(self):
+        assert [k.tap for k in ProtocolKind] == [0, 1, 2, 0]
+
+    @pytest.mark.parametrize("g, Om", _TABLE_POINTS)
+    def test_drift(self, g, Om):
+        w = 1.3
+        np.testing.assert_array_equal(
+            filter_drift(ProtocolParams(1.0, w, g, Om, ProtocolKind.LOWPASS2)),
+            [[-g, -1j * w], [Om, -Om - 1j * w]])
+        np.testing.assert_array_equal(
+            filter_drift(ProtocolParams(1.0, w, g, Om, ProtocolKind.BANDPASS)),
+            [[-g, -Om, g], [Om, -g, 0], [1j * w, 0, -1j * w]])
 
 
 class TestSingleLayer:

@@ -71,6 +71,12 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="finite"):
             GridSpec(np.array([1.0]), np.array([1.0, bad]))
 
+    @pytest.mark.parametrize("field", ["lam", "omega"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rate_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(np.array([1.0]), np.array([1.0]), **{field: bad})
+
     def test_duplicate_protocols_rejected(self):
         with pytest.raises(ValueError, match="must not repeat"):
             GridSpec(np.array([1.0]), np.array([1.0]),
