@@ -141,13 +141,21 @@ _SUBCOMMANDS = {
 }
 
 
+#: Subcommand descriptions that ``--help`` prints.
+_DESCRIPTIONS = {"trajectory": (
+    "Monte Carlo ensemble of one protocol. A run whose top-two Fock populations "
+    "exceed 1e-3 at a recorded step is truncation limited: it still exits 0 and "
+    "writes its CSV, and a RuntimeWarning on stderr says so. Raise --fock until "
+    "the warning is gone.")}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filtercool",
         description="Cooling a monitored oscillator with filtered feedback.")
     subs = parser.add_subparsers(dest="command")
     for name, opts in _SUBCOMMANDS.items():
-        sp = subs.add_parser(name)
+        sp = subs.add_parser(name, description=_DESCRIPTIONS.get(name))
         sp.add_argument("--config", default=None,
                         help="JSON file with flag-name keys; flags override it")
         for opt in opts:

@@ -21,7 +21,9 @@ reproduces the diffusive stochastic master equation (SME) term for term
 (Wiseman & Milburn, Quantum Measurement and Control, 2010, ch. 4; Jacobs &
 Steck, Contemp. Phys. 47, 279, 2006) at O(d^2) instead of O(d^3) work per
 step.  H is centred on <H>: the exact flow ignores a constant added to H,
-and with the centring the Euler step does too.
+and with the centring the Euler step does too.  A step makes one stacked
+product of psi with [H0, A_1..A_ch, S = sum_k A_k^2], 4 blocks for the
+cooling protocols; its moments also give the records.
 
 A mixed initial state is stepped as a density matrix under the SME
 (unitary drift, backaction dissipators and the nonlinear innovation term),
@@ -57,7 +59,7 @@ from .moment_systems import ProtocolParams
 from .numerics import NoiseStream, NumericalError
 
 #: Sum of the top two basis-state populations above which a run is flagged
-#: as truncation limited.
+#: as truncation limited; it is sampled on the record grid.
 EDGE_POPULATION_LIMIT = 1e-3
 
 _HERMITICITY_TOL = 1e-12
@@ -370,19 +372,17 @@ class TrajectoryRecord:
 # stepping kernel
 
 
-def _expect(state: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Real <op> for a batch of state vectors (n, d) or density matrices (n, d, d)."""
-    if state.ndim == 2:
-        return (state.conj() * (state[:, None, :] @ op.T)[:, 0]).sum(axis=1).real
-    return np.einsum('nij,ji->n', state, op).real
-
-
 class _Engine:
     """Precomputed batched stepping kernel for one SystemModel.
 
     A batch is either state vectors, shape (n, d), stepped by
     :meth:`step_psi`, or density matrices, shape (n, d, d), stepped by
     :meth:`step_batch`; the observables accept both.
+
+    A state-vector step makes one stacked product psi @ W.  W holds
+    [H0, A_1..A_ch, S = sum_k A_k^2], and x, p only when they are not the
+    measured pair: 4 blocks for the cooling protocols.  Steps and records
+    read the same :meth:`_moments`.
     """
 
     def __init__(self, model: SystemModel):
@@ -415,24 +415,35 @@ class _Engine:
         else:
             self.mode = "generic"
             self.fb = fb
-        # State-vector path: one product psi @ W yields H0 psi, every A_k psi
-        # and A_k^2 psi, and x psi, p psi for the trap shift (blocks 1 and 2
-        # when the measured pair is (x, p)).
-        mats = [self.H0, *self.ops, *self.ops_sq]
+        mats = [self.H0, *self.ops] + ([sum(self.ops_sq)] if self.n_ch else [])
+        # <B> is taken of the first n_ev blocks: H0 and the A_k, and all of
+        # them when x and p need blocks of their own after S.
+        self.n_ev = 1 + self.n_ch
         if self.mode == "trap":
             xp = (self.osc.x, self.osc.p)
-            if all(np.array_equal(A, B) for A, B in zip(self.ops, xp)):
-                self.trap_blocks = (1, 2)
-            else:
-                self.trap_blocks = (len(mats), len(mats) + 1)
+            if not all(np.array_equal(A, B) for A, B in zip(self.ops, xp)):
                 mats += xp
+                self.n_ev = len(mats)
+            self.xp = slice(self.n_ev - 2, self.n_ev)
+        self.ev_ops = mats[:self.n_ev]
         self.W = np.concatenate([A.T for A in mats], axis=1)
 
-    def op_means(self, state: np.ndarray) -> np.ndarray:
+    def _moments(self, state: np.ndarray):
+        """(prod, ev) of a batch, which :meth:`energies` and :meth:`op_means`
+        take as ``mom``: ev[:, j] = <B_j> for the first ``n_ev`` blocks B_j
+        of W, and for state vectors prod[:, j] = B_j psi for every block."""
+        if state.ndim == 3:
+            return None, np.stack([np.einsum('nij,ji->n', state, A).real
+                                   for A in self.ev_ops], axis=1)
+        # A stack of row products: each trajectory's arithmetic is then the
+        # same for any batch size, which one (n, d) @ (d, K) BLAS call is not.
+        prod = (state[:, None, :] @ self.W).reshape(len(state), -1, self.d)
+        ev = (prod[:, :self.n_ev] @ state.conj()[:, :, None])[:, :, 0].real
+        return prod, ev
+
+    def op_means(self, state: np.ndarray, mom=None) -> np.ndarray:
         """Conditional <A_k> for the whole batch, shape (n, channels)."""
-        if not self.n_ch:
-            return np.zeros((state.shape[0], 0))
-        return np.stack([_expect(state, A) for A in self.ops], axis=1)
+        return (self._moments(state) if mom is None else mom)[1][:, 1:1 + self.n_ch]
 
     def _commutator(self, rho: np.ndarray, G: np.ndarray) -> np.ndarray:
         if self.mode == "trap":
@@ -461,8 +472,11 @@ class _Engine:
     def step_batch(self, rho: np.ndarray, G: np.ndarray, xi: np.ndarray,
                    dt: float):
         """One Euler-Maruyama SME step of a density-matrix batch; returns (rho, G)."""
-        dW = xi * np.sqrt(dt)
-        a = self.op_means(rho)
+        return self._advance_rho(rho, G, xi * np.sqrt(dt), dt, self._moments(rho))
+
+    def _advance_rho(self, rho, G, dW, dt, mom):
+        """:meth:`step_batch` on Wiener increments dW and rho's moments."""
+        a = self.op_means(rho, mom)
         drho = (-1j * dt) * self._commutator(rho, G)
         for k in range(self.n_ch):
             A, A2 = self.ops[k], self.ops_sq[k]
@@ -480,12 +494,12 @@ class _Engine:
     def step_psi(self, psi: np.ndarray, G: np.ndarray, xi: np.ndarray,
                  dt: float):
         """One Euler-Maruyama SSE step of a state-vector batch; returns (psi, G)."""
-        n, d, ch = psi.shape[0], self.d, self.n_ch
-        dW = xi * np.sqrt(dt)
-        # A stack of row products: each trajectory's arithmetic is then the
-        # same for any batch size, which one (n, d) @ (d, K) BLAS call is not.
-        prod = (psi[:, None, :] @ self.W).reshape(n, -1, d)
-        ev = (psi.conj()[:, None, :] * prod).sum(axis=2).real
+        return self._advance_psi(psi, G, xi * np.sqrt(dt), dt, self._moments(psi))
+
+    def _advance_psi(self, psi, G, dW, dt, mom):
+        """:meth:`step_psi` on Wiener increments dW and psi's moments."""
+        ch = self.n_ch
+        prod, ev = mom
         a = ev[:, 1:1 + ch]
         if self.mode == "generic":
             Hpsi = (self._feedback_hamiltonians(G) @ psi[:, :, None])[:, :, 0]
@@ -494,22 +508,20 @@ class _Engine:
             Hpsi, eH = prod[:, 0], ev[:, 0]
             if self.mode == "trap":
                 # H(G) = H0 - w(gx x + gp p) + const; the constant drops out.
-                w = self.osc.omega
-                gx = w * G[:, 0, self.tap]
-                gp = w * G[:, 1, self.tap]
-                ix, ip = self.trap_blocks
-                Hpsi = Hpsi - gx[:, None] * prod[:, ix] - gp[:, None] * prod[:, ip]
-                eH = eH - gx * ev[:, ix] - gp * ev[:, ip]
+                g = self.osc.omega * G[:, :, self.tap]
+                Hpsi = Hpsi - (g[:, None, :] @ prod[:, self.xp])[:, 0]
+                eH = eH - (g * ev[:, self.xp]).sum(axis=1)
+        # sum_k [-(lam/2)(A_k - a_k)^2 dt + sqrt(lam)(A_k - a_k) dW_k] psi,
+        # expanded in powers of A_k: S carries sum_k A_k^2
         dpsi = (-1j * dt) * (Hpsi - eH[:, None] * psi)
         if ch:
-            # sum_k [-(lam/2)(A_k - a_k)^2 dt + sqrt(lam)(A_k - a_k) dW_k] psi,
-            # expanded in powers of A_k
             kick = self.sqrt_lam * dW + (self.lam * dt) * a
-            dpsi += (-0.5 * self.lam * dt) * prod[:, 1 + ch:1 + 2 * ch].sum(axis=1)
-            dpsi += (kick[:, :, None] * prod[:, 1:1 + ch]).sum(axis=1)
+            dpsi += (kick[:, None, :] @ prod[:, 1:1 + ch])[:, 0]
+            dpsi += (-0.5 * self.lam * dt) * prod[:, 1 + ch]
             dpsi -= ((kick - (0.5 * self.lam * dt) * a) * a).sum(axis=1)[:, None] * psi
         psi = psi + dpsi
-        psi /= np.sqrt((psi.real**2 + psi.imag**2).sum(axis=1))[:, None]
+        v = psi.view(float)
+        psi /= np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
         return psi, self._filter_step(G, a, dW, dt)
 
     def populations(self, state: np.ndarray) -> np.ndarray:
@@ -518,7 +530,7 @@ class _Engine:
             return state.real**2 + state.imag**2
         return np.einsum('nii->ni', state).real
 
-    def energies(self, state: np.ndarray, G: np.ndarray) -> np.ndarray:
+    def energies(self, state: np.ndarray, G: np.ndarray, mom=None) -> np.ndarray:
         """<H(G)> for the whole batch (H0 when there is no feedback)."""
         if self.mode == "generic":
             H = self._feedback_hamiltonians(G)
@@ -526,15 +538,12 @@ class _Engine:
                 Hpsi = (H @ state[:, :, None])[:, :, 0]
                 return (state.conj() * Hpsi).sum(axis=1).real
             return np.einsum('nij,nji->n', H, state).real
-        eH0 = _expect(state, self.H0)
+        ev = (self._moments(state) if mom is None else mom)[1]
         if self.mode == "trap":
-            w = self.osc.omega
-            gx = G[:, 0, self.tap]
-            gp = G[:, 1, self.tap]
-            ex = _expect(state, self.osc.x)
-            ep = _expect(state, self.osc.p)
-            return eH0 - w * (gx * ex + gp * ep) + 0.5 * w * (gx**2 + gp**2)
-        return eH0
+            w, g = self.osc.omega, G[:, :, self.tap]
+            return (ev[:, 0] - w * (g * ev[:, self.xp]).sum(axis=1)
+                    + 0.5 * w * (g**2).sum(axis=1))
+        return ev[:, 0]
 
 
 def step(state: QuantumState, signals: np.ndarray, model: SystemModel,
@@ -629,9 +638,10 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     A pure initial state (top eigenvalue above 1 - 1e-12) is stepped as a
     state vector (SSE), a mixed one as a density matrix (SME).  The output
     is deterministic for fixed configuration, independent of chunking.  A
-    run whose top-two basis populations ever exceed
-    ``EDGE_POPULATION_LIMIT`` is flagged (and a warning is emitted), since
-    its energies are no longer trustworthy.
+    run whose top-two basis populations exceed ``EDGE_POPULATION_LIMIT`` at
+    any recorded step is flagged and a ``RuntimeWarning`` is emitted, since
+    its energies are no longer trustworthy; the populations are sampled on
+    the record grid only, so an excursion between records goes unseen.
 
     Statistics are reduced while the run goes, so no per-trajectory record
     is kept.  Each chunk writes its records (energy, <A_k>, flattened
@@ -658,7 +668,7 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     n_traj = config.n_traj
     ch, m = engine.n_ch, engine.m
     state0, G0 = _initial_state(model, config)
-    advance = engine.step_psi if state0.ndim == 1 else engine.step_batch
+    advance = engine._advance_psi if state0.ndim == 1 else engine._advance_rho
 
     # Per slot and record column: sum of values, of deviations from
     # trajectory 0 and of squared deviations.
@@ -668,7 +678,7 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     # Noise and record window of one block, shared by all chunks.
     block = min(NOISE_BLOCK, config.n_steps)
     n_max = min(config.chunk_size, n_traj)
-    xi_buf = np.empty((n_max, block, ch))
+    dW_buf = np.empty((n_max, block, ch))
     win_buf = np.empty((n_max, block // stride + 1, q))
     max_edge = 0.0
 
@@ -682,35 +692,40 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
         # block, so the draws equal one up-front (n_steps, ch) array.
         gens = [NoiseStream(config.base_seed, start + i).generator()
                 for i in range(n)]
-        xi, win = xi_buf[:n], win_buf[:n]
+        dW, win = dW_buf[:n], win_buf[:n]
         edge = np.zeros(n)
         lo = 0  # first slot held in the window
 
-        def record(row, state, G):
-            row[:, 0] = engine.energies(state, G)
-            row[:, 1:1 + ch] = engine.op_means(state)
+        def record(row, state, G, mom):
+            row[:, 0] = engine.energies(state, G, mom)
+            row[:, 1:1 + ch] = engine.op_means(state, mom)
             row[:, 1 + ch:] = G.reshape(n, -1)
             if track_edge:
                 pops = engine.populations(state)[:, -2:].sum(axis=1)
                 np.maximum(edge, pops, out=edge)
 
-        record(win[:, 0], state, G)
+        # The moments of each state serve its record and the next step.
+        mom = engine._moments(state)
+        record(win[:, 0], state, G, mom)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for s in range(config.n_steps):
                 j = s % NOISE_BLOCK
                 if j == 0:
                     rows = min(NOISE_BLOCK, config.n_steps - s)
                     for i, gen in enumerate(gens):
-                        xi[i, :rows] = gen.standard_normal((rows, ch))
-                state, G = advance(state, G, xi[:, j, :], config.dt)
-                ok = np.isfinite(state.view(float)).reshape(n, -1).all(axis=1) & \
-                    np.isfinite(G.reshape(n, -1)).all(axis=1)
-                if not ok.all():
-                    bad = int(np.nonzero(~ok)[0][0]) + start
-                    raise TrajectoryError(
-                        f"trajectory {bad} became non-finite at step {s + 1}")
+                        dW[i, :rows] = gen.standard_normal((rows, ch))
+                    dW[:, :rows] *= np.sqrt(config.dt)  # as step_psi's xi * sqrt(dt)
+                state, G = advance(state, G, dW[:, j, :], config.dt, mom)
+                # One sum finds a non-finite entry; then rows are checked.
+                if not np.isfinite(state.sum() + G.sum()):
+                    ok = np.isfinite(np.c_[state.reshape(n, -1), G.reshape(n, -1)])
+                    if not ok.all():
+                        bad = int(np.nonzero(~ok.all(axis=1))[0][0]) + start
+                        raise TrajectoryError(
+                            f"trajectory {bad} became non-finite at step {s + 1}")
+                mom = engine._moments(state)
                 if (s + 1) % stride == 0:
-                    record(win[:, (s + 1) // stride - lo], state, G)
+                    record(win[:, (s + 1) // stride - lo], state, G, mom)
                 if j == NOISE_BLOCK - 1 or s + 1 == config.n_steps:
                     hi = (s + 1) // stride + 1
                     if hi > lo:

@@ -182,6 +182,29 @@ class TestTrajectory:
                            "mean_Dx", "var_Dx", "mean_Dp", "var_Dp"]
         assert float(rows[1][1]) == pytest.approx(0.5, abs=1e-12)
 
+    def test_truncation_limited_run_exits_0_with_warning(self, tmp_path):
+        # five Fock states are too few: the run is flagged, not failed
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "t.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "filtercool.cli", "trajectory", "--protocol",
+             "lowpass1", "--lambda", "1", "--gamma", "2", "--fock", "5",
+             "--dt", "0.01", "--steps", "100", "--ntraj", "10", "--stride", "10",
+             "--output", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" in proc.stderr
+        assert "truncation limited" in proc.stderr
+        rows = read_rows(out)
+        assert rows[0][:2] == ["t", "mean_energy"] and len(rows) == 1 + 11
+
+    def test_help_says_truncation_limited_runs_exit_0(self, capsys):
+        assert main(["trajectory", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "truncation limited: it still exits 0 and writes its CSV" in text
+
 
 class TestPhaseDiagram:
     def test_small_grid(self, tmp_path):

@@ -328,6 +328,139 @@ class TestStateVectorPath:
         assert np.array_equal(rec.signal_var, ref.signal_var)
 
 
+def _sme_loop(model, cfg, psi0):
+    """Energies and <A_k>, shape (n_traj, n_rec[, ch]), of density-matrix
+    step() trajectories driven by run_ensemble's noise streams."""
+    stride, n_rec = cfg.record_stride, cfg.n_steps // cfg.record_stride + 1
+    energy = np.empty((cfg.n_traj, n_rec))
+    ops = np.empty((cfg.n_traj, n_rec, model.n_channels))
+    for i in range(cfg.n_traj):
+        gen = NoiseStream(cfg.base_seed, i).generator()
+        state = QuantumState(np.outer(psi0, psi0.conj()))
+        signals = np.zeros((model.n_channels, model.n_signal_components))
+        for s in range(cfg.n_steps + 1):
+            if s:
+                state, signals = step(state, signals, model, cfg.dt, gen)
+            if s % stride == 0:
+                H = model.feedback(signals) if model.feedback else model.H0
+                energy[i, s // stride] = state.expectation(H)
+                ops[i, s // stride] = [state.expectation(A) for A in model.measured_ops]
+    return energy, ops
+
+
+def _assert_common_noise_match(rec, energy, ops):
+    """Ensemble means equal at t = 0 and within 0.5 standard errors after.
+
+    The two integrators differ by O(sqrt(dt)) per path, which is a sizeable
+    share of the early spread, so the first record should be 80 steps in."""
+    pairs = [(rec.energy_mean, rec.energy_stderr, energy)]
+    pairs += [(rec.op_mean[k], rec.op_stderr[k], ops[..., k])
+              for k in range(ops.shape[-1])]
+    for mean, stderr, sme in pairs:
+        dev = np.abs(sme.mean(axis=0) - mean)
+        assert dev[0] < 1e-12
+        assert (dev[1:] <= 0.5 * stderr[1:]).all(), dev / stderr
+
+
+class TestStepKernel:
+    """Each branch of the state-vector kernel: batch-size independence, and
+    agreement with the density-matrix step() on common noise."""
+
+    @staticmethod
+    def _model(kind, d, rng):
+        # dense operators: the sparse x, p and diagonal H0 of the oscillator
+        # make many products exact, which would hide a batch dependence
+        def hermitian():
+            A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            return (A + A.conj().T) / (2.0 * np.sqrt(d))
+
+        osc = build_truncated_oscillator(d, 1.0)
+        filt = lowpass_cascade((2.0, 2.0))
+        trap = shifted_trap_feedback(osc, 1)
+        if kind == "free":
+            return SystemModel(hermitian(), (hermitian(), hermitian()), 1.0, filt)
+        if kind == "trap":
+            return SystemModel(hermitian(), (osc.x, osc.p), 1.0, filt, trap)
+        return SystemModel(hermitian(), (hermitian(), hermitian()), 1.0, filt,
+                           lambda G: trap(G))
+
+    @pytest.mark.parametrize("kind", ["trap", "free", "generic"])
+    def test_step_psi_does_not_depend_on_batch_size(self, kind):
+        d, n, dt = 24, 64, 1e-2
+        rng = np.random.default_rng(17)
+        engine = trajectory._Engine(self._model(kind, d, rng))
+        psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        G = rng.normal(0.0, 0.5, (n, 2, 2))
+        xi = rng.standard_normal((n, 2))
+        whole = engine.step_psi(psi, G, xi, dt)
+        for size in (1, 3, 5):
+            for lo in range(0, n, size):
+                rows = slice(lo, lo + size)
+                part = engine.step_psi(psi[rows], G[rows], xi[rows], dt)
+                for got, want in zip(part, whole):
+                    assert np.array_equal(got, want[rows]), (size, lo)
+
+    def test_zero_channel_model_conserves_energy(self):
+        # no channel and no noise: the SSE step keeps <H0> of a superposition
+        # symmetric about its mean while the populations move
+        osc = build_truncated_oscillator(10, 1.0)
+        model = SystemModel(osc.H0, (), 0.0)
+        psi0 = np.zeros(10, dtype=complex)
+        psi0[[1, 2, 3]] = 0.5, np.exp(0.7j) / np.sqrt(2.0), 0.5
+        cfg = TrajectoryConfig(dt=1e-3, n_steps=300, n_traj=3, base_seed=0,
+                               record_stride=30,
+                               initial_state=QuantumState(np.outer(psi0, psi0.conj())))
+        rec = run_ensemble(model, cfg)
+        energy, _ = _sme_loop(model, cfg, psi0)
+        assert np.ptp(rec.energy_mean) < 1e-10
+        assert np.abs(rec.energy_mean - 2.5).max() < 1e-10
+        assert np.abs(energy.mean(axis=0) - rec.energy_mean).max() < 1e-10
+        assert rec.op_mean.shape == (0, 11) and not rec.energy_stderr.any()
+
+    def test_one_channel_free_model_matches_sme(self):
+        osc = build_truncated_oscillator(12, 1.0)
+        model = SystemModel(osc.H0, (osc.x,), 1.0)
+        cfg = TrajectoryConfig(dt=5e-4, n_steps=400, n_traj=30, base_seed=3,
+                               record_stride=80)
+        rec = run_ensemble(model, cfg)
+        psi0 = trajectory._initial_state(model, cfg)[0]
+        _assert_common_noise_match(rec, *_sme_loop(model, cfg, psi0))
+
+    def test_cooling_protocols_step_with_four_blocks(self):
+        # [H0, x, p, S]: x and p are the measured pair, S = x^2 + p^2
+        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        model = oscillator_cooling_model(p, 12)
+        W = trajectory._Engine(model).W
+        assert W.shape == (12, 4 * 12)
+        x, p = model.measured_ops
+        assert np.array_equal(W[:, 36:], (x @ x + p @ p).T)
+
+    def test_trap_on_rotated_quadratures_matches_sme(self):
+        # the measured pair is not (x, p), so x and p get W blocks of their own
+        osc = build_truncated_oscillator(12, 1.0)
+        u = (osc.x + osc.p) / np.sqrt(2.0)
+        v = (osc.p - osc.x) / np.sqrt(2.0)
+        model = SystemModel(osc.H0, (u, v), 1.0, lowpass_cascade((2.0, 2.0)),
+                            shifted_trap_feedback(osc, 1))
+        assert trajectory._Engine(model).W.shape == (12, 6 * 12)
+        cfg = TrajectoryConfig(dt=5e-4, n_steps=400, n_traj=30, base_seed=4,
+                               record_stride=80)
+        rec = run_ensemble(model, cfg)
+        psi0 = trajectory._initial_state(model, cfg)[0]
+        _assert_common_noise_match(rec, *_sme_loop(model, cfg, psi0))
+
+
+def test_finite_signals_whose_sum_overflows_pass():
+    # the per-step check sums the whole batch; a sum that overflows from
+    # finite rows must fall back to the row check, not fail the run
+    model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
+    cfg = TrajectoryConfig(dt=1e-3, n_steps=20, n_traj=3, base_seed=0,
+                           record_stride=10, initial_signals=np.full((1, 1), 1e308))
+    rec = run_ensemble(model, cfg)
+    assert not rec.energy_mean.any() and not rec.signal_var.any()
+
+
 class TestConfigInputs:
     def _config(self, **kw):
         args = dict(dt=1e-3, n_steps=10, n_traj=2, base_seed=0)
