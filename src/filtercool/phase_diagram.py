@@ -91,9 +91,10 @@ _BLOCK_CELLS = 4096
 #: (gamma, Omega) of the three builds that fix a matrix affine in them.
 _AFFINE_POINTS = ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
 
-#: One row of the phase CSV: gamma, Omega, E1, E2, E3, Ebp, winner and the
-#: four flags, ending in the line terminator ``csv.writer`` writes.
-_PHASE_ROW = "%.12g," * 6 + "%s,%s;%s;%s;%s\r\n"
+#: One row of the phase CSV: gamma and Omega (formatted once per axis value),
+#: E1, E2, E3, Ebp, winner and the four flags, ending in the line terminator
+#: ``csv.writer`` writes.
+_PHASE_ROW = "%s,%s," + "%.12g," * 4 + "%s,%s;%s;%s;%s\r\n"
 
 
 @dataclass
@@ -372,7 +373,7 @@ def export_phase_csv(result: PhaseGridResult, path) -> None:
     Energies are in units of hbar*omega with 12 significant digits (``nan``
     for protocols that are not applicable or not requested); ``flags`` joins
     the four per-protocol flags with semicolons in the order E1;E2;E3;Ebp.
-    Rows run over Omega fastest.
+    Rows run over Omega fastest.  Each axis value is formatted once.
     """
     spec = result.spec
     ng, nO = spec.gamma_values.size, spec.Omega_values.size
@@ -384,11 +385,12 @@ def export_phase_csv(result: PhaseGridResult, path) -> None:
         else:
             energies.append(np.full(ng * nO, np.nan))
             flags.append(np.full(ng * nO, FLAG_NA, dtype=object))
+    gamma = np.array(["%.12g" % v for v in spec.gamma_values.tolist()], dtype=object)
+    Omega = ["%.12g" % v for v in spec.Omega_values.tolist()]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(CSV_HEADER)
-        write_rows(fh, _PHASE_ROW,
-                   [np.repeat(spec.gamma_values, nO), np.tile(spec.Omega_values, ng),
-                    *energies, result.winner.ravel(), *flags])
+        write_rows(fh, _PHASE_ROW, [np.repeat(gamma, nO), Omega * ng, *energies,
+                                    result.winner.ravel(), *flags])
 
 
 def load_phase_csv(path):

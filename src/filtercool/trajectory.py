@@ -21,9 +21,12 @@ reproduces the diffusive stochastic master equation (SME) term for term
 (Wiseman & Milburn, Quantum Measurement and Control, 2010, ch. 4; Jacobs &
 Steck, Contemp. Phys. 47, 279, 2006) at O(d^2) instead of O(d^3) work per
 step.  H is centred on <H>: the exact flow ignores a constant added to H,
-and with the centring the Euler step does too.  A step makes one stacked
-product of psi with [H0, A_1..A_ch, S = sum_k A_k^2], 4 blocks for the
-cooling protocols; its moments also give the records.
+and with the centring the Euler step does too.  A step applies the operator
+stack [H0, A_1..A_ch, S = sum_k A_k^2] (4 blocks for the cooling protocols)
+to psi once, as a sparse CSR product: for the oscillator models every block
+is diagonal or tridiagonal, 140 stored entries at d = 24 in place of 2304.
+The products give the moments the records read, and one coefficient product
+per trajectory, one weight per block, forms the whole Euler move.
 
 A mixed initial state is stepped as a density matrix under the SME
 (unitary drift, backaction dissipators and the nonlinear innovation term),
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -379,10 +383,15 @@ class _Engine:
     :meth:`step_psi`, or density matrices, shape (n, d, d), stepped by
     :meth:`step_batch`; the observables accept both.
 
-    A state-vector step makes one stacked product psi @ W.  W holds
-    [H0, A_1..A_ch, S = sum_k A_k^2], and x, p only when they are not the
-    measured pair: 4 blocks for the cooling protocols.  Steps and records
-    read the same :meth:`_moments`.
+    W holds the blocks B_j = [H0, A_1..A_ch, S = sum_k A_k^2] side by side
+    as B_j.T, and x, p only when they are not the measured pair: 4 blocks
+    for the cooling protocols.  W is the one dense definition of the stack;
+    the state-vector path applies :attr:`Wt`, its transpose as a CSR array,
+    so the products cost O(nnz) per trajectory.  Steps and records read the
+    same :meth:`_moments`.  A state-vector step then makes one coefficient
+    product per trajectory, sum_j c_j B_j psi + c0 psi: the columns of c are
+    -i dt on H0 and -lam dt / 2 on S (both prefilled), kick_k on A_k and
+    +i dt w g on the trap's x, p blocks (see :meth:`_advance_psi`).
     """
 
     def __init__(self, model: SystemModel):
@@ -427,6 +436,30 @@ class _Engine:
             self.xp = slice(self.n_ev - 2, self.n_ev)
         self.ev_ops = mats[:self.n_ev]
         self.W = np.concatenate([A.T for A in mats], axis=1)
+        self.n_blocks = len(mats)
+        self._coef = None  # (buffer, dt) of _coefficients
+
+    @cached_property
+    def Wt(self):
+        """W.T as a ``scipy.sparse.csr_array``, the stack the state-vector
+        path applies.  It is built on first use, so a density-matrix run and
+        :func:`step` neither build it nor import ``scipy.sparse``."""
+        from scipy.sparse import csr_array
+        return csr_array(self.W.T)
+
+    def _coefficients(self, n: int, dt: float) -> np.ndarray:
+        """The (n, blocks) coefficient rows of a state-vector step, with the
+        constant columns filled: -i dt on H0 (0 for a generic rule, whose
+        H(G) psi is dense) and -lam dt / 2 on S.  The buffer is kept while n
+        fits and dt stays; each step writes the other columns."""
+        if self._coef is None or len(self._coef[0]) < n or self._coef[1] != dt:
+            c = np.zeros((n, self.n_blocks), dtype=complex)
+            if self.mode != "generic":
+                c[:, 0] = -1j * dt
+            if self.n_ch:
+                c[:, 1 + self.n_ch] = -0.5 * self.lam * dt
+            self._coef = (c, dt)
+        return self._coef[0][:n]
 
     def _moments(self, state: np.ndarray):
         """(prod, ev) of a batch, which :meth:`energies` and :meth:`op_means`
@@ -435,9 +468,13 @@ class _Engine:
         if state.ndim == 3:
             return None, np.stack([np.einsum('nij,ji->n', state, A).real
                                    for A in self.ev_ops], axis=1)
-        # A stack of row products: each trajectory's arithmetic is then the
-        # same for any batch size, which one (n, d) @ (d, K) BLAS call is not.
-        prod = (state[:, None, :] @ self.W).reshape(len(state), -1, self.d)
+        # A CSR product adds each output row's stored terms in one order, so
+        # a trajectory's arithmetic is the same for any batch size.  It comes
+        # back trajectory-minor; the copy gives every trajectory a contiguous
+        # (blocks, d) slab, without which the stacked products below take a
+        # different path, and round differently, for some batch sizes.
+        prod = np.ascontiguousarray((self.Wt @ state.T).T).reshape(
+            len(state), -1, self.d)
         ev = (prod[:, :self.n_ev] @ state.conj()[:, :, None])[:, :, 0].real
         return prod, ev
 
@@ -497,29 +534,40 @@ class _Engine:
         return self._advance_psi(psi, G, xi * np.sqrt(dt), dt, self._moments(psi))
 
     def _advance_psi(self, psi, G, dW, dt, mom):
-        """:meth:`step_psi` on Wiener increments dW and psi's moments."""
+        """:meth:`step_psi` on Wiener increments dW and psi's moments.
+
+        With kick_k = sqrt(lam) dW_k + lam dt a_k, the SSE move expanded in
+        powers of A_k (S carries sum_k A_k^2) is
+        dpsi = sum_j c_j B_j psi + c0 psi, with
+        c0 = i dt <H> - sum_k (kick_k - (lam dt / 2) a_k) a_k.  The trap's
+        H(G) = H0 - w (g_x x + g_p p) + const adds +i dt w g on the x, p
+        blocks; the constant drops out.
+        """
         ch = self.n_ch
         prod, ev = mom
         a = ev[:, 1:1 + ch]
+        c = self._coefficients(len(psi), dt)
         if self.mode == "generic":
             Hpsi = (self._feedback_hamiltonians(G) @ psi[:, :, None])[:, :, 0]
             eH = (psi.conj() * Hpsi).sum(axis=1).real
         else:
-            Hpsi, eH = prod[:, 0], ev[:, 0]
-            if self.mode == "trap":
-                # H(G) = H0 - w(gx x + gp p) + const; the constant drops out.
-                g = self.osc.omega * G[:, :, self.tap]
-                Hpsi = Hpsi - (g[:, None, :] @ prod[:, self.xp])[:, 0]
-                eH = eH - (g * ev[:, self.xp]).sum(axis=1)
-        # sum_k [-(lam/2)(A_k - a_k)^2 dt + sqrt(lam)(A_k - a_k) dW_k] psi,
-        # expanded in powers of A_k: S carries sum_k A_k^2
-        dpsi = (-1j * dt) * (Hpsi - eH[:, None] * psi)
+            eH = ev[:, 0]
+        c0 = (1j * dt) * eH
         if ch:
             kick = self.sqrt_lam * dW + (self.lam * dt) * a
-            dpsi += (kick[:, None, :] @ prod[:, 1:1 + ch])[:, 0]
-            dpsi += (-0.5 * self.lam * dt) * prod[:, 1 + ch]
-            dpsi -= ((kick - (0.5 * self.lam * dt) * a) * a).sum(axis=1)[:, None] * psi
-        psi = psi + dpsi
+            c[:, 1:1 + ch] = kick
+            c0 += (((0.5 * self.lam * dt) * a - kick) * a).sum(axis=1)
+        if self.mode == "trap":
+            shift = (1j * dt * self.osc.omega) * G[:, :, self.tap]
+            c0 -= (shift * ev[:, self.xp]).sum(axis=1)
+            if self.xp.start == 1:  # x and p are the measured A_1, A_2
+                c[:, self.xp] += shift
+            else:
+                c[:, self.xp] = shift
+        dpsi = (c[:, None, :] @ prod)[:, 0]
+        if self.mode == "generic":
+            dpsi += (-1j * dt) * Hpsi
+        psi = psi + (dpsi + c0[:, None] * psi)
         v = psi.view(float)
         psi /= np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
         return psi, self._filter_step(G, a, dW, dt)

@@ -235,8 +235,10 @@ def test_criterion_11_phase_diagram(tmp_path):
     elapsed = time.perf_counter() - t0
 
     gamma, Omega, energies, winner, flags = load_phase_csv(path)
+    with open(path) as fh:
+        header = fh.readline().strip()
     schema_ok = (gamma.size == 200 * 200
-                 and open(path).readline().strip() == ",".join(CSV_HEADER)
+                 and header == ",".join(CSV_HEADER)
                  and set(winner) <= {k.value for k in ALL_PROTOCOLS} | {"none"}
                  and all(set(f) <= {FLAG_OK, FLAG_UNSTABLE, FLAG_UNPHYSICAL,
                                     FLAG_NA} for f in flags))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -449,6 +450,102 @@ class TestStepKernel:
         rec = run_ensemble(model, cfg)
         psi0 = trajectory._initial_state(model, cfg)[0]
         _assert_common_noise_match(rec, *_sme_loop(model, cfg, psi0))
+
+
+def _record_digest(rec):
+    """sha256 of a record's float arrays, in field order."""
+    h = hashlib.sha256()
+    for name in ("times", "energy_mean", "energy_stderr", "op_mean", "op_stderr",
+                 "signal_mean", "signal_var"):
+        h.update(np.ascontiguousarray(getattr(rec, name), dtype=float).tobytes())
+    return h.hexdigest()
+
+
+class TestSparseStack:
+    """The state-vector path applies W as a CSR array, Wt = W.T."""
+
+    def test_cooling_model_stores_140_entries(self):
+        # diagonal H0 and S (24 each), tridiagonal x and p (46 each): the
+        # per-step work is 140 complex multiply-adds per trajectory, not 2304
+        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        Wt = trajectory._Engine(oscillator_cooling_model(p, 24)).Wt
+        assert Wt.shape == (4 * 24, 24)
+        assert Wt.nnz == 140
+
+    @pytest.mark.parametrize("kind", ["trap", "free", "generic"])
+    def test_csr_products_match_dense_blocks(self, kind):
+        # each entry is a d-term complex dot product; either way of forming
+        # it is within (d + 2) eps of sum |W| |psi|, so they differ by at
+        # most twice that
+        d, n = 24, 16
+        rng = np.random.default_rng(23)
+        engine = trajectory._Engine(TestStepKernel._model(kind, d, rng))
+        psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        prod, _ = engine._moments(psi)
+        dense = (psi @ engine.W).reshape(n, -1, d)
+        bound = (np.abs(psi) @ np.abs(engine.W)).reshape(n, -1, d)
+        assert prod.shape == dense.shape and prod.flags.c_contiguous
+        tol = 2.0 * (d + 2) * np.finfo(float).eps
+        assert (np.abs(prod - dense) <= tol * bound).all()
+
+    def test_rotated_pair_stack_has_six_blocks(self):
+        # [H0, u, v, S, x, p]: the measured pair is not (x, p)
+        osc = build_truncated_oscillator(12, 1.0)
+        u = (osc.x + osc.p) / np.sqrt(2.0)
+        v = (osc.p - osc.x) / np.sqrt(2.0)
+        model = SystemModel(osc.H0, (u, v), 1.0, lowpass_cascade((2.0, 2.0)),
+                            shifted_trap_feedback(osc, 1))
+        assert trajectory._Engine(model).Wt.shape == (6 * 12, 12)
+
+    def test_all_zero_stack_record_is_pinned(self):
+        # mean_A = 0 makes H0, A and S zero, so the stack stores nothing and
+        # psi never moves; the record (digest taken before the stack was
+        # sparse) is the filter's alone, to the bit
+        model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
+        assert trajectory._Engine(model).Wt.nnz == 0
+        rec = run_ensemble(model, TrajectoryConfig(
+            dt=1e-3, n_steps=300, n_traj=9, base_seed=5, record_stride=10,
+            chunk_size=4))
+        assert _record_digest(rec) == (
+            "537e99342bd1cffae8c9f89c97a503e946135a22b92c20e676005934fecfb19f")
+
+    def test_density_matrix_record_is_pinned(self):
+        # a mixed start runs the SME path, which the sparse stack leaves
+        # alone: the digest was taken before the stack was sparse
+        rho = np.zeros((10, 10), dtype=complex)
+        rho[0, 0], rho[1, 1] = 0.7, 0.3
+        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        rec = run_ensemble(oscillator_cooling_model(p, 10), TrajectoryConfig(
+            dt=1e-3, n_steps=40, n_traj=7, base_seed=3, record_stride=10,
+            initial_state=QuantumState(rho), chunk_size=3))
+        assert _record_digest(rec) == (
+            "ede2fab36bb60e278221ba71b1c8c79b094964d780716878dcf99280b3c71adf")
+
+    def test_density_matrix_paths_do_not_build_the_stack(self, monkeypatch):
+        # step() builds an engine per call, and the SME reference loops call
+        # it about 1e4 times; neither it nor a mixed-start run needs Wt
+        engines = []
+
+        class Spy(trajectory._Engine):
+            def __init__(self, model):
+                super().__init__(model)
+                engines.append(self)
+
+        monkeypatch.setattr(trajectory, "_Engine", Spy)
+        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        model = oscillator_cooling_model(p, 8)
+        step(QuantumState.ground_state(8), np.zeros((2, 2)), model, 1e-3,
+             np.zeros(2))
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[0, 0], rho[1, 1] = 0.7, 0.3
+        run_ensemble(model, TrajectoryConfig(
+            dt=1e-3, n_steps=10, n_traj=2, base_seed=0, record_stride=5,
+            initial_state=QuantumState(rho)))
+        assert len(engines) == 2
+        assert not any("Wt" in vars(e) for e in engines)
+        run_ensemble(model, TrajectoryConfig(
+            dt=1e-3, n_steps=10, n_traj=2, base_seed=0, record_stride=5))
+        assert "Wt" in vars(engines[-1])
 
 
 def test_finite_signals_whose_sum_overflows_pass():
