@@ -59,6 +59,7 @@ from .numerics import (
 from .phase_diagram import GridSpec, PhaseGridResult, export_phase_csv, sweep
 from .trajectory import (
     QuantumState,
+    ShiftedTrapFeedback,
     SystemModel,
     TrajectoryConfig,
     TrajectoryRecord,
@@ -67,7 +68,6 @@ from .trajectory import (
     measurement_only_model,
     oscillator_cooling_model,
     run_ensemble,
-    shifted_trap_feedback,
     step,
 )
 

@@ -2,9 +2,10 @@
 
 Each protocol is a linear filter (M, b) on the measurement record with the
 trap recentred on one filter component.  This module is the one table of
-them: ``ProtocolKind.n_layers`` and ``.tap``, and
-:meth:`ProtocolParams.filter_model`, read by the moment systems, the phase
-sweep and the Monte Carlo engine alike.
+them: ``ProtocolKind.n_layers`` and ``.tap``,
+:meth:`ProtocolParams.filter_model` and the closed-loop drift
+:func:`filter_drift`, read by the moment systems, the phase sweep and the
+Monte Carlo engine alike.
 
 For quadratic trap-shifting feedback the ensemble expectation values close
 into a finite affine ODE system d x/dt = A x + c.  The four protocols are:
@@ -62,7 +63,7 @@ class ProtocolParams:
     lam is the measurement strength, omega the oscillator frequency, gamma
     the first-stage bandwidth and Omega the second bandwidth (cascades) or
     the band-pass center frequency.  The three-stage cascade uses Omega for
-    both of its later stages.
+    both of its later stages; the single stage takes no Omega.
     """
 
     lam: float
@@ -72,6 +73,8 @@ class ProtocolParams:
     kind: ProtocolKind = ProtocolKind.LOWPASS1
 
     def __post_init__(self):
+        if self.kind is ProtocolKind.LOWPASS1 and self.Omega is not None:
+            raise ValueError("lowpass1 has a single bandwidth; Omega does not apply")
         for name in ("lam", "omega", "gamma"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
@@ -79,19 +82,6 @@ class ProtocolParams:
         if self.kind is not ProtocolKind.LOWPASS1:
             if self.Omega is None or not (np.isfinite(self.Omega) and self.Omega > 0):
                 raise ValueError(f"{self.kind.value} requires Omega > 0, got {self.Omega}")
-
-    @property
-    def effective_gamma(self) -> float:
-        """Series combination 1/g = 1/gamma + 1/Omega of the first two cascade bandwidths.
-
-        A single stage has the one bandwidth gamma.  Band-pass raises
-        ValueError, since its Omega is a center frequency, not a bandwidth.
-        """
-        if self.kind is ProtocolKind.BANDPASS:
-            raise ValueError("band-pass has no series-combined bandwidth")
-        if self.kind is ProtocolKind.LOWPASS1:
-            return self.gamma
-        return 1.0 / (1.0 / self.gamma + 1.0 / self.Omega)
 
     def filter_model(self) -> FilterModel:
         """The filter the protocol applies to each quadrature record.
@@ -102,6 +92,32 @@ class ProtocolParams:
         if self.kind is ProtocolKind.BANDPASS:
             return bandpass(self.gamma, self.Omega)
         return lowpass_cascade((self.gamma, self.Omega, self.Omega)[:self.kind.n_layers])
+
+
+def filter_drift(params: ProtocolParams) -> np.ndarray:
+    """Complex drift K of the closed loop of a protocol's filter and oscillator.
+
+    With the filter dG = M G dt + b z dt fed the measured mean
+    alpha = <x> + i<p>, and the trap centred on the tapped component, the
+    moment system is dX/dt = K X + X K^dagger + Q.  When M 1 + b = 0 (every
+    low-pass cascade) the filter passes DC unchanged and the mean drops out
+    of zeta = G - alpha 1, whose drift is K = M - i omega 1 e_tap^T (m x m).
+    Otherwise (band-pass) the state is (G, alpha) and
+    K = [[M, b], [i omega e_tap^T, -i omega]].
+    """
+    fm = params.filter_model()
+    tap = params.kind.tap
+    m = fm.n
+    if not (fm.M.sum(axis=1) + fm.b).any():
+        k = fm.M.astype(complex)
+        k[:, tap] -= 1j * params.omega
+        return k
+    k = np.zeros((m + 1, m + 1), dtype=complex)
+    k[:m, :m] = fm.M
+    k[:m, m] = fm.b
+    k[m, tap] = 1j * params.omega
+    k[m, m] = -1j * params.omega
+    return k
 
 
 @dataclass

@@ -16,8 +16,8 @@ A = A0 + gamma dA_gamma + Omega dA_Omega, bit-equal to a per-cell build.
 
 The eigenvalues are not taken from A itself.  Every filtered-feedback
 moment system is one complex Lyapunov equation dX/dt = K X + X K^dagger + Q
-for a small complex drift K (:func:`filter_drift`, m x m or (m+1) x (m+1)
-for an m-component filter), so the spectrum of A is
+for a small complex drift K (:func:`moment_systems.filter_drift`, m x m or
+(m+1) x (m+1) for an m-component filter), so the spectrum of A is
 {lambda_i(K) + conj(lambda_j(K))} and its largest real part is
 2 max Re lambda(K).  A cell is stable when 2 max Re lambda(K) <
 -STABILITY_TOL ||A||_inf: the threshold of :func:`moment_systems.steady_state`,
@@ -56,12 +56,12 @@ from .moment_systems import (
     ProtocolKind,
     ProtocolParams,
     build_moment_system,
+    filter_drift,
     steady_state,
 )
 from .numerics import NumericalError, SingularMatrixError, hurwitz_test
 
-ALL_PROTOCOLS = (ProtocolKind.LOWPASS1, ProtocolKind.LOWPASS2,
-                 ProtocolKind.LOWPASS3, ProtocolKind.BANDPASS)
+ALL_PROTOCOLS = tuple(ProtocolKind)
 
 FLAG_OK = "ok"
 FLAG_UNSTABLE = "unstable"
@@ -177,32 +177,6 @@ class PhaseGridResult:
     stability_fallback_cells: int = 0
 
 
-def filter_drift(params: ProtocolParams) -> np.ndarray:
-    """Complex drift K of the closed loop of a protocol's filter and oscillator.
-
-    With the filter dG = M G dt + b z dt fed the measured mean
-    alpha = <x> + i<p>, and the trap centred on the tapped component, the
-    moment system is dX/dt = K X + X K^dagger + Q.  When M 1 + b = 0 (every
-    low-pass cascade) the filter passes DC unchanged and the mean drops out
-    of zeta = G - alpha 1, whose drift is K = M - i omega 1 e_tap^T (m x m).
-    Otherwise (band-pass) the state is (G, alpha) and
-    K = [[M, b], [i omega e_tap^T, -i omega]].
-    """
-    fm = params.filter_model()
-    tap = params.kind.tap
-    m = fm.n
-    if not (fm.M.sum(axis=1) + fm.b).any():
-        k = fm.M.astype(complex)
-        k[:, tap] -= 1j * params.omega
-        return k
-    k = np.zeros((m + 1, m + 1), dtype=complex)
-    k[:m, :m] = fm.M
-    k[:m, m] = fm.b
-    k[m, tap] = 1j * params.omega
-    k[m, m] = -1j * params.omega
-    return k
-
-
 def _affine_parts(build, kind: ProtocolKind, spec: GridSpec):
     """``(X0, dX_gamma, dX_Omega)`` of a matrix ``build(params)`` affine in (gamma, Omega)."""
     x11, x21, x12 = (build(ProtocolParams(spec.lam, spec.omega, g, Om, kind))
@@ -220,11 +194,6 @@ def _on_grid(parts, gamma: np.ndarray, Omega: np.ndarray) -> np.ndarray:
 
 def _moment_parts(kind: ProtocolKind, spec: GridSpec):
     return _affine_parts(lambda p: build_moment_system(p).A, kind, spec)
-
-
-def _moment_matrices(kind: ProtocolKind, spec: GridSpec) -> np.ndarray:
-    """Every cell's moment matrix, shape ``(n_gamma, n_Omega, dim, dim)``."""
-    return _on_grid(_moment_parts(kind, spec), spec.gamma_values[:, None], spec.Omega_values)
 
 
 def _inf_norms(parts, spec: GridSpec) -> np.ndarray:
@@ -276,11 +245,6 @@ def _stability(kind: ProtocolKind, spec: GridSpec) -> Tuple[np.ndarray, int]:
         stable[rows] = block
         n_fallback += int(uncertain.sum())
     return stable, n_fallback
-
-
-def _stability_map(kind: ProtocolKind, spec: GridSpec) -> np.ndarray:
-    """Boolean stability per cell, as :func:`sweep` flags it."""
-    return _stability(kind, spec)[0]
 
 
 def sweep(spec: GridSpec, n_crosscheck: int = 50) -> PhaseGridResult:
@@ -337,8 +301,8 @@ def _crosscheck(spec: GridSpec, energies, n_cells: int) -> Tuple[int, int, float
         if not np.isfinite(exact):
             skipped += 1
             continue
-        p = ProtocolParams(spec.lam, spec.omega, spec.gamma_values[i],
-                           spec.Omega_values[j], kind)
+        Om = None if kind is ProtocolKind.LOWPASS1 else spec.Omega_values[j]
+        p = ProtocolParams(spec.lam, spec.omega, spec.gamma_values[i], Om, kind)
         try:
             solved = steady_state(build_moment_system(p)).energy_over_hw
         except SingularMatrixError:

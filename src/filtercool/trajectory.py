@@ -93,9 +93,8 @@ class QuantumState:
     Hermiticity (to 1e-12) and unit trace (to 1e-10) are enforced on
     construction; positivity is not, since the density-matrix integrator
     (the mixed-state path of :func:`run_ensemble` and :func:`step`) can
-    transiently produce slightly negative eigenvalues (see
-    :meth:`min_eigenvalue`).  Pure states are stepped as state vectors,
-    which cannot lose positivity.
+    transiently produce slightly negative eigenvalues.  Pure states are
+    stepped as state vectors, which cannot lose positivity.
     """
 
     rho: np.ndarray
@@ -139,10 +138,6 @@ class QuantumState:
 
     def populations(self) -> np.ndarray:
         return np.diag(self.rho).real.copy()
-
-    def min_eigenvalue(self) -> float:
-        """Diagnostic: most negative eigenvalue (should stay above -1e-6)."""
-        return float(np.linalg.eigvalsh(self.rho).min())
 
 
 @dataclass
@@ -212,12 +207,6 @@ class ShiftedTrapFeedback:
         return 0.5 * osc.omega * (P @ P + X @ X)
 
     __call__ = hamiltonian
-
-
-def shifted_trap_feedback(oscillator: TruncatedOscillator,
-                          tap_index: int) -> ShiftedTrapFeedback:
-    """Feedback rule recentering the trap on the tapped signal component."""
-    return ShiftedTrapFeedback(oscillator, tap_index)
 
 
 FeedbackRule = Union[ShiftedTrapFeedback, Callable[[np.ndarray], np.ndarray], None]
@@ -379,23 +368,21 @@ class TrajectoryRecord:
 class _Engine:
     """Precomputed batched stepping kernel for one SystemModel.
 
-    A batch is either state vectors, shape (n, d), stepped by
-    :meth:`step_psi`, or density matrices, shape (n, d, d), stepped by
-    :meth:`step_batch`; the observables accept both.
+    A batch is either state vectors, shape (n, d), or density matrices,
+    shape (n, d, d); :meth:`step` and the observables accept both.
 
-    W holds the blocks B_j = [H0, A_1..A_ch, S = sum_k A_k^2] side by side
-    as B_j.T, and x, p only when they are not the measured pair: 4 blocks
-    for the cooling protocols.  W is the one dense definition of the stack;
-    the state-vector path applies :attr:`Wt`, its transpose as a CSR array,
-    so the products cost O(nnz) per trajectory.  Steps and records read the
-    same :meth:`_moments`.  A state-vector step then makes one coefficient
-    product per trajectory, sum_j c_j B_j psi + c0 psi: the columns of c are
-    -i dt on H0 and -lam dt / 2 on S (both prefilled), kick_k on A_k and
-    +i dt w g on the trap's x, p blocks (see :meth:`_advance_psi`).
+    ``blocks`` is the operator stack B_j = [H0, A_1..A_ch, S = sum_k A_k^2],
+    plus x, p only when they are not the measured pair: 4 blocks for the
+    cooling protocols.  The state-vector path applies them stacked as one
+    CSR array, :attr:`Wt`, so the products cost O(nnz) per trajectory.
+    Steps and records read the same :meth:`_moments`.  A state-vector step
+    then makes one coefficient product per trajectory,
+    sum_j c_j B_j psi + c0 psi: the columns of c are -i dt on H0 and
+    -lam dt / 2 on S (both prefilled), kick_k on A_k and +i dt w g on the
+    trap's x, p blocks (see :meth:`_advance_psi`).
     """
 
     def __init__(self, model: SystemModel):
-        self.model = model
         self.d = model.dim
         self.n_ch = model.n_channels
         self.m = model.n_signal_components
@@ -424,28 +411,27 @@ class _Engine:
         else:
             self.mode = "generic"
             self.fb = fb
-        mats = [self.H0, *self.ops] + ([sum(self.ops_sq)] if self.n_ch else [])
+        blocks = [self.H0, *self.ops] + ([sum(self.ops_sq)] if self.n_ch else [])
         # <B> is taken of the first n_ev blocks: H0 and the A_k, and all of
         # them when x and p need blocks of their own after S.
         self.n_ev = 1 + self.n_ch
         if self.mode == "trap":
             xp = (self.osc.x, self.osc.p)
             if not all(np.array_equal(A, B) for A, B in zip(self.ops, xp)):
-                mats += xp
-                self.n_ev = len(mats)
+                blocks += xp
+                self.n_ev = len(blocks)
             self.xp = slice(self.n_ev - 2, self.n_ev)
-        self.ev_ops = mats[:self.n_ev]
-        self.W = np.concatenate([A.T for A in mats], axis=1)
-        self.n_blocks = len(mats)
+        self.blocks = blocks
         self._coef = None  # (buffer, dt) of _coefficients
 
     @cached_property
     def Wt(self):
-        """W.T as a ``scipy.sparse.csr_array``, the stack the state-vector
-        path applies.  It is built on first use, so a density-matrix run and
-        :func:`step` neither build it nor import ``scipy.sparse``."""
+        """The blocks stacked row-wise as a ``scipy.sparse.csr_array``, the
+        stack the state-vector path applies.  It is built on first use, so a
+        density-matrix run and :func:`step` neither build it nor import
+        ``scipy.sparse``."""
         from scipy.sparse import csr_array
-        return csr_array(self.W.T)
+        return csr_array(np.concatenate(self.blocks))
 
     def _coefficients(self, n: int, dt: float) -> np.ndarray:
         """The (n, blocks) coefficient rows of a state-vector step, with the
@@ -453,7 +439,7 @@ class _Engine:
         H(G) psi is dense) and -lam dt / 2 on S.  The buffer is kept while n
         fits and dt stays; each step writes the other columns."""
         if self._coef is None or len(self._coef[0]) < n or self._coef[1] != dt:
-            c = np.zeros((n, self.n_blocks), dtype=complex)
+            c = np.zeros((n, len(self.blocks)), dtype=complex)
             if self.mode != "generic":
                 c[:, 0] = -1j * dt
             if self.n_ch:
@@ -463,11 +449,11 @@ class _Engine:
 
     def _moments(self, state: np.ndarray):
         """(prod, ev) of a batch, which :meth:`energies` and :meth:`op_means`
-        take as ``mom``: ev[:, j] = <B_j> for the first ``n_ev`` blocks B_j
-        of W, and for state vectors prod[:, j] = B_j psi for every block."""
+        take as ``mom``: ev[:, j] = <B_j> for the first ``n_ev`` blocks, and
+        for state vectors prod[:, j] = B_j psi for every block."""
         if state.ndim == 3:
             return None, np.stack([np.einsum('nij,ji->n', state, A).real
-                                   for A in self.ev_ops], axis=1)
+                                   for A in self.blocks[:self.n_ev]], axis=1)
         # A CSR product adds each output row's stored terms in one order, so
         # a trajectory's arithmetic is the same for any batch size.  It comes
         # back trajectory-minor; the copy gives every trajectory a contiguous
@@ -478,9 +464,10 @@ class _Engine:
         ev = (prod[:, :self.n_ev] @ state.conj()[:, :, None])[:, :, 0].real
         return prod, ev
 
-    def op_means(self, state: np.ndarray, mom=None) -> np.ndarray:
-        """Conditional <A_k> for the whole batch, shape (n, channels)."""
-        return (self._moments(state) if mom is None else mom)[1][:, 1:1 + self.n_ch]
+    def op_means(self, mom) -> np.ndarray:
+        """Conditional <A_k> of a batch from its :meth:`_moments`, shape
+        (n, channels)."""
+        return mom[1][:, 1:1 + self.n_ch]
 
     def _commutator(self, rho: np.ndarray, G: np.ndarray) -> np.ndarray:
         if self.mode == "trap":
@@ -506,14 +493,16 @@ class _Engine:
             G = G + dt * (G @ self.M_T) + self.b[None, None, :] * z_dt[:, :, None]
         return G
 
-    def step_batch(self, rho: np.ndarray, G: np.ndarray, xi: np.ndarray,
-                   dt: float):
-        """One Euler-Maruyama SME step of a density-matrix batch; returns (rho, G)."""
-        return self._advance_rho(rho, G, xi * np.sqrt(dt), dt, self._moments(rho))
+    def step(self, state: np.ndarray, G: np.ndarray, xi: np.ndarray, dt: float):
+        """One Euler-Maruyama step of a batch on standard-normal draws xi:
+        the SSE for state vectors, the SME for density matrices.  Returns
+        (state, G)."""
+        advance = self._advance_psi if state.ndim == 2 else self._advance_rho
+        return advance(state, G, xi * np.sqrt(dt), dt, self._moments(state))
 
     def _advance_rho(self, rho, G, dW, dt, mom):
-        """:meth:`step_batch` on Wiener increments dW and rho's moments."""
-        a = self.op_means(rho, mom)
+        """SME :meth:`step` on Wiener increments dW and rho's moments."""
+        a = self.op_means(mom)
         drho = (-1j * dt) * self._commutator(rho, G)
         for k in range(self.n_ch):
             A, A2 = self.ops[k], self.ops_sq[k]
@@ -528,13 +517,8 @@ class _Engine:
         rho = rho / trace[:, None, None]
         return rho, self._filter_step(G, a, dW, dt)
 
-    def step_psi(self, psi: np.ndarray, G: np.ndarray, xi: np.ndarray,
-                 dt: float):
-        """One Euler-Maruyama SSE step of a state-vector batch; returns (psi, G)."""
-        return self._advance_psi(psi, G, xi * np.sqrt(dt), dt, self._moments(psi))
-
     def _advance_psi(self, psi, G, dW, dt, mom):
-        """:meth:`step_psi` on Wiener increments dW and psi's moments.
+        """SSE :meth:`step` on Wiener increments dW and psi's moments.
 
         With kick_k = sqrt(lam) dW_k + lam dt a_k, the SSE move expanded in
         powers of A_k (S carries sum_k A_k^2) is
@@ -578,15 +562,16 @@ class _Engine:
             return state.real**2 + state.imag**2
         return np.einsum('nii->ni', state).real
 
-    def energies(self, state: np.ndarray, G: np.ndarray, mom=None) -> np.ndarray:
-        """<H(G)> for the whole batch (H0 when there is no feedback)."""
+    def energies(self, state: np.ndarray, G: np.ndarray, mom) -> np.ndarray:
+        """<H(G)> of a batch with moments ``mom`` (H0 when there is no
+        feedback)."""
         if self.mode == "generic":
             H = self._feedback_hamiltonians(G)
             if state.ndim == 2:
                 Hpsi = (H @ state[:, :, None])[:, :, 0]
                 return (state.conj() * Hpsi).sum(axis=1).real
             return np.einsum('nij,nji->n', H, state).real
-        ev = (self._moments(state) if mom is None else mom)[1]
+        ev = mom[1]
         if self.mode == "trap":
             w, g = self.osc.omega, G[:, :, self.tap]
             return (ev[:, 0] - w * (g * ev[:, self.xp]).sum(axis=1)
@@ -624,7 +609,7 @@ def step(state: QuantumState, signals: np.ndarray, model: SystemModel,
         xi = np.asarray(noise, dtype=float)
         if xi.shape != (engine.n_ch,):
             raise ValueError(f"need one noise draw per channel, got shape {xi.shape}")
-    rho, G = engine.step_batch(state.rho[None], signals[None], xi[None], dt)
+    rho, G = engine.step(state.rho[None], signals[None], xi[None], dt)
     if not np.isfinite(rho.view(float)).all() or not np.isfinite(G).all():
         raise TrajectoryError("state became non-finite during the step")
     return QuantumState(rho[0]), G[0]
@@ -746,7 +731,7 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
 
         def record(row, state, G, mom):
             row[:, 0] = engine.energies(state, G, mom)
-            row[:, 1:1 + ch] = engine.op_means(state, mom)
+            row[:, 1:1 + ch] = engine.op_means(mom)
             row[:, 1 + ch:] = G.reshape(n, -1)
             if track_edge:
                 pops = engine.populations(state)[:, -2:].sum(axis=1)
@@ -762,7 +747,7 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
                     rows = min(NOISE_BLOCK, config.n_steps - s)
                     for i, gen in enumerate(gens):
                         dW[i, :rows] = gen.standard_normal((rows, ch))
-                    dW[:, :rows] *= np.sqrt(config.dt)  # as step_psi's xi * sqrt(dt)
+                    dW[:, :rows] *= np.sqrt(config.dt)  # as step's xi * sqrt(dt)
                 state, G = advance(state, G, dW[:, j, :], config.dt, mom)
                 # One sum finds a non-finite entry; then rows are checked.
                 if not np.isfinite(state.sum() + G.sum()):

@@ -339,6 +339,13 @@ def test_lowpass1_rejects_Omega(command, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_protocol_in_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"protocol": "lowpass9", "gamma": 1.0}')
+    assert main(["steady-state", "--config", str(cfg)]) == 2
+    assert "'lowpass9' is not a valid ProtocolKind" in capsys.readouterr().err
+
+
 def _log_rate(lo=-1.0, hi=1.0):
     return st.floats(min_value=lo, max_value=hi).map(lambda x: 10.0 ** x)
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_continuous_lyapunov
 
 from filtercool.analytics import (
+    NOT_APPLICABLE,
+    energy_1layer,
     energy_2layer,
     energy_3layer,
     energy_bandpass,
@@ -18,10 +21,10 @@ from filtercool.moment_systems import (
     build_two_layer,
     characteristic_polynomial,
     evolve,
+    filter_drift,
     steady_state,
 )
 from filtercool.numerics import SingularMatrixError, integrate_affine
-from filtercool.phase_diagram import filter_drift
 from filtercool.trajectory import oscillator_cooling_model
 
 
@@ -31,7 +34,7 @@ def params(kind, lam=1.0, omega=1.0, gamma=1.0, Omega=None):
 
 def random_params(rng, kind):
     lam, g, Om, w = rng.uniform(0.1, 10.0, 4)
-    return ProtocolParams(lam, w, g, Om, kind)
+    return ProtocolParams(lam, w, g, None if kind is ProtocolKind.LOWPASS1 else Om, kind)
 
 
 class TestProtocolParams:
@@ -47,17 +50,10 @@ class TestProtocolParams:
         with pytest.raises(ValueError):
             ProtocolParams(1.0, 1.0, 1.0, -2.0, ProtocolKind.BANDPASS)
 
-    def test_effective_gamma(self):
-        p = params(ProtocolKind.LOWPASS2, gamma=2.0, Omega=2.0)
-        assert p.effective_gamma == pytest.approx(1.0)
-
-    def test_single_stage_effective_gamma_is_its_bandwidth(self):
-        # an Omega given to the single stage does not enter its bandwidth
-        assert params(ProtocolKind.LOWPASS1, gamma=2.0, Omega=3.0).effective_gamma == 2.0
-
-    def test_bandpass_has_no_effective_gamma(self):
-        with pytest.raises(ValueError):
-            params(ProtocolKind.BANDPASS, gamma=2.0, Omega=3.0).effective_gamma
+    def test_single_stage_rejects_Omega(self):
+        with pytest.raises(ValueError, match="lowpass1 has a single bandwidth; "
+                                             "Omega does not apply"):
+            params(ProtocolKind.LOWPASS1, gamma=2.0, Omega=3.0)
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -346,3 +342,57 @@ class TestLimitConsistency:
             ProtocolParams(lam, 1.0, ratio, 1e6, ProtocolKind.LOWPASS3))).energy_over_hw
         assert abs(two - single) < 1e-4
         assert abs(three - single) < 1e-4
+
+
+def _derived_energy(p):
+    """Steady energy derived from the protocol's (M, b, tap) alone.
+
+    With u = -M^-1 b and K = filter_drift(p), the state y obeys
+    dy = K y dt + v dW_c with E|dW_c|^2 = 2 dt.  When K is m x m (the
+    reduced form, y = G - alpha u) v = b / (2 sqrt(lam)) - sqrt(lam) u and
+    e = e_tap; when it is (m+1) x (m+1) (the full form, y = (G, alpha))
+    v = (b / (2 sqrt(lam)), sqrt(lam)) and e = e_alpha - e_tap.  The energy
+    is 1/2 + Re(e^dagger X e) / 2 with K X + X K^dagger + 2 v v^dagger = 0.
+    """
+    fm = p.filter_model()
+    m, root = fm.n, np.sqrt(p.lam)
+    u = -np.linalg.solve(fm.M, fm.b)
+    K = filter_drift(p)
+    if K.shape[0] == m:
+        v = fm.b / (2.0 * root) - root * u
+        e = np.eye(m)[p.kind.tap]
+    else:
+        v = np.append(fm.b / (2.0 * root), root)
+        e = np.eye(m + 1)[m] - np.eye(m + 1)[p.kind.tap]
+    X = solve_continuous_lyapunov(K, -2.0 * np.outer(v, v.conj()))
+    return 0.5 + 0.5 * (e.conj() @ X @ e).real, K
+
+
+_CLOSED_FORMS = {
+    ProtocolKind.LOWPASS1: lambda lam, g, Om, w: energy_1layer(lam, g),
+    ProtocolKind.LOWPASS2: energy_2layer,
+    ProtocolKind.LOWPASS3: energy_3layer,
+    ProtocolKind.BANDPASS: energy_bandpass,
+}
+
+
+class TestEnergyFromFilter:
+    """Every protocol's energy follows from its filter (M, b) and tap alone;
+    this checks the sweep's drift K together with the noise vector."""
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_closed_forms_and_moment_systems_match_derivation(self, kind):
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(200):
+            lam, w, g, Om = rng.uniform(0.2, 5.0, 4)
+            p = ProtocolParams(lam, w, g, None if kind is ProtocolKind.LOWPASS1 else Om, kind)
+            derived, K = _derived_energy(p)
+            closed = _CLOSED_FORMS[kind](lam, g, Om, w)
+            if np.linalg.eigvals(K).real.max() >= 0 or closed.note == NOT_APPLICABLE:
+                continue
+            assert closed.energy_over_hw == pytest.approx(derived, rel=1e-9)
+            solved = steady_state(build_moment_system(p)).energy_over_hw
+            assert solved == pytest.approx(derived, rel=1e-9)
+            checked += 1
+        assert checked >= 100

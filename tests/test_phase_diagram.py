@@ -19,6 +19,7 @@ from filtercool.moment_systems import (
     ProtocolKind,
     ProtocolParams,
     build_moment_system,
+    filter_drift,
 )
 from filtercool.numerics import NumericalError, SingularMatrixError, hurwitz_test
 from filtercool.phase_diagram import (
@@ -31,10 +32,10 @@ from filtercool.phase_diagram import (
     STABILITY_MARGIN,
     GridSpec,
     PhaseGridResult,
-    _moment_matrices,
-    _stability_map,
+    _moment_parts,
+    _on_grid,
+    _stability,
     export_phase_csv,
-    filter_drift,
     load_phase_csv,
     sweep,
     write_rows,
@@ -171,7 +172,7 @@ class TestArrayAssembly:
                                       ProtocolKind.BANDPASS])
     def test_assembled_matrices_equal_per_cell_builds(self, kind):
         spec = GridSpec.log_spaced(n_gamma=23, n_Omega=19, lam=0.37, omega=2.9)
-        mats = _moment_matrices(kind, spec)
+        mats = _on_grid(_moment_parts(kind, spec), spec.gamma_values[:, None], spec.Omega_values)
         for i, g in enumerate(spec.gamma_values):
             for j, Om in enumerate(spec.Omega_values):
                 p = ProtocolParams(spec.lam, spec.omega, g, Om, kind)
@@ -225,10 +226,11 @@ class TestDriftStability:
     def test_map_equals_moment_matrix_eigenvalues(self, spec):
         n_unstable = 0
         for kind in _DRIFT_PROTOCOLS:
-            mats = _moment_matrices(kind, spec)
+            mats = _on_grid(_moment_parts(kind, spec), spec.gamma_values[:, None],
+                            spec.Omega_values)
             scale = np.abs(mats).sum(axis=-1).max(axis=-1)
             direct = np.linalg.eigvals(mats).real.max(axis=-1) < -STABILITY_TOL * scale
-            assert np.array_equal(_stability_map(kind, spec), direct), kind
+            assert np.array_equal(_stability(kind, spec)[0], direct), kind
             n_unstable += (~direct).sum()
         assert n_unstable > 0  # the grid crosses a stability boundary
 
@@ -237,7 +239,7 @@ class TestDriftStability:
         spec = GridSpec.log_spaced(n_gamma=100, n_Omega=100)
         tracemalloc.start()
         try:
-            _stability_map(ProtocolKind.LOWPASS3, spec)
+            _stability(ProtocolKind.LOWPASS3, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -11,6 +11,7 @@ from filtercool.moment_systems import ProtocolKind, ProtocolParams
 from filtercool.numerics import NoiseStream
 from filtercool.trajectory import (
     QuantumState,
+    ShiftedTrapFeedback,
     SystemModel,
     TrajectoryConfig,
     TrajectoryError,
@@ -19,7 +20,6 @@ from filtercool.trajectory import (
     measurement_only_model,
     oscillator_cooling_model,
     run_ensemble,
-    shifted_trap_feedback,
     step,
 )
 
@@ -76,13 +76,13 @@ class TestTruncatedOscillator:
 class TestShiftedTrapFeedback:
     def test_zero_signal_gives_bare_trap(self):
         osc = build_truncated_oscillator(9, 1.3)
-        fb = shifted_trap_feedback(osc, 0)
+        fb = ShiftedTrapFeedback(osc, 0)
         assert np.abs(fb(np.zeros((2, 1))) - osc.H0).max() < 1e-13
 
     def test_expansion_identity(self):
         # H(G) = H0 - w(gx x + gp p) + (w/2)(gx^2+gp^2) I
         osc = build_truncated_oscillator(9, 0.8)
-        fb = shifted_trap_feedback(osc, 1)
+        fb = ShiftedTrapFeedback(osc, 1)
         rng = np.random.default_rng(2)
         for _ in range(5):
             G = rng.uniform(-2, 2, (2, 3))
@@ -93,14 +93,14 @@ class TestShiftedTrapFeedback:
 
     def test_hermitian(self):
         osc = build_truncated_oscillator(6, 1.0)
-        fb = shifted_trap_feedback(osc, 0)
+        fb = ShiftedTrapFeedback(osc, 0)
         H = fb(np.array([[0.7], [-1.2]]))
         assert np.abs(H - H.conj().T).max() < 1e-14
 
     def test_tap_out_of_range(self):
         osc = build_truncated_oscillator(6, 1.0)
         with pytest.raises(ValueError):
-            shifted_trap_feedback(osc, 2)(np.zeros((2, 2)))
+            ShiftedTrapFeedback(osc, 2)(np.zeros((2, 2)))
 
 
 class TestStep:
@@ -250,7 +250,7 @@ class TestRunEnsemble:
         p = ProtocolParams(1.0, 1.0, 1.5, 3.0, ProtocolKind.LOWPASS2)
         fast = oscillator_cooling_model(p, 7)
         osc = build_truncated_oscillator(7, 1.0)
-        trap = shifted_trap_feedback(osc, 1)
+        trap = ShiftedTrapFeedback(osc, 1)
         slow = SystemModel(fast.H0, fast.measured_ops, p.lam, fast.filter_model,
                            lambda G: trap(G))
         cfg = TrajectoryConfig(dt=1e-3, n_steps=40, n_traj=4, base_seed=6,
@@ -377,7 +377,7 @@ class TestStepKernel:
 
         osc = build_truncated_oscillator(d, 1.0)
         filt = lowpass_cascade((2.0, 2.0))
-        trap = shifted_trap_feedback(osc, 1)
+        trap = ShiftedTrapFeedback(osc, 1)
         if kind == "free":
             return SystemModel(hermitian(), (hermitian(), hermitian()), 1.0, filt)
         if kind == "trap":
@@ -394,11 +394,11 @@ class TestStepKernel:
         psi /= np.linalg.norm(psi, axis=1)[:, None]
         G = rng.normal(0.0, 0.5, (n, 2, 2))
         xi = rng.standard_normal((n, 2))
-        whole = engine.step_psi(psi, G, xi, dt)
+        whole = engine.step(psi, G, xi, dt)
         for size in (1, 3, 5):
             for lo in range(0, n, size):
                 rows = slice(lo, lo + size)
-                part = engine.step_psi(psi[rows], G[rows], xi[rows], dt)
+                part = engine.step(psi[rows], G[rows], xi[rows], dt)
                 for got, want in zip(part, whole):
                     assert np.array_equal(got, want[rows]), (size, lo)
 
@@ -432,19 +432,19 @@ class TestStepKernel:
         # [H0, x, p, S]: x and p are the measured pair, S = x^2 + p^2
         p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
         model = oscillator_cooling_model(p, 12)
-        W = trajectory._Engine(model).W
-        assert W.shape == (12, 4 * 12)
+        blocks = trajectory._Engine(model).blocks
+        assert [B.shape for B in blocks] == [(12, 12)] * 4
         x, p = model.measured_ops
-        assert np.array_equal(W[:, 36:], (x @ x + p @ p).T)
+        assert np.array_equal(blocks[3], x @ x + p @ p)
 
     def test_trap_on_rotated_quadratures_matches_sme(self):
-        # the measured pair is not (x, p), so x and p get W blocks of their own
+        # the measured pair is not (x, p), so x and p get blocks of their own
         osc = build_truncated_oscillator(12, 1.0)
         u = (osc.x + osc.p) / np.sqrt(2.0)
         v = (osc.p - osc.x) / np.sqrt(2.0)
         model = SystemModel(osc.H0, (u, v), 1.0, lowpass_cascade((2.0, 2.0)),
-                            shifted_trap_feedback(osc, 1))
-        assert trajectory._Engine(model).W.shape == (12, 6 * 12)
+                            ShiftedTrapFeedback(osc, 1))
+        assert len(trajectory._Engine(model).blocks) == 6
         cfg = TrajectoryConfig(dt=5e-4, n_steps=400, n_traj=30, base_seed=4,
                                record_stride=80)
         rec = run_ensemble(model, cfg)
@@ -462,7 +462,7 @@ def _record_digest(rec):
 
 
 class TestSparseStack:
-    """The state-vector path applies W as a CSR array, Wt = W.T."""
+    """The state-vector path applies the blocks stacked as one CSR array, Wt."""
 
     def test_cooling_model_stores_140_entries(self):
         # diagonal H0 and S (24 each), tridiagonal x and p (46 each): the
@@ -482,8 +482,9 @@ class TestSparseStack:
         engine = trajectory._Engine(TestStepKernel._model(kind, d, rng))
         psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         prod, _ = engine._moments(psi)
-        dense = (psi @ engine.W).reshape(n, -1, d)
-        bound = (np.abs(psi) @ np.abs(engine.W)).reshape(n, -1, d)
+        W = np.concatenate(engine.blocks).T
+        dense = (psi @ W).reshape(n, -1, d)
+        bound = (np.abs(psi) @ np.abs(W)).reshape(n, -1, d)
         assert prod.shape == dense.shape and prod.flags.c_contiguous
         tol = 2.0 * (d + 2) * np.finfo(float).eps
         assert (np.abs(prod - dense) <= tol * bound).all()
@@ -494,7 +495,7 @@ class TestSparseStack:
         u = (osc.x + osc.p) / np.sqrt(2.0)
         v = (osc.p - osc.x) / np.sqrt(2.0)
         model = SystemModel(osc.H0, (u, v), 1.0, lowpass_cascade((2.0, 2.0)),
-                            shifted_trap_feedback(osc, 1))
+                            ShiftedTrapFeedback(osc, 1))
         assert trajectory._Engine(model).Wt.shape == (6 * 12, 12)
 
     def test_all_zero_stack_record_is_pinned(self):
@@ -597,7 +598,6 @@ def _full_record_reference(model, cfg):
     """
     engine = trajectory._Engine(model)
     state0, G0 = trajectory._initial_state(model, cfg)
-    advance = engine.step_psi if state0.ndim == 1 else engine.step_batch
     n, ch, m, stride = cfg.n_traj, engine.n_ch, engine.m, cfg.record_stride
     n_rec = cfg.n_steps // stride + 1
     xi = np.stack([NoiseStream(cfg.base_seed, i).generator().standard_normal(
@@ -609,10 +609,11 @@ def _full_record_reference(model, cfg):
     signals = np.empty((n, n_rec, ch, m))
     for s in range(cfg.n_steps + 1):
         if s:
-            state, G = advance(state, G, xi[:, s - 1], cfg.dt)
+            state, G = engine.step(state, G, xi[:, s - 1], cfg.dt)
         if s % stride == 0:
-            energy[:, s // stride] = engine.energies(state, G)
-            opmeans[:, s // stride] = engine.op_means(state)
+            mom = engine._moments(state)
+            energy[:, s // stride] = engine.energies(state, G, mom)
+            opmeans[:, s // stride] = engine.op_means(mom)
             signals[:, s // stride] = G
 
     def stderr(arr):
