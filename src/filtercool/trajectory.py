@@ -1,4 +1,4 @@
-"""Stochastic trajectory engine for continuous measurement with feedback.
+"""Stochastic trajectories for continuous measurement with feedback.
 
 Each trajectory co-integrates two coupled pieces with a shared Wiener
 increment per measurement channel:
@@ -9,9 +9,25 @@ increment per measurement channel:
   the record z_k dt = <A_k> dt + dW_k / sqrt(4 lam) reuses the same dW_k
   that drove the state update.
 
-The measurement has unit efficiency, so a pure state stays pure.  When the
-initial state is pure, :func:`run_ensemble` steps the state vector psi with
-the stochastic Schroedinger equation (SSE), a_k = <A_k>,
+:func:`run_ensemble` is one driver for three engines.  The driver owns what
+every engine needs: chunking, the noise of trajectory i from
+``NoiseStream(base_seed, i)`` drawn ``NOISE_BLOCK`` steps at a time, the
+record window and its streamed reduction, the per-step finiteness check
+and the truncation check.  An engine supplies the start batch, the moments
+of a batch, one step on a slice of the noise block and the record values
+(energy, <A_k> and, from d = 3 on, the top-two basis populations).  The
+engine is fixed by the model and the start state:
+
+* d = 1, the classical engine: psi is a phase, so <H0> and the <A_k> are
+  constants read once from the operators' single entries, and a step is
+  the filter recursion alone (``frozen_signal_model`` runs here);
+* d > 1 from a pure start (the default ground state), the state-vector
+  engine;
+* d > 1 from a mixed start, the density-matrix engine.
+
+The measurement has unit efficiency, so a pure state stays pure.  The
+state-vector engine steps psi with the stochastic Schroedinger equation
+(SSE), a_k = <A_k>,
 
     dpsi = [-i (H - <H>) dt - (lam/2) sum_k (A_k - a_k)^2 dt
             + sqrt(lam) sum_k (A_k - a_k) dW_k] psi,
@@ -28,11 +44,12 @@ is diagonal or tridiagonal, 140 stored entries at d = 24 in place of 2304.
 The products give the moments the records read, and one coefficient product
 per trajectory, one weight per block, forms the whole Euler move.
 
-A mixed initial state is stepped as a density matrix under the SME
-(unitary drift, backaction dissipators and the nonlinear innovation term),
-Euler-Maruyama with re-Hermitization and trace renormalization after every
-step.  This path is exact for mixed input; :func:`step` uses it, and it is
-the reference the SSE path is tested against.
+The density-matrix engine steps the SME (unitary drift, backaction
+dissipators and the nonlinear innovation term), Euler-Maruyama with
+re-Hermitization and trace renormalization after every step.  It is exact
+for mixed input; :func:`step` uses it, and it is the reference the SSE path
+is tested against.  Both quantum engines are one class, :class:`_Engine`;
+the kind of the batch (state vectors or density matrices) picks the kernel.
 
 Feedback enters by recomputing the Hamiltonian from the current signals at
 every step.  The cooling protocols recentre the trap on one filter
@@ -51,6 +68,7 @@ and the number of records, not by the ensemble size.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -223,7 +241,7 @@ class SystemModel:
     Each measured operator defines one channel with its own record and its
     own copy of the filter.  ``feedback`` maps the stacked signal vectors of
     all channels to a Hermitian Hamiltonian; ``None`` means evolve under H0
-    alone.
+    alone.  Operators and ``lam`` must be finite.
     """
 
     H0: np.ndarray
@@ -241,12 +259,14 @@ class SystemModel:
         for A in (self.H0,) + ops:
             if A.shape != (d, d):
                 raise ValueError("all operators must share the Hilbert dimension")
+            if not np.isfinite(A).all():
+                raise ValueError("operators must be finite")
             if np.abs(A - A.conj().T).max() > _HERMITICITY_TOL:
                 raise ValueError("operators must be Hermitian")
         if ops and not self.lam > 0:
             raise ValueError("measurement strength lam must be positive")
-        if self.lam < 0:
-            raise ValueError("measurement strength lam must be nonnegative")
+        if not (self.lam >= 0 and np.isfinite(self.lam)):
+            raise ValueError("measurement strength lam must be finite and nonnegative")
         self.measured_ops = ops
 
     @property
@@ -288,7 +308,9 @@ def frozen_signal_model(filter_model: FilterModel, lam: float,
     Uses a trivial one-dimensional Hilbert space whose measured operator is
     the constant mean_A, so the quantum state is inert and the filter sees
     z dt = mean_A dt + dW / sqrt(4 lam).  Useful as an exact
-    Ornstein-Uhlenbeck reference for the filter statistics.
+    Ornstein-Uhlenbeck reference for the filter statistics.  Being d = 1,
+    it runs on the classical engine of :func:`run_ensemble`: noise, the
+    filter recursion and records, with no quantum state to step.
     """
     H0 = np.zeros((1, 1), dtype=complex)
     A = np.array([[mean_A]], dtype=complex)
@@ -366,10 +388,15 @@ class TrajectoryRecord:
 
 
 class _Engine:
-    """Precomputed batched stepping kernel for one SystemModel.
+    """The quantum engines: batched stepping kernels for one SystemModel.
 
     A batch is either state vectors, shape (n, d), or density matrices,
-    shape (n, d, d); :meth:`step` and the observables accept both.
+    shape (n, d, d); :meth:`advance`, :meth:`step` and the observables
+    accept both, and the kind of the batch picks the SSE or the SME kernel.
+    The interface :func:`run_ensemble` drives is :meth:`start`,
+    :meth:`_moments`, :meth:`advance`, :meth:`energies`, :meth:`op_means`
+    and :meth:`edge_populations`; :class:`_ClassicalEngine` implements it
+    for d = 1.
 
     ``blocks`` is the operator stack B_j = [H0, A_1..A_ch, S = sum_k A_k^2],
     plus x, p only when they are not the measured pair: 4 blocks for the
@@ -405,6 +432,9 @@ class _Engine:
             if fb.tap_index >= self.m:
                 raise ValueError(f"tap index {fb.tap_index} out of range for "
                                  f"{self.m}-component filter")
+            if fb.oscillator.dim != self.d:
+                raise ValueError("trap-shift feedback oscillator must have the "
+                                 "model's dimension")
             self.mode = "trap"
             self.osc = fb.oscillator
             self.tap = fb.tap_index
@@ -432,6 +462,11 @@ class _Engine:
         ``scipy.sparse``."""
         from scipy.sparse import csr_array
         return csr_array(np.concatenate(self.blocks))
+
+    def start(self, state0: np.ndarray, n: int) -> np.ndarray:
+        """The start batch: n copies of one trajectory's state vector or
+        density matrix."""
+        return np.broadcast_to(state0, (n,) + state0.shape).copy()
 
     def _coefficients(self, n: int, dt: float) -> np.ndarray:
         """The (n, blocks) coefficient rows of a state-vector step, with the
@@ -497,8 +532,12 @@ class _Engine:
         """One Euler-Maruyama step of a batch on standard-normal draws xi:
         the SSE for state vectors, the SME for density matrices.  Returns
         (state, G)."""
+        return self.advance(state, G, xi * np.sqrt(dt), dt, self._moments(state))
+
+    def advance(self, state, G, dW, dt, mom):
+        """:meth:`step` on Wiener increments dW and the batch's moments."""
         advance = self._advance_psi if state.ndim == 2 else self._advance_rho
-        return advance(state, G, xi * np.sqrt(dt), dt, self._moments(state))
+        return advance(state, G, dW, dt, mom)
 
     def _advance_rho(self, rho, G, dW, dt, mom):
         """SME :meth:`step` on Wiener increments dW and rho's moments."""
@@ -556,11 +595,16 @@ class _Engine:
         psi /= np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
         return psi, self._filter_step(G, a, dW, dt)
 
-    def populations(self, state: np.ndarray) -> np.ndarray:
-        """Basis-state populations, shape (n, d)."""
+    def edge_populations(self, state: np.ndarray) -> Optional[np.ndarray]:
+        """Sum of the top two basis populations per trajectory, which the
+        truncation check reads; None below d = 3, where the top two basis
+        states are the whole space."""
+        if self.d < 3:
+            return None
         if state.ndim == 2:
-            return state.real**2 + state.imag**2
-        return np.einsum('nii->ni', state).real
+            edge = state[:, -2:]
+            return (edge.real**2 + edge.imag**2).sum(axis=1)
+        return np.einsum('nii->ni', state[:, -2:, -2:]).real.sum(axis=1)
 
     def energies(self, state: np.ndarray, G: np.ndarray, mom) -> np.ndarray:
         """<H(G)> of a batch with moments ``mom`` (H0 when there is no
@@ -577,6 +621,35 @@ class _Engine:
             return (ev[:, 0] - w * (g * ev[:, self.xp]).sum(axis=1)
                     + 0.5 * w * (g**2).sum(axis=1))
         return ev[:, 0]
+
+
+class _ClassicalEngine(_Engine):
+    """The engine of a one-dimensional model (d = 1).
+
+    There psi is a phase that no step can make observable, so every moment
+    is a constant: <H0> and the <A_k> are the operators' single entries,
+    read once.  The batch state is the (n, 1 + ch) array of those moments,
+    a step is the filter recursion alone, and the operator stack ``Wt`` is
+    never built.  Under a generic feedback rule the energy is H(G)[0, 0].
+    """
+
+    def __init__(self, model: SystemModel):
+        super().__init__(model)
+        self.ev = np.array([B[0, 0].real for B in (self.H0, *self.ops)])
+
+    def start(self, state0, n):
+        return np.tile(self.ev, (n, 1))
+
+    def _moments(self, state):
+        return None, state
+
+    def advance(self, state, G, dW, dt, mom):
+        return state, self._filter_step(G, self.op_means(mom), dW, dt)
+
+    def energies(self, state, G, mom):
+        if self.mode == "generic":
+            return self._feedback_hamiltonians(G)[:, 0, 0].real
+        return state[:, 0]
 
 
 def step(state: QuantumState, signals: np.ndarray, model: SystemModel,
@@ -668,8 +741,10 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
 
     Trajectory i is driven by ``NoiseStream(config.base_seed, i)``; the
     default initial condition is the ground state of H0 with zero signals.
-    A pure initial state (top eigenvalue above 1 - 1e-12) is stepped as a
-    state vector (SSE), a mixed one as a density matrix (SME).  The output
+    A one-dimensional model runs on the classical engine (the filter
+    recursion alone); otherwise a pure initial state (top eigenvalue above
+    1 - 1e-12) is stepped as a state vector (SSE), a mixed one as a density
+    matrix (SME).  The output
     is deterministic for fixed configuration, independent of chunking.  A
     run whose top-two basis populations exceed ``EDGE_POPULATION_LIMIT`` at
     any recorded step is flagged and a ``RuntimeWarning`` is emitted, since
@@ -695,13 +770,12 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
         If any trajectory produces a non-finite state; the message names
         the trajectory index and step.
     """
-    engine = _Engine(model)
+    engine = _ClassicalEngine(model) if model.dim == 1 else _Engine(model)
     stride = config.record_stride
     n_rec = config.n_steps // stride + 1
     n_traj = config.n_traj
     ch, m = engine.n_ch, engine.m
     state0, G0 = _initial_state(model, config)
-    advance = engine._advance_psi if state0.ndim == 1 else engine._advance_rho
 
     # Per slot and record column: sum of values, of deviations from
     # trajectory 0 and of squared deviations.
@@ -715,11 +789,10 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     win_buf = np.empty((n_max, block // stride + 1, q))
     max_edge = 0.0
 
-    track_edge = model.dim >= 3
     for start in range(0, n_traj, config.chunk_size):
         stop = min(start + config.chunk_size, n_traj)
         n = stop - start
-        state = np.broadcast_to(state0, (n,) + state0.shape).copy()
+        state = engine.start(state0, n)
         G = np.broadcast_to(G0, (n,) + G0.shape).copy()
         # Each trajectory's Philox stream is read in sequence, block by
         # block, so the draws equal one up-front (n_steps, ch) array.
@@ -733,8 +806,8 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
             row[:, 0] = engine.energies(state, G, mom)
             row[:, 1:1 + ch] = engine.op_means(mom)
             row[:, 1 + ch:] = G.reshape(n, -1)
-            if track_edge:
-                pops = engine.populations(state)[:, -2:].sum(axis=1)
+            pops = engine.edge_populations(state)
+            if pops is not None:
                 np.maximum(edge, pops, out=edge)
 
         # The moments of each state serve its record and the next step.
@@ -748,9 +821,12 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
                     for i, gen in enumerate(gens):
                         dW[i, :rows] = gen.standard_normal((rows, ch))
                     dW[:, :rows] *= np.sqrt(config.dt)  # as step's xi * sqrt(dt)
-                state, G = advance(state, G, dW[:, j, :], config.dt, mom)
+                state, G = engine.advance(state, G, dW[:, j, :], config.dt, mom)
                 # One sum finds a non-finite entry; then rows are checked.
-                if not np.isfinite(state.sum() + G.sum()):
+                # (add.reduce and math.isfinite of its abs skip the
+                # ndarray.sum and np.isfinite wrappers, half the cost.)
+                if not math.isfinite(abs(np.add.reduce(state, None)
+                                         + np.add.reduce(G, None))):
                     ok = np.isfinite(np.c_[state.reshape(n, -1), G.reshape(n, -1)])
                     if not ok.all():
                         bad = int(np.nonzero(~ok.all(axis=1))[0][0]) + start
@@ -764,11 +840,10 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
                     if hi > lo:
                         _accumulate(acc, ref, win, lo, hi, start == 0)
                     lo = hi
-        if track_edge:
-            max_edge = max(max_edge, float(edge.max()))
+        max_edge = max(max_edge, float(edge.max()))
 
     times = np.arange(n_rec) * (stride * config.dt)
-    warn = track_edge and max_edge > EDGE_POPULATION_LIMIT
+    warn = max_edge > EDGE_POPULATION_LIMIT
     if warn:
         warnings.warn(
             f"top-two basis populations reached {max_edge:.2e}; "

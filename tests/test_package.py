@@ -53,3 +53,19 @@ def test_scipy_sparse_is_imported_only_by_state_vector_runs(tmp_path):
     # the import costs about 20 ms; only the state-vector Monte Carlo path
     # applies the sparse stack
     assert _run_python(_SPARSE_PROBE, str(tmp_path)).split() == ["False", "True"]
+
+
+_CLASSICAL_PROBE = """
+import sys
+from filtercool.filters import lowpass_cascade
+from filtercool.trajectory import TrajectoryConfig, frozen_signal_model, run_ensemble
+
+run_ensemble(frozen_signal_model(lowpass_cascade((1.0,)), 1.0),
+             TrajectoryConfig(dt=1e-3, n_steps=20, n_traj=2, base_seed=0))
+print("scipy.sparse" in sys.modules)
+"""
+
+
+def test_one_dimensional_runs_do_not_import_scipy_sparse():
+    # a d = 1 model runs on the classical engine, which applies no stack
+    assert _run_python(_CLASSICAL_PROBE).split() == ["False"]

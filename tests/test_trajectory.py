@@ -728,3 +728,125 @@ class TestStreamedStatistics:
         small, large = peak_mb(256), peak_mb(1024)
         assert large < 1.1 * small
         assert large < 10.0
+
+
+class TestSystemModelInputs:
+    """Non-finite operators or strengths are bad input (ValueError), not a
+    numerical failure found steps into a run."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_H0_rejected(self, bad):
+        H0 = np.zeros((2, 2), dtype=complex)
+        H0[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SystemModel(H0, (), 0.0)
+
+    def test_non_finite_operator_rejected(self):
+        A = np.eye(3, dtype=complex)
+        A[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            SystemModel(np.zeros((3, 3)), (np.eye(3), A), 1.0)
+
+    def test_nan_lam_without_channels_rejected(self):
+        with pytest.raises(ValueError, match="lam"):
+            SystemModel(np.zeros((2, 2)), (), np.nan)
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_non_finite_lam_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            frozen_signal_model(lowpass_cascade((1.0,)), lam)
+
+    def test_trap_oscillator_of_another_dimension_rejected(self):
+        osc = build_truncated_oscillator(6, 1.0)
+        one = np.ones((1, 1))
+        model = SystemModel(one, (one, one), 1.0, lowpass_cascade((1.0,)),
+                            ShiftedTrapFeedback(osc, 0))
+        with pytest.raises(ValueError, match="dimension"):
+            run_ensemble(model, TrajectoryConfig(dt=1e-3, n_steps=2, n_traj=1,
+                                                 base_seed=0))
+
+
+class TestClassicalEngine:
+    """A one-dimensional model runs on the classical engine: constant
+    moments and the filter recursion, no quantum state kernel."""
+
+    def test_one_dimensional_model_routes_to_classical_engine(self, monkeypatch):
+        engines = []
+
+        class Spy(trajectory._ClassicalEngine):
+            def __init__(self, model):
+                super().__init__(model)
+                engines.append(self)
+
+        def no_state_kernel(*args):
+            raise AssertionError("the state-vector kernel ran")
+
+        monkeypatch.setattr(trajectory, "_ClassicalEngine", Spy)
+        monkeypatch.setattr(trajectory._Engine, "_advance_psi", no_state_kernel)
+        model = frozen_signal_model(lowpass_cascade((1.0, 2.0)), 1.0, mean_A=0.3)
+        run_ensemble(model, TrajectoryConfig(dt=1e-3, n_steps=20, n_traj=3,
+                                             base_seed=0, record_stride=5))
+        assert len(engines) == 1
+        assert "Wt" not in vars(engines[0])
+
+    def test_record_does_not_depend_on_chunking_or_noise_block(self, monkeypatch):
+        model = frozen_signal_model(lowpass_cascade((1.2, 0.8)), 1.0, mean_A=0.3)
+
+        def run(chunk):
+            return _record_arrays(run_ensemble(model, TrajectoryConfig(
+                dt=1e-3, n_steps=60, n_traj=9, base_seed=2, record_stride=3,
+                chunk_size=chunk)))
+
+        recs = [run(chunk) for chunk in (1, 4, 256)]
+        with monkeypatch.context() as mp:
+            mp.setattr(trajectory, "NOISE_BLOCK", 7)
+            recs.append(run(4))
+        for rec in recs[1:]:
+            for name, arr in rec.items():
+                assert np.array_equal(arr, recs[0][name]), name
+                assert np.array_equal(np.signbit(arr), np.signbit(recs[0][name]))
+
+    def test_constant_moments_are_exact(self):
+        # every trajectory records the operators' single entries to the
+        # bit: the spread is exactly zero, and the mean of five equal values
+        # is the value
+        model = SystemModel(np.array([[0.37]]), (np.array([[0.8]]),), 1.0,
+                            lowpass_cascade((1.0,)))
+        rec = run_ensemble(model, TrajectoryConfig(
+            dt=1e-3, n_steps=30, n_traj=5, base_seed=1, record_stride=10,
+            chunk_size=2))
+        assert (rec.op_mean == 0.8).all() and (rec.energy_mean == 0.37).all()
+        assert not rec.op_stderr.any() and not rec.energy_stderr.any()
+        assert rec.signal_var[..., -1].all()
+
+    def test_generic_feedback_energy_is_the_single_entry(self):
+        def fb(G):
+            return np.array([[0.5 + G[0, 0]**2 - 0.25 * G[0, 1]]])
+
+        model = SystemModel(np.array([[0.5]]), (np.array([[0.2]]),), 1.0,
+                            lowpass_cascade((1.0, 1.5)), fb)
+        cfg = TrajectoryConfig(dt=1e-3, n_steps=40, n_traj=1, base_seed=3,
+                               record_stride=4)
+        rec = run_ensemble(model, cfg)
+        want = [fb(rec.signal_mean[..., t])[0, 0] for t in range(len(rec.times))]
+        assert np.array_equal(rec.energy_mean, want)
+        # the state-vector path carries the phase of psi through the same
+        # steps, so it agrees to rounding
+        for n_traj in (1, 4):
+            cfg = dataclasses.replace(cfg, n_traj=n_traj)
+            rec, ref = run_ensemble(model, cfg), _full_record_reference(model, cfg)
+            eps = np.finfo(float).eps
+            assert np.abs(rec.energy_mean - ref["energy_mean"]).max() <= (
+                4 * eps * np.abs(ref["energy_mean"]).max())
+            assert np.abs(rec.signal_mean - ref["signal_mean"]).max() <= (
+                4 * eps * np.abs(ref["signal_mean"]).max())
+
+    def test_divergent_filter_names_trajectory_and_step(self):
+        # dt = 50 makes the explicit recursion G <- (1 - gamma dt) G + ...
+        # grow by about 49 per step, so it overflows within 400 steps
+        model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
+        cfg = TrajectoryConfig(dt=50.0, n_steps=400, n_traj=2, base_seed=0,
+                               record_stride=400)
+        with pytest.raises(TrajectoryError,
+                           match=r"trajectory [01] became non-finite at step \d+"):
+            run_ensemble(model, cfg)
