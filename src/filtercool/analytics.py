@@ -11,6 +11,7 @@ return arrays, so a whole grid is evaluated by the same formula as a point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,9 +40,10 @@ class EnergyResult:
     """An asymptotic energy with its physicality classification.
 
     ``note`` is one of PHYSICAL, UNPHYSICAL or NOT_APPLICABLE; the energy is
-    NaN in the NOT_APPLICABLE case (vanishing denominator, no meaningful
-    closed-form value).  Scalar inputs give a float, a bool and a str; array
-    inputs give arrays of the broadcast shape in all three fields.
+    NaN in the NOT_APPLICABLE case (vanishing denominator or a value that
+    overflows float64: no meaningful closed-form value, and no exception or
+    warning).  Scalar inputs give a float, a bool and a str; array inputs
+    give arrays of the broadcast shape in all three fields.
     """
 
     energy_over_hw: float
@@ -49,7 +51,22 @@ class EnergyResult:
     note: str
 
 
+def _closed_form(fn):
+    """Evaluate ``fn`` on float64 arguments with numpy's floating-point
+    warnings off; :func:`_classify` makes what overflowed NOT_APPLICABLE."""
+    @functools.wraps(fn)
+    def evaluate(*args, **kwargs):
+        # [()] makes a scalar a numpy float64, whose ** is libm's pow, as a
+        # Python float's is; arrays keep numpy's array loops.
+        args = [np.asarray(v, dtype=float)[()] for v in args]
+        kwargs = {k: np.asarray(v, dtype=float)[()] for k, v in kwargs.items()}
+        with np.errstate(all="ignore"):
+            return fn(*args, **kwargs)
+    return evaluate
+
+
 def _classify(energy, na=False) -> EnergyResult:
+    na = na | ~np.isfinite(energy)
     energy = np.where(na, np.nan, energy)
     physical = energy >= PHYSICAL_MIN - STABILITY_TOL
     note = np.where(na, NOT_APPLICABLE, np.where(physical, PHYSICAL, UNPHYSICAL))
@@ -64,6 +81,7 @@ def _require_positive(**kwargs):
             raise ValueError(f"{name} must be positive, got {v}")
 
 
+@_closed_form
 def energy_1layer(lam: float, gamma: float) -> EnergyResult:
     """Single low-pass stage: (lam/gamma + gamma/(4 lam)) / 2.
 
@@ -74,6 +92,7 @@ def energy_1layer(lam: float, gamma: float) -> EnergyResult:
     return _classify(0.5 * (lam / gamma + gamma / (4.0 * lam)))
 
 
+@_closed_form
 def energy_2layer(lam: float, gamma: float, Omega: float, omega: float) -> EnergyResult:
     """Two-stage cascade with bandwidths (gamma, Omega).
 
@@ -89,11 +108,12 @@ def energy_2layer(lam: float, gamma: float, Omega: float, omega: float) -> Energ
     return _classify(e)
 
 
+@_closed_form
 def energy_3layer(lam: float, gamma: float, Omega: float, omega: float) -> EnergyResult:
     """Three-stage cascade with bandwidths (gamma, Omega, Omega).
 
     Full rational expression; returns NOT_APPLICABLE where the denominator
-    vanishes (no finite asymptotic value).
+    vanishes (no finite asymptotic value) or overflows.
     """
     _require_positive(lam=lam, gamma=gamma, Omega=Omega, omega=omega)
     g, Om, w = gamma, Omega, omega
@@ -108,10 +128,11 @@ def energy_3layer(lam: float, gamma: float, Omega: float, omega: float) -> Energ
                                    - 2.0 * g**3 * (w**2 - 8.0 * Om**2)
                                    + g**2 * (-9.0 * w**2 * Om + 24.0 * Om**3)
                                    + 4.0 * g * (-3.0 * w**2 * Om**2 + 4.0 * Om**4))
-    na = abs(den) <= _DENOM_REL_TOL * abs(num)
+    na = (abs(den) <= _DENOM_REL_TOL * abs(num)) | np.isinf(den)
     return _classify(0.5 * num / np.where(na, 1.0, den), na)
 
 
+@_closed_form
 def energy_bandpass(lam: float, gamma: float, Omega: float, omega: float) -> EnergyResult:
     """Band-pass quadrature feedback centered at Omega (Omega >= 0 allowed).
 

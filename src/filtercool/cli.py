@@ -88,7 +88,7 @@ class _Opt:
 _PROTOCOL_NAMES = tuple(k.value for k in ALL_PROTOCOLS)
 
 _PROTOCOL_OPTS = (
-    _Opt("protocol", str, required=True, choices=_PROTOCOL_NAMES),
+    _Opt("protocol", ProtocolKind, required=True, choices=_PROTOCOL_NAMES),
     _Opt("lambda", float, 1.0, help="measurement strength"),
     _Opt("omega", float, 1.0, help="oscillator frequency"),
     _Opt("gamma", float, required=True, help="first filter bandwidth"),
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
             kwargs = {"dest": opt.dest, "default": None, "help": opt.help}
             if opt.choices:
                 kwargs["choices"] = opt.choices
-            if opt.type in (_float_list, _str_list):
+            if opt.choices or opt.type in (_float_list, _str_list):
                 kwargs["type"] = str
             else:
                 kwargs["type"] = opt.type
@@ -195,7 +195,8 @@ def load_config(path, known_keys=None) -> dict:
 
 
 def _merge_options(ns: argparse.Namespace) -> dict:
-    """Combine flags, config file and defaults; flags win over the file."""
+    """Combine flags, config file and defaults; flags win over the file,
+    and file values get the type and choices checks of flags."""
     opts = _SUBCOMMANDS[ns.command]
     file_values = {}
     if ns.config is not None:
@@ -209,9 +210,12 @@ def _merge_options(ns: argparse.Namespace) -> dict:
             value = opt.default
         if value is not None:
             try:
-                value = opt.type(value)
+                value, raw = opt.type(value), value
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"option '{opt.name}': {exc}") from exc
+            if opt.choices and raw not in opt.choices:
+                raise ConfigError(f"option '{opt.name}': {raw!r} is not one of "
+                                  + ", ".join(opt.choices))
             if opt.type in (float, _float_list) and not np.all(np.isfinite(value)):
                 raise ConfigError(f"option '{opt.name}' must be finite, got {value}")
         if value is None and opt.required:
@@ -223,7 +227,7 @@ def _merge_options(ns: argparse.Namespace) -> dict:
 def _protocol_params(cfg: dict) -> ProtocolParams:
     try:
         return ProtocolParams(cfg["lambda"], cfg["omega"], cfg["gamma"],
-                              cfg["Omega"], ProtocolKind(cfg["protocol"]))
+                              cfg["Omega"], cfg["protocol"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -301,10 +305,8 @@ def _cmd_evolve(cfg: dict) -> None:
 
 def _cmd_trajectory(cfg: dict) -> None:
     params = _protocol_params(cfg)
-    if cfg["fock"] < 3:
-        raise ConfigError("fock cutoff must be at least 3")
-    model = oscillator_cooling_model(params, cfg["fock"])
     try:
+        model = oscillator_cooling_model(params, cfg["fock"])
         run_cfg = TrajectoryConfig(dt=cfg["dt"], n_steps=cfg["steps"],
                                    n_traj=cfg["ntraj"], base_seed=cfg["seed"],
                                    record_stride=cfg["stride"])

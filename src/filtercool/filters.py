@@ -41,26 +41,16 @@ class FilterModel:
         Internal drift, entries in units of inverse time.
     b : (n,) real array
         Injection of the raw record into each component, inverse time.
-    kind_label : str
-        Descriptive tag, e.g. ``"lowpass_cascade"``.
-    component_names : tuple of str
-        One name per component (D1..Dn, E1/E2, F1..Fn for the built-ins).
     """
 
     M: np.ndarray
     b: np.ndarray
-    kind_label: str = "custom"
-    component_names: tuple = ()
 
     def __post_init__(self):
         self.M = as_real_matrix(self.M, "filter drift M")
         self.b = require_finite(np.asarray(self.b, dtype=float), "filter input b")
         if self.b.shape != (self.M.shape[0],):
             raise ValueError("b length must match M dimension")
-        if not self.component_names:
-            self.component_names = tuple(f"G{k + 1}" for k in range(self.n))
-        elif len(self.component_names) != self.n:
-            raise ValueError("need one component name per dimension")
         self.M.setflags(write=False)
         self.b.setflags(write=False)
 
@@ -118,8 +108,7 @@ def lowpass_cascade(gammas) -> FilterModel:
             M[k, k - 1] = g
     b = np.zeros(n)
     b[0] = gammas[0]
-    names = tuple(f"D{k + 1}" for k in range(n))
-    return FilterModel(M, b, "lowpass_cascade", names)
+    return FilterModel(M, b)
 
 
 def bandpass(gamma: float, Omega: float) -> FilterModel:
@@ -141,7 +130,7 @@ def bandpass(gamma: float, Omega: float) -> FilterModel:
         raise ValueError("center frequency Omega must be nonnegative")
     M = np.array([[-gamma, -Omega], [Omega, -gamma]])
     b = np.array([gamma, 0.0])
-    return FilterModel(M, b, "bandpass", ("E1", "E2"))
+    return FilterModel(M, b)
 
 
 def kernel_filter(spec: KernelSpec) -> FilterModel:
@@ -158,8 +147,7 @@ def kernel_filter(spec: KernelSpec) -> FilterModel:
         M[k, k + 1] = 1.0
     M[n - 1, :] = [-a for a in spec.coefficients]
     b = np.array(spec.initial_derivatives)
-    names = tuple(f"F{k + 1}" for k in range(n))
-    return FilterModel(M, b, "kernel", names)
+    return FilterModel(M, b)
 
 
 def impulse_response(model: FilterModel, t: float) -> np.ndarray:

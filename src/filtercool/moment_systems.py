@@ -127,7 +127,7 @@ class MomentSystem:
     A: np.ndarray
     c: np.ndarray
     labels: tuple
-    energy_index: int = 0
+    energy_index = 0  # not a field: the energy is component 0 of every system
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)

@@ -157,10 +157,10 @@ class PhaseGridResult:
 
     The cross-check fields count the sampled cells re-solved through the
     moment systems (``crosscheck_cells``), the sampled cells it could not
-    check because the closed form is not finite or the moment matrix is
-    singular (``crosscheck_skipped``), and the largest
-    |solved - closed form| / max(|closed form|, 1) among the checked ones
-    (0 when none was checked).
+    check because the closed form is not finite, the moment matrix is
+    singular or its steady state overflows (``crosscheck_skipped``), and
+    the largest |solved - closed form| / max(|closed form|, 1) among the
+    checked ones (0 when none was checked).
 
     ``stability_fallback_cells`` counts the (cell, protocol) pairs whose
     stability the characteristic-polynomial test left to ``eigvals``
@@ -304,8 +304,11 @@ def _crosscheck(spec: GridSpec, energies, n_cells: int) -> Tuple[int, int, float
         Om = None if kind is ProtocolKind.LOWPASS1 else spec.Omega_values[j]
         p = ProtocolParams(spec.lam, spec.omega, spec.gamma_values[i], Om, kind)
         try:
-            solved = steady_state(build_moment_system(p)).energy_over_hw
+            with np.errstate(over="ignore", invalid="ignore"):
+                solved = steady_state(build_moment_system(p)).energy_over_hw
         except SingularMatrixError:
+            solved = np.nan
+        if not np.isfinite(solved):
             skipped += 1
             continue
         if abs(solved - exact) > _CROSSCHECK_RTOL * max(abs(exact), 1.0):

@@ -59,11 +59,9 @@ ensembles can be stepped as one batched array operation.
 
 Ensembles are reproducible by construction: trajectory i draws its noise
 from ``NoiseStream(base_seed, i)`` and statistics are reduced in trajectory
-order, so results are independent of chunking or execution order.  The
-reduction runs while the ensemble is stepped: per-slot sums of the values
-and of their deviations from trajectory 0 are updated at the end of each
-noise block, so a run's memory is set by ``chunk_size``, ``NOISE_BLOCK``
-and the number of records, not by the ensemble size.
+order, so results are independent of chunking or execution order.
+:func:`run_ensemble` reduces them as it goes, so a run's memory does not
+grow with the ensemble size.
 """
 
 from __future__ import annotations
@@ -167,10 +165,13 @@ class TruncatedOscillator:
     """
 
     omega: float
-    dim: int
     H0: np.ndarray
     x: np.ndarray
     p: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.H0.shape[0]
 
 
 def build_truncated_oscillator(n_fock: int, omega: float) -> TruncatedOscillator:
@@ -189,7 +190,7 @@ def build_truncated_oscillator(n_fock: int, omega: float) -> TruncatedOscillator
     x = (a + ad) / np.sqrt(2.0)
     p = 1j * (ad - a) / np.sqrt(2.0)
     H0 = 0.5 * omega * (p @ p + x @ x)
-    return TruncatedOscillator(float(omega), n_fock, H0, x, p)
+    return TruncatedOscillator(float(omega), H0, x, p)
 
 
 @dataclass
@@ -347,15 +348,15 @@ class TrajectoryConfig:
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        for name in ("n_steps", "n_traj", "record_stride", "chunk_size",
-                     "base_seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, "
-                                 f"got {getattr(self, name)!r}")
-        if self.n_steps < 1 or self.n_traj < 1 or self.chunk_size < 1:
-            raise ValueError("n_steps, n_traj and chunk_size must be at least 1")
-        if self.record_stride < 1 or self.n_steps % self.record_stride:
-            raise ValueError("record_stride must be positive and divide n_steps")
+        for name in ("base_seed", "n_steps", "n_traj", "record_stride", "chunk_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "base_seed" and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.n_steps % self.record_stride:
+            raise ValueError(f"record_stride must divide n_steps, got "
+                             f"{self.record_stride} and {self.n_steps}")
         if self.initial_signals is not None and not np.isfinite(
                 np.asarray(self.initial_signals, dtype=float)).all():
             raise ValueError("initial signals must be finite")
@@ -404,9 +405,9 @@ class _Engine:
     CSR array, :attr:`Wt`, so the products cost O(nnz) per trajectory.
     Steps and records read the same :meth:`_moments`.  A state-vector step
     then makes one coefficient product per trajectory,
-    sum_j c_j B_j psi + c0 psi: the columns of c are -i dt on H0 and
-    -lam dt / 2 on S (both prefilled), kick_k on A_k and +i dt w g on the
-    trap's x, p blocks (see :meth:`_advance_psi`).
+    sum_j c_j B_j psi + c0 psi: each step builds the columns of c, -i dt on
+    H0, -lam dt / 2 on S, kick_k on A_k and +i dt w g on the trap's x, p
+    blocks (see :meth:`_advance_psi`).  The engine keeps no per-run state.
     """
 
     def __init__(self, model: SystemModel):
@@ -452,7 +453,6 @@ class _Engine:
                 self.n_ev = len(blocks)
             self.xp = slice(self.n_ev - 2, self.n_ev)
         self.blocks = blocks
-        self._coef = None  # (buffer, dt) of _coefficients
 
     @cached_property
     def Wt(self):
@@ -467,20 +467,6 @@ class _Engine:
         """The start batch: n copies of one trajectory's state vector or
         density matrix."""
         return np.broadcast_to(state0, (n,) + state0.shape).copy()
-
-    def _coefficients(self, n: int, dt: float) -> np.ndarray:
-        """The (n, blocks) coefficient rows of a state-vector step, with the
-        constant columns filled: -i dt on H0 (0 for a generic rule, whose
-        H(G) psi is dense) and -lam dt / 2 on S.  The buffer is kept while n
-        fits and dt stays; each step writes the other columns."""
-        if self._coef is None or len(self._coef[0]) < n or self._coef[1] != dt:
-            c = np.zeros((n, len(self.blocks)), dtype=complex)
-            if self.mode != "generic":
-                c[:, 0] = -1j * dt
-            if self.n_ch:
-                c[:, 1 + self.n_ch] = -0.5 * self.lam * dt
-            self._coef = (c, dt)
-        return self._coef[0][:n]
 
     def _moments(self, state: np.ndarray):
         """(prod, ev) of a batch, which :meth:`energies` and :meth:`op_means`
@@ -564,29 +550,29 @@ class _Engine:
         dpsi = sum_j c_j B_j psi + c0 psi, with
         c0 = i dt <H> - sum_k (kick_k - (lam dt / 2) a_k) a_k.  The trap's
         H(G) = H0 - w (g_x x + g_p p) + const adds +i dt w g on the x, p
-        blocks; the constant drops out.
+        blocks; the constant drops out.  A generic rule puts 0 on H0 and
+        adds its dense -i dt H(G) psi apart.
         """
         ch = self.n_ch
         prod, ev = mom
         a = ev[:, 1:1 + ch]
-        c = self._coefficients(len(psi), dt)
+        c = np.zeros((len(psi), len(self.blocks)), dtype=complex)
         if self.mode == "generic":
             Hpsi = (self._feedback_hamiltonians(G) @ psi[:, :, None])[:, :, 0]
             eH = (psi.conj() * Hpsi).sum(axis=1).real
         else:
+            c[:, 0] = -1j * dt
             eH = ev[:, 0]
         c0 = (1j * dt) * eH
         if ch:
             kick = self.sqrt_lam * dW + (self.lam * dt) * a
             c[:, 1:1 + ch] = kick
+            c[:, 1 + ch] = -0.5 * self.lam * dt
             c0 += (((0.5 * self.lam * dt) * a - kick) * a).sum(axis=1)
         if self.mode == "trap":
             shift = (1j * dt * self.osc.omega) * G[:, :, self.tap]
             c0 -= (shift * ev[:, self.xp]).sum(axis=1)
-            if self.xp.start == 1:  # x and p are the measured A_1, A_2
-                c[:, self.xp] += shift
-            else:
-                c[:, self.xp] = shift
+            c[:, self.xp] += shift  # onto the kicks when x, p are A_1, A_2
         dpsi = (c[:, None, :] @ prod)[:, 0]
         if self.mode == "generic":
             dpsi += (-1j * dt) * Hpsi
@@ -759,10 +745,7 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     trajectory order.  Means are sum / n.  Variances come from sums of the
     deviations d from trajectory 0's value at each slot,
     var = (sum d^2 - (sum d)^2 / n) / (n - 1); the shift keeps the
-    cancellation small.  Memory is about
-    chunk_size * (NOISE_BLOCK // record_stride + 1) * q doubles for the
-    window, chunk_size * NOISE_BLOCK * ch for the noise and 4 * n_rec * q
-    for the sums and trajectory 0's records, whatever ``n_traj``.
+    cancellation small.  :class:`TrajectoryConfig` gives the memory bound.
 
     Raises
     ------
@@ -814,32 +797,31 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
         mom = engine._moments(state)
         record(win[:, 0], state, G, mom)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for s in range(config.n_steps):
-                j = s % NOISE_BLOCK
-                if j == 0:
-                    rows = min(NOISE_BLOCK, config.n_steps - s)
-                    for i, gen in enumerate(gens):
-                        dW[i, :rows] = gen.standard_normal((rows, ch))
-                    dW[:, :rows] *= np.sqrt(config.dt)  # as step's xi * sqrt(dt)
-                state, G = engine.advance(state, G, dW[:, j, :], config.dt, mom)
-                # One sum finds a non-finite entry; then rows are checked.
-                # (add.reduce and math.isfinite of its abs skip the
-                # ndarray.sum and np.isfinite wrappers, half the cost.)
-                if not math.isfinite(abs(np.add.reduce(state, None)
-                                         + np.add.reduce(G, None))):
-                    ok = np.isfinite(np.c_[state.reshape(n, -1), G.reshape(n, -1)])
-                    if not ok.all():
-                        bad = int(np.nonzero(~ok.all(axis=1))[0][0]) + start
-                        raise TrajectoryError(
-                            f"trajectory {bad} became non-finite at step {s + 1}")
-                mom = engine._moments(state)
-                if (s + 1) % stride == 0:
-                    record(win[:, (s + 1) // stride - lo], state, G, mom)
-                if j == NOISE_BLOCK - 1 or s + 1 == config.n_steps:
-                    hi = (s + 1) // stride + 1
-                    if hi > lo:
-                        _accumulate(acc, ref, win, lo, hi, start == 0)
-                    lo = hi
+            for first in range(0, config.n_steps, NOISE_BLOCK):
+                rows = min(NOISE_BLOCK, config.n_steps - first)
+                for i, gen in enumerate(gens):
+                    dW[i, :rows] = gen.standard_normal((rows, ch))
+                dW[:, :rows] *= np.sqrt(config.dt)  # as step's xi * sqrt(dt)
+                for j in range(rows):
+                    s = first + j + 1  # steps taken, this one included
+                    state, G = engine.advance(state, G, dW[:, j], config.dt, mom)
+                    # One sum finds a non-finite entry; then rows are checked.
+                    # (add.reduce and math.isfinite of its abs skip the
+                    # ndarray.sum and np.isfinite wrappers, half the cost.)
+                    if not math.isfinite(abs(np.add.reduce(state, None)
+                                             + np.add.reduce(G, None))):
+                        ok = np.isfinite(np.c_[state.reshape(n, -1), G.reshape(n, -1)])
+                        if not ok.all():
+                            bad = int(np.nonzero(~ok.all(axis=1))[0][0]) + start
+                            raise TrajectoryError(
+                                f"trajectory {bad} became non-finite at step {s}")
+                    mom = engine._moments(state)
+                    if s % stride == 0:
+                        record(win[:, s // stride - lo], state, G, mom)
+                hi = (first + rows) // stride + 1
+                if hi > lo:
+                    _accumulate(acc, ref, win, lo, hi, start == 0)
+                lo = hi
         max_edge = max(max_edge, float(edge.max()))
 
     times = np.arange(n_rec) * (stride * config.dt)

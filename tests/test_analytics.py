@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -280,3 +281,30 @@ class TestArrayInputs:
         g = np.array([1.0, 2.0, -1.0])
         with pytest.raises(ValueError):
             fn(1.0, g, 1.0, 1.0)
+
+
+class TestOverflow:
+    """Finite inputs whose energy overflows float64 give NOT_APPLICABLE."""
+
+    @pytest.mark.parametrize("fn, args", [
+        (energy_3layer, (1.0, 1e80, 2.0, 1.0)),
+        (energy_2layer, (1.0, 2.0, 2.0, 1e155)),
+        (energy_2layer, (1.0, 2.0, 2.0, 1e160)),
+        (energy_bandpass, (1.0, 2.0, 1e200, 1.0)),
+        (_energy_1layer_4, (1e-300, 1e300, 1.0, 1.0)),
+    ])
+    def test_scalar_and_array_calls_agree(self, fn, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = fn(*args)
+            array = fn(*(np.array([v, v]) for v in args))
+        assert math.isnan(scalar.energy_over_hw)
+        assert scalar.note == NOT_APPLICABLE and scalar.physical is False
+        assert np.isnan(array.energy_over_hw).all()
+        assert (array.note == NOT_APPLICABLE).all() and not array.physical.any()
+
+    def test_large_finite_energy_is_kept(self):
+        # omega^2 = 1e300 does not overflow: the energy is huge, not na
+        res = energy_2layer(1.0, 2.0, 2.0, 1e150)
+        assert res.note != NOT_APPLICABLE and math.isfinite(res.energy_over_hw)
+        assert res.energy_over_hw == pytest.approx(1e300 / 32.0)

@@ -346,6 +346,30 @@ def test_unknown_protocol_in_config_exits_2(tmp_path, capsys):
     assert "'lowpass9' is not a valid ProtocolKind" in capsys.readouterr().err
 
 
+def test_config_value_outside_choices_names_key_and_choices(tmp_path, capsys):
+    # a file value passes the choices check a flag gets from argparse
+    cfg = tmp_path / "f.json"
+    cfg.write_text('{"filter": "xyz"}')
+    assert main(["filter-response", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "option 'filter': 'xyz' is not one of lowpass, bandpass, kernel" in err
+    assert "kernel-coeffs" not in err
+
+
+def test_trajectory_zero_steps_names_the_field(capsys):
+    assert main(["trajectory", "--protocol", "lowpass1", "--gamma", "2",
+                 "--steps", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "n_steps must be at least 1, got 0" in err
+    assert "chunk_size" not in err
+
+
+def test_trajectory_small_fock_reports_the_oscillator_check(capsys):
+    assert main(["trajectory", "--protocol", "lowpass1", "--gamma", "2",
+                 "--fock", "2"]) == 2
+    assert "need at least 3 basis states, got 2" in capsys.readouterr().err
+
+
 def _log_rate(lo=-1.0, hi=1.0):
     return st.floats(min_value=lo, max_value=hi).map(lambda x: 10.0 ** x)
 

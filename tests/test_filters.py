@@ -22,7 +22,6 @@ class TestLowpassCascade:
         m = lowpass_cascade((1.5,))
         assert np.allclose(m.M, [[-1.5]])
         assert np.allclose(m.b, [1.5])
-        assert m.component_names == ("D1",)
 
     def test_two_stage_structure(self):
         m = lowpass_cascade((1.0, 2.0))
@@ -43,7 +42,6 @@ class TestBandpass:
         m = bandpass(1.0, 2.0)
         assert np.allclose(m.M, [[-1.0, -2.0], [2.0, -1.0]])
         assert np.allclose(m.b, [1.0, 0.0])
-        assert m.component_names == ("E1", "E2")
 
     def test_zero_center_decouples(self):
         m = bandpass(0.8, 0.0)

@@ -370,6 +370,17 @@ class TestCrosscheckCounts:
         with pytest.raises(NumericalError, match="disagree"):
             sweep(GridSpec.log_spaced(n_gamma=5, n_Omega=5), n_crosscheck=9)
 
+    def test_overflowing_axes_raise_nothing(self):
+        # closed forms and cross-check cells that overflow float64 come back
+        # na or skipped, with no warning or exception escaping the sweep
+        spec = GridSpec.log_spaced((0.1, 1e300), (0.1, 1e300), 20, 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = sweep(spec, n_crosscheck=50)
+        assert result.crosscheck_cells + result.crosscheck_skipped == 50
+        assert result.crosscheck_skipped > 0
+        assert (result.flags[ProtocolKind.LOWPASS3] == FLAG_NA).any()
+
     def test_no_crosscheck(self):
         result = sweep(GridSpec.log_spaced(n_gamma=5, n_Omega=5), n_crosscheck=0)
         assert (result.crosscheck_cells, result.crosscheck_skipped,

@@ -72,6 +72,11 @@ class TestTruncatedOscillator:
         with pytest.raises(ValueError):
             build_truncated_oscillator(2, 1.0)
 
+    def test_dim_is_read_from_H0(self):
+        osc = build_truncated_oscillator(7, 1.0)
+        assert osc.dim == 7
+        assert "dim" not in {f.name for f in dataclasses.fields(osc)}
+
 
 class TestShiftedTrapFeedback:
     def test_zero_signal_gives_bare_trap(self):
@@ -522,6 +527,19 @@ class TestSparseStack:
         assert _record_digest(rec) == (
             "ede2fab36bb60e278221ba71b1c8c79b094964d780716878dcf99280b3c71adf")
 
+    def test_state_vector_record_is_pinned(self):
+        # the bench's lowpass2 run at d = 24 (dt 5e-4, stride 20) on the
+        # state-vector path, over two noise blocks and with a chunk size that
+        # does not divide n_traj; the digest was taken before the step built
+        # its coefficient rows per step and the loop went block by block
+        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        rec = run_ensemble(oscillator_cooling_model(p, 24), TrajectoryConfig(
+            dt=5e-4, n_steps=1100, n_traj=5, base_seed=7, record_stride=20,
+            chunk_size=2))
+        assert 1100 > trajectory.NOISE_BLOCK and not rec.truncation_warning
+        assert _record_digest(rec) == (
+            "83fa0861448a9eeb12c103bb621ae064be8db54e9590fb5ba7a6cfcb613e17d3")
+
     def test_density_matrix_paths_do_not_build_the_stack(self, monkeypatch):
         # step() builds an engine per call, and the SME reference loops call
         # it about 1e4 times; neither it nor a mixed-start run needs Wt
@@ -582,6 +600,18 @@ class TestConfigInputs:
     def test_non_integer_count_or_seed_rejected(self, name):
         with pytest.raises(ValueError, match=name):
             self._config(**{name: 10.0 if name == "n_steps" else 2.0})
+
+    @pytest.mark.parametrize("name", ["n_steps", "n_traj", "record_stride",
+                                      "chunk_size"])
+    def test_count_below_one_names_the_field(self, name):
+        with pytest.raises(ValueError) as info:
+            self._config(**{name: 0})
+        assert str(info.value) == f"{name} must be at least 1, got 0"
+
+    def test_stride_that_does_not_divide_names_both(self):
+        with pytest.raises(ValueError, match="record_stride must divide n_steps, "
+                                             "got 3 and 10"):
+            self._config(record_stride=3)
 
     def test_numpy_integer_counts_accepted(self):
         cfg = self._config(n_steps=np.int64(10), chunk_size=np.int32(3))
