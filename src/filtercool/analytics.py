@@ -156,24 +156,29 @@ def energy_bandpass(lam: float, gamma: float, Omega: float, omega: float) -> Ene
     return _classify(e, na)
 
 
+@_closed_form
 def energy_2layer_largeOmega(lam: float, gamma: float, Omega: float) -> float:
     """First-order large-Omega energy of the two-stage cascade.
 
     Single-stage value plus (lam - gamma^2/(8 lam)) / Omega; the correction
-    changes sign at gamma/lam = 2 sqrt(2).
+    changes sign at gamma/lam = 2 sqrt(2).  NaN where the value overflows.
     """
     _require_positive(lam=lam, gamma=gamma, Omega=Omega)
-    return 0.5 * (lam / gamma + gamma / (4.0 * lam)) + (lam - gamma**2 / (8.0 * lam)) / Omega
+    e = 0.5 * (lam / gamma + gamma / (4.0 * lam)) + (lam - gamma**2 / (8.0 * lam)) / Omega
+    return _classify(e).energy_over_hw
 
 
+@_closed_form
 def energy_3layer_largeOmega(lam: float, gamma: float, Omega: float) -> float:
     """First-order large-Omega energy of the three-stage cascade.
 
-    Single-stage value plus (2 lam - 3 gamma^2/(16 lam)) / Omega.
+    Single-stage value plus (2 lam - 3 gamma^2/(16 lam)) / Omega.  NaN where
+    the value overflows.
     """
     _require_positive(lam=lam, gamma=gamma, Omega=Omega)
-    return (0.5 * (lam / gamma + gamma / (4.0 * lam))
-            + (2.0 * lam - 3.0 * gamma**2 / (16.0 * lam)) / Omega)
+    e = (0.5 * (lam / gamma + gamma / (4.0 * lam))
+         + (2.0 * lam - 3.0 * gamma**2 / (16.0 * lam)) / Omega)
+    return _classify(e).energy_over_hw
 
 
 def best_protocol_largeOmega(gamma_over_lam: float) -> ProtocolKind:

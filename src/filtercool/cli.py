@@ -12,8 +12,9 @@ phase-diagram     (gamma, Omega) winner map              -> phase CSV
 Every numeric flag can also be supplied through ``--config FILE``, a flat
 JSON object whose keys equal the flag names (flags override the file).
 All randomness is seeded explicitly, so identical configurations produce
-byte-identical output.  Exit codes: 0 success, 2 argument/config error,
-3 numerical failure.
+byte-identical output.  :func:`main` alone sets the exit code: 0 success,
+2 bad input (``ValueError``, ``ConfigError`` among them, or ``OSError``),
+3 numerical failure (``NumericalError``), overflow of valid input included.
 """
 
 from __future__ import annotations
@@ -57,16 +58,19 @@ def _float_row(n: int) -> str:
     return ",".join(["%.12g"] * n) + "\r\n"
 
 
+def _items(value) -> list:
+    """The items of a list option: a config-file list, or comma-separated text."""
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    return [v.strip() for v in str(value).split(",") if v.strip()]
+
+
 def _float_list(value) -> Tuple[float, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    return tuple(float(v) for v in str(value).split(",") if v.strip())
+    return tuple(map(float, _items(value)))
 
 
-def _str_list(value) -> Tuple[str, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(str(v) for v in value)
-    return tuple(v.strip() for v in str(value).split(",") if v.strip())
+def _protocol_list(value) -> Tuple[ProtocolKind, ...]:
+    return tuple(map(ProtocolKind, _items(value)))
 
 
 @dataclass(frozen=True)
@@ -85,10 +89,9 @@ class _Opt:
         return self.name.replace("-", "_")
 
 
-_PROTOCOL_NAMES = tuple(k.value for k in ALL_PROTOCOLS)
-
 _PROTOCOL_OPTS = (
-    _Opt("protocol", ProtocolKind, required=True, choices=_PROTOCOL_NAMES),
+    _Opt("protocol", ProtocolKind, required=True,
+         choices=tuple(k.value for k in ALL_PROTOCOLS)),
     _Opt("lambda", float, 1.0, help="measurement strength"),
     _Opt("omega", float, 1.0, help="oscillator frequency"),
     _Opt("gamma", float, required=True, help="first filter bandwidth"),
@@ -135,7 +138,7 @@ _SUBCOMMANDS = {
         _Opt("Omega-points", int, 200),
         _Opt("lambda", float, 1.0),
         _Opt("omega", float, 1.0),
-        _Opt("protocols", _str_list, _PROTOCOL_NAMES),
+        _Opt("protocols", _protocol_list, ALL_PROTOCOLS),
         _Opt("output", str, required=True),
     ),
 }
@@ -158,15 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = subs.add_parser(name, description=_DESCRIPTIONS.get(name))
         sp.add_argument("--config", default=None,
                         help="JSON file with flag-name keys; flags override it")
-        for opt in opts:
-            kwargs = {"dest": opt.dest, "default": None, "help": opt.help}
-            if opt.choices:
-                kwargs["choices"] = opt.choices
-            if opt.choices or opt.type in (_float_list, _str_list):
-                kwargs["type"] = str
-            else:
-                kwargs["type"] = opt.type
-            sp.add_argument(f"--{opt.name}", **kwargs)
+        for opt in opts:  # _merge_options converts the rest, naming the option
+            sp.add_argument(f"--{opt.name}", dest=opt.dest, default=None, help=opt.help,
+                            choices=opt.choices,
+                            type=opt.type if opt.type in (int, float) else str)
     return parser
 
 
@@ -176,7 +174,7 @@ def load_config(path, known_keys=None) -> dict:
     Raises ConfigError naming the offending line on parse errors, and the
     offending key when ``known_keys`` is given and a key is not in it.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if not text.strip():
         return {}
@@ -211,7 +209,7 @@ def _merge_options(ns: argparse.Namespace) -> dict:
         if value is not None:
             try:
                 value, raw = opt.type(value), value
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"option '{opt.name}': {exc}") from exc
             if opt.choices and raw not in opt.choices:
                 raise ConfigError(f"option '{opt.name}': {raw!r} is not one of "
@@ -225,11 +223,8 @@ def _merge_options(ns: argparse.Namespace) -> dict:
 
 
 def _protocol_params(cfg: dict) -> ProtocolParams:
-    try:
-        return ProtocolParams(cfg["lambda"], cfg["omega"], cfg["gamma"],
-                              cfg["Omega"], cfg["protocol"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ProtocolParams(cfg["lambda"], cfg["omega"], cfg["gamma"],
+                          cfg["Omega"], cfg["protocol"])
 
 
 @contextlib.contextmanager
@@ -243,20 +238,17 @@ def _open_output(path):
 
 def _build_filter(cfg: dict) -> FilterModel:
     kind = cfg["filter"]
-    try:
-        if kind == "lowpass":
-            if not cfg["gammas"]:
-                raise ConfigError("lowpass filter needs --gammas")
-            return lowpass_cascade(cfg["gammas"])
-        if kind == "bandpass":
-            if cfg["gamma"] is None or cfg["Omega"] is None:
-                raise ConfigError("bandpass filter needs --gamma and --Omega")
-            return bandpass(cfg["gamma"], cfg["Omega"])
-        if not cfg["kernel_coeffs"] or not cfg["kernel_init"]:
-            raise ConfigError("kernel filter needs --kernel-coeffs and --kernel-init")
-        return kernel_filter(KernelSpec(cfg["kernel_coeffs"], cfg["kernel_init"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kind == "lowpass":
+        if not cfg["gammas"]:
+            raise ConfigError("lowpass filter needs --gammas")
+        return lowpass_cascade(cfg["gammas"])
+    if kind == "bandpass":
+        if cfg["gamma"] is None or cfg["Omega"] is None:
+            raise ConfigError("bandpass filter needs --gamma and --Omega")
+        return bandpass(cfg["gamma"], cfg["Omega"])
+    if not cfg["kernel_coeffs"] or not cfg["kernel_init"]:
+        raise ConfigError("kernel filter needs --kernel-coeffs and --kernel-init")
+    return kernel_filter(KernelSpec(cfg["kernel_coeffs"], cfg["kernel_init"]))
 
 
 def _cmd_filter_response(cfg: dict) -> None:
@@ -284,8 +276,7 @@ def _cmd_steady_state(cfg: dict) -> None:
 
 
 def _cmd_evolve(cfg: dict) -> None:
-    params = _protocol_params(cfg)
-    system = build_moment_system(params)
+    system = build_moment_system(_protocol_params(cfg))
     if cfg["steps"] < 1 or cfg["stride"] < 1 or cfg["steps"] % cfg["stride"]:
         raise ConfigError("stride must be positive and divide steps")
     x0 = np.zeros(system.dim)
@@ -293,10 +284,7 @@ def _cmd_evolve(cfg: dict) -> None:
     # The propagator is exact, so stepping at the output stride gives the
     # rows a step of dt would, without holding the rows in between.
     stride = cfg["stride"]
-    try:
-        path = evolve(system, x0, cfg["dt"] * stride, cfg["steps"] // stride)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    path = evolve(system, x0, cfg["dt"] * stride, cfg["steps"] // stride)
     times = [j * stride * cfg["dt"] for j in range(len(path))]
     with _open_output(cfg["output"]) as fh:
         csv.writer(fh).writerow(["t"] + list(system.labels))
@@ -304,14 +292,10 @@ def _cmd_evolve(cfg: dict) -> None:
 
 
 def _cmd_trajectory(cfg: dict) -> None:
-    params = _protocol_params(cfg)
-    try:
-        model = oscillator_cooling_model(params, cfg["fock"])
-        run_cfg = TrajectoryConfig(dt=cfg["dt"], n_steps=cfg["steps"],
-                                   n_traj=cfg["ntraj"], base_seed=cfg["seed"],
-                                   record_stride=cfg["stride"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = oscillator_cooling_model(_protocol_params(cfg), cfg["fock"])
+    run_cfg = TrajectoryConfig(dt=cfg["dt"], n_steps=cfg["steps"],
+                               n_traj=cfg["ntraj"], base_seed=cfg["seed"],
+                               record_stride=cfg["stride"])
     record = run_ensemble(model, run_cfg)
     tap = model.feedback.tap_index
     with _open_output(cfg["output"]) as fh:
@@ -325,18 +309,11 @@ def _cmd_trajectory(cfg: dict) -> None:
 
 
 def _cmd_phase_diagram(cfg: dict) -> None:
-    try:
-        protocols = tuple(ProtocolKind(name) for name in cfg["protocols"])
-    except ValueError as exc:
-        raise ConfigError(f"unknown protocol in --protocols: {exc}") from exc
-    try:
-        spec = GridSpec.log_spaced(
-            (cfg["gamma_min"], cfg["gamma_max"]),
-            (cfg["Omega_min"], cfg["Omega_max"]),
-            cfg["gamma_points"], cfg["Omega_points"],
-            cfg["lambda"], cfg["omega"], protocols)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = GridSpec.log_spaced(
+        (cfg["gamma_min"], cfg["gamma_max"]),
+        (cfg["Omega_min"], cfg["Omega_max"]),
+        cfg["gamma_points"], cfg["Omega_points"],
+        cfg["lambda"], cfg["omega"], cfg["protocols"])
     export_phase_csv(sweep(spec), cfg["output"])
 
 
@@ -362,7 +339,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_options(ns)
         _DISPATCH[ns.command](cfg)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"filtercool: error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .filters import FilterModel, bandpass, lowpass_cascade
-from .numerics import eigenvalues, propagate_affine, solve_linear
+from .numerics import NumericalError, eigenvalues, propagate_affine, solve_linear
 
 #: Relative slack used for the stability and physicality classifications.
 STABILITY_TOL = 1e-9
@@ -270,8 +270,12 @@ _BUILDERS = {
 
 
 def build_moment_system(p: ProtocolParams) -> MomentSystem:
-    """Dispatch to the builder matching ``p.kind``."""
-    return _BUILDERS[p.kind](p)
+    """The builder matching ``p.kind``; NumericalError if A or c overflows."""
+    sys = _BUILDERS[p.kind](p)
+    if not (np.isfinite(sys.A).all() and np.isfinite(sys.c).all()):
+        raise NumericalError(f"{p.kind.value} moment system overflows at "
+                             f"gamma={p.gamma}, Omega={p.Omega}")
+    return sys
 
 
 def steady_state(sys: MomentSystem) -> SteadyState:

@@ -81,7 +81,12 @@ def mat_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 
 def solve_linear(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve a @ x = y with partial pivoting and a condition guard.
+    """Solve a @ x = y with partial pivoting, a condition guard and one step
+    of iterative refinement.
+
+    The step x += solve(a, y - a @ x) makes the componentwise backward error
+    about eps (Skeel 1980), so a component of small Skeel condition is
+    accurate even at a large cond(a).
 
     Raises
     ------
@@ -102,7 +107,8 @@ def solve_linear(a: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(
             f"matrix is singular or ill-conditioned (cond ~ {cond:.3e})")
     try:
-        return np.linalg.solve(a, y)
+        x = np.linalg.solve(a, y)
+        return x + np.linalg.solve(a, y - a @ x)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
 
@@ -226,11 +232,11 @@ def propagate_affine(a: np.ndarray, c: np.ndarray, x0: np.ndarray,
     augmented = np.zeros((dim + 1, dim + 1))
     augmented[:dim, :dim] = a
     augmented[:dim, dim] = c
-    hop = mat_exp(augmented, dt)
-    phi, d = hop[:dim, :dim], hop[:dim, dim]
     path = np.empty((n_steps + 1, dim))
     path[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
+        hop = mat_exp(augmented, dt)
+        phi, d = hop[:dim, :dim], hop[:dim, dim]
         for k in range(n_steps):
             x = phi @ x + d
             if not np.isfinite(x).all():

@@ -59,7 +59,7 @@ from .moment_systems import (
     filter_drift,
     steady_state,
 )
-from .numerics import NumericalError, SingularMatrixError, hurwitz_test
+from .numerics import NumericalError, hurwitz_test
 
 ALL_PROTOCOLS = tuple(ProtocolKind)
 
@@ -157,8 +157,9 @@ class PhaseGridResult:
 
     The cross-check fields count the sampled cells re-solved through the
     moment systems (``crosscheck_cells``), the sampled cells it could not
-    check because the closed form is not finite, the moment matrix is
-    singular or its steady state overflows (``crosscheck_skipped``), and
+    check because the closed form is not finite, the moment system
+    overflows or is singular, or its steady state overflows
+    (``crosscheck_skipped``), and
     the largest |solved - closed form| / max(|closed form|, 1) among the
     checked ones (0 when none was checked).
 
@@ -306,7 +307,7 @@ def _crosscheck(spec: GridSpec, energies, n_cells: int) -> Tuple[int, int, float
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 solved = steady_state(build_moment_system(p)).energy_over_hw
-        except SingularMatrixError:
+        except NumericalError:
             solved = np.nan
         if not np.isfinite(solved):
             skipped += 1

@@ -308,3 +308,20 @@ class TestOverflow:
         res = energy_2layer(1.0, 2.0, 2.0, 1e150)
         assert res.note != NOT_APPLICABLE and math.isfinite(res.energy_over_hw)
         assert res.energy_over_hw == pytest.approx(1e300 / 32.0)
+
+
+@pytest.mark.parametrize("fn", [energy_2layer_largeOmega, energy_3layer_largeOmega])
+def test_large_Omega_expansion_overflow_is_nan_for_scalars(fn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = fn(1.0, 1e200, 1.0)
+    assert isinstance(value, float) and math.isnan(value)
+
+
+@pytest.mark.parametrize("fn", [energy_2layer_largeOmega, energy_3layer_largeOmega])
+def test_large_Omega_expansion_overflow_is_nan_for_arrays(fn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = fn(1.0, np.array([4.0, 1e200]), 100.0)
+    assert isinstance(values, np.ndarray) and values.shape == (2,)
+    assert values[0] == fn(1.0, 4.0, 100.0) and np.isnan(values[1])

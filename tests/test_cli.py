@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -435,3 +436,47 @@ def test_config_file_equals_flags(tmp_path_factory, case, split):
     assert outputs["flags"][0] == 0
     assert outputs["config"] == outputs["flags"]
     assert outputs["split"] == outputs["flags"]
+
+
+@pytest.mark.parametrize("args, code, message", [
+    # bad input
+    pytest.param(["steady-state", "--config", "{not_utf8}"], 2,
+                 "filtercool: error: 'utf-8' codec can't decode", id="config-not-utf8"),
+    pytest.param(["evolve", "--config", "{huge_steps}"], 2,
+                 "filtercool: error: option 'steps': cannot convert float infinity to integer",
+                 id="config-int-overflow"),
+    pytest.param(["phase-diagram", "--protocols", "lowpass9", "--output", "{out}"], 2,
+                 "filtercool: error: option 'protocols': 'lowpass9' is not a valid ProtocolKind",
+                 id="unknown-protocol"),
+    # valid input whose moment system overflows float64
+    pytest.param(["steady-state", "--protocol", "lowpass1", "--gamma", "1e200"], 3,
+                 "filtercool: numerical failure: lowpass1 moment system overflows at "
+                 "gamma=1e+200", id="steady-state-overflow"),
+    pytest.param(["evolve", "--protocol", "lowpass2", "--gamma", "1e200", "--Omega", "1"], 3,
+                 "filtercool: numerical failure: lowpass2 moment system overflows at "
+                 "gamma=1e+200", id="evolve-overflow"),
+    pytest.param(["evolve", "--protocol", "lowpass2", "--gamma", "1e150", "--Omega", "1",
+                  "--dt", "1e200", "--steps", "2"], 3,
+                 "filtercool: numerical failure: state became non-finite at step 1",
+                 id="evolve-step-overflow"),
+    # valid grids whose cross-checked cells reach cond(A) ~ 1e8
+    pytest.param(["phase-diagram", "--gamma-max", "1e10", "--gamma-points", "20",
+                  "--Omega-points", "20", "--output", "{out}"], 0, None, id="grid-1e10"),
+    pytest.param(["phase-diagram", "--gamma-max", "1e80", "--gamma-points", "20",
+                  "--Omega-points", "20", "--output", "{out}"], 0, None, id="grid-1e80"),
+])
+def test_exit_code_contract(args, code, message, tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"protocol": "lowpass1", "gamma": 2.0, "note": "\xe9"}')
+    huge_steps = tmp_path / "steps.json"
+    huge_steps.write_text('{"protocol": "lowpass1", "gamma": 2.0, "steps": 1e400}')
+    argv = [a.format(not_utf8=not_utf8, huge_steps=huge_steps, out=tmp_path / "out.csv")
+            for a in args]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing but the one line reaches the user
+        assert main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    if message is None:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith(message), lines

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -24,7 +26,7 @@ from filtercool.moment_systems import (
     filter_drift,
     steady_state,
 )
-from filtercool.numerics import SingularMatrixError, integrate_affine
+from filtercool.numerics import NumericalError, SingularMatrixError, integrate_affine
 from filtercool.trajectory import oscillator_cooling_model
 
 
@@ -396,3 +398,26 @@ class TestEnergyFromFilter:
             assert solved == pytest.approx(derived, rel=1e-9)
             checked += 1
         assert checked >= 100
+
+
+@pytest.mark.parametrize("p", [
+    ProtocolParams(1.0, 1.0, 1e200, None, ProtocolKind.LOWPASS1),
+    ProtocolParams(1.0, 1.0, 1e200, 1.0, ProtocolKind.LOWPASS2),
+    ProtocolParams(1e-310, 1.0, 1.0, 2.0, ProtocolKind.BANDPASS),
+])
+def test_overflowing_system_is_a_numerical_failure(p):
+    # an infinite entry of A or c is named, not passed on as a formal value
+    message = f"{p.kind.value} moment system overflows at gamma={p.gamma}, Omega={p.Omega}"
+    with pytest.raises(NumericalError, match=re.escape(message)):
+        build_moment_system(p)
+
+
+def test_ill_conditioned_three_stage_cell_matches_closed_form():
+    # cond(A) ~ 4.5e7, but the energy's Skeel condition is about 7: the
+    # refined solve recovers it to rounding (a plain LU solve is off by 2e-9)
+    g, Om = 33598182.86283788, 7.847599703514611
+    system = build_moment_system(ProtocolParams(1.0, 1.0, g, Om, ProtocolKind.LOWPASS3))
+    assert np.linalg.cond(system.A) > 1e7
+    exact = energy_3layer(1.0, g, Om, 1.0).energy_over_hw
+    assert exact == pytest.approx(0.6502766702598803, rel=1e-15)
+    assert steady_state(system).energy_over_hw == pytest.approx(exact, rel=1e-14)
