@@ -9,8 +9,11 @@ evolve            moment-system transient (exact)        -> t,<labels...>
 trajectory        Monte Carlo ensemble of one protocol   -> t,mean_energy,...
 phase-diagram     (gamma, Omega) winner map              -> phase CSV
 
-Every numeric flag can also be supplied through ``--config FILE``, a flat
-JSON object whose keys equal the flag names (flags override the file).
+Every flag can also be supplied through ``--config FILE``, a flat JSON
+object whose keys equal the flag names (flags override the file).  A flag's
+text and a file value get the same conversion, in :func:`_merge_options`
+alone, and every command writes its CSV through
+:func:`~filtercool.phase_diagram.write_csv`, where ``--output -`` is stdout.
 All randomness is seeded explicitly, so identical configurations produce
 byte-identical output.  :func:`main` alone sets the exit code: 0 success,
 2 bad input (``ValueError``, ``ConfigError`` among them, or ``OSError``),
@@ -20,8 +23,6 @@ byte-identical output.  :func:`main` alone sets the exit code: 0 success,
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ from .filters import (
     FilterModel,
     KernelSpec,
     bandpass,
-    impulse_response,
     kernel_filter,
     lowpass_cascade,
 )
@@ -44,8 +44,8 @@ from .moment_systems import (
     evolve,
     steady_state,
 )
-from .numerics import NumericalError
-from .phase_diagram import ALL_PROTOCOLS, GridSpec, export_phase_csv, sweep, write_rows
+from .numerics import NumericalError, propagate_affine
+from .phase_diagram import ALL_PROTOCOLS, GridSpec, export_phase_csv, sweep, write_csv
 from .trajectory import TrajectoryConfig, oscillator_cooling_model, run_ensemble
 
 
@@ -56,6 +56,14 @@ class ConfigError(ValueError):
 def _float_row(n: int) -> str:
     """``write_rows`` format of n numbers, each with 12 significant digits."""
     return ",".join(["%.12g"] * n) + "\r\n"
+
+
+def _int(value) -> int:
+    """An int option: integral text, or a JSON number with an integer value."""
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
 
 
 def _items(value) -> list:
@@ -107,7 +115,7 @@ _SUBCOMMANDS = {
         _Opt("kernel-coeffs", _float_list, help="kernel ODE coefficients a0,...,a_{n-1}"),
         _Opt("kernel-init", _float_list, help="kernel initial derivatives f(0),...,f^(n-1)(0)"),
         _Opt("t-max", float, 10.0),
-        _Opt("points", int, 200),
+        _Opt("points", _int, 200),
         _Opt("output", str, "-"),
     ),
     "steady-state": _PROTOCOL_OPTS + (
@@ -116,26 +124,26 @@ _SUBCOMMANDS = {
     "evolve": _PROTOCOL_OPTS + (
         _Opt("e0", float, 1.0, help="initial energy in units of hbar*omega"),
         _Opt("dt", float, 1e-3),
-        _Opt("steps", int, 1000),
-        _Opt("stride", int, 1),
+        _Opt("steps", _int, 1000),
+        _Opt("stride", _int, 1),
         _Opt("output", str, "-"),
     ),
     "trajectory": _PROTOCOL_OPTS + (
         _Opt("dt", float, 1e-3),
-        _Opt("steps", int, 1000),
-        _Opt("ntraj", int, 100),
-        _Opt("seed", int, 0),
-        _Opt("fock", int, 15, help="oscillator basis cutoff"),
-        _Opt("stride", int, 10, help="record every this many steps"),
+        _Opt("steps", _int, 1000),
+        _Opt("ntraj", _int, 100),
+        _Opt("seed", _int, 0),
+        _Opt("fock", _int, 15, help="oscillator basis cutoff"),
+        _Opt("stride", _int, 10, help="record every this many steps"),
         _Opt("output", str, "-"),
     ),
     "phase-diagram": (
         _Opt("gamma-min", float, 0.1),
         _Opt("gamma-max", float, 100.0),
-        _Opt("gamma-points", int, 200),
+        _Opt("gamma-points", _int, 200),
         _Opt("Omega-min", float, 0.1),
         _Opt("Omega-max", float, 1000.0),
-        _Opt("Omega-points", int, 200),
+        _Opt("Omega-points", _int, 200),
         _Opt("lambda", float, 1.0),
         _Opt("omega", float, 1.0),
         _Opt("protocols", _protocol_list, ALL_PROTOCOLS),
@@ -161,10 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp = subs.add_parser(name, description=_DESCRIPTIONS.get(name))
         sp.add_argument("--config", default=None,
                         help="JSON file with flag-name keys; flags override it")
-        for opt in opts:  # _merge_options converts the rest, naming the option
+        for opt in opts:  # text only: _merge_options converts it, naming the option
             sp.add_argument(f"--{opt.name}", dest=opt.dest, default=None, help=opt.help,
-                            choices=opt.choices,
-                            type=opt.type if opt.type in (int, float) else str)
+                            choices=opt.choices)
     return parser
 
 
@@ -174,8 +181,11 @@ def load_config(path, known_keys=None) -> dict:
     Raises ConfigError naming the offending line on parse errors, and the
     offending key when ``known_keys`` is given and a key is not in it.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not text.strip():
         return {}
     try:
@@ -193,8 +203,8 @@ def load_config(path, known_keys=None) -> dict:
 
 
 def _merge_options(ns: argparse.Namespace) -> dict:
-    """Combine flags, config file and defaults; flags win over the file,
-    and file values get the type and choices checks of flags."""
+    """Combine flags, config file and defaults; flags win over the file.  The
+    one place a value is converted: all three get the option's type and checks."""
     opts = _SUBCOMMANDS[ns.command]
     file_values = {}
     if ns.config is not None:
@@ -227,15 +237,6 @@ def _protocol_params(cfg: dict) -> ProtocolParams:
                           cfg["Omega"], cfg["protocol"])
 
 
-@contextlib.contextmanager
-def _open_output(path):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
-
-
 def _build_filter(cfg: dict) -> FilterModel:
     kind = cfg["filter"]
     if kind == "lowpass":
@@ -255,24 +256,21 @@ def _cmd_filter_response(cfg: dict) -> None:
     model = _build_filter(cfg)
     if cfg["t_max"] <= 0 or cfg["points"] < 2:
         raise ConfigError("t-max must be positive and points at least 2")
-    times = np.linspace(0.0, cfg["t_max"], cfg["points"])
-    h = np.array([impulse_response(model, t) for t in times])
-    with _open_output(cfg["output"]) as fh:
-        csv.writer(fh).writerow(["t"] + [f"h_{k + 1}" for k in range(model.n)])
-        write_rows(fh, _float_row(1 + model.n), [times, *h.T])
+    # h(t) = exp(M t) b solves dh/dt = M h from h(0) = b: exact on the grid
+    n = cfg["points"] - 1
+    h = propagate_affine(model.M, np.zeros(model.n), model.b, cfg["t_max"] / n, n)
+    write_csv(cfg["output"], ["t"] + [f"h_{k + 1}" for k in range(model.n)],
+              _float_row(1 + model.n), [np.linspace(0.0, cfg["t_max"], n + 1), *h.T])
 
 
 def _cmd_steady_state(cfg: dict) -> None:
     params = _protocol_params(cfg)
     ss = steady_state(build_moment_system(params))
     Omega = params.Omega if params.Omega is not None else np.nan
-    with _open_output(cfg["output"]) as fh:
-        csv.writer(fh).writerow(["protocol", "lambda", "omega", "gamma", "Omega",
-                                 "energy", "stable", "physical"])
-        write_rows(fh, "%s," + "%.12g," * 5 + "%s,%s\r\n",
-                   [[params.kind.value], [params.lam], [params.omega], [params.gamma],
-                    [Omega], [ss.energy_over_hw],
-                    [str(ss.stable).lower()], [str(ss.physical).lower()]])
+    write_csv(cfg["output"], ["protocol", "lambda", "omega", "gamma", "Omega", "energy",
+                              "stable", "physical"], "%s," + "%.12g," * 5 + "%s,%s\r\n",
+              [[params.kind.value], [params.lam], [params.omega], [params.gamma], [Omega],
+               [ss.energy_over_hw], [str(ss.stable).lower()], [str(ss.physical).lower()]])
 
 
 def _cmd_evolve(cfg: dict) -> None:
@@ -284,11 +282,12 @@ def _cmd_evolve(cfg: dict) -> None:
     # The propagator is exact, so stepping at the output stride gives the
     # rows a step of dt would, without holding the rows in between.
     stride = cfg["stride"]
+    if not np.isfinite(cfg["dt"] * stride):
+        raise NumericalError(f"dt * stride overflows: {cfg['dt']:g} * {stride}")
     path = evolve(system, x0, cfg["dt"] * stride, cfg["steps"] // stride)
     times = [j * stride * cfg["dt"] for j in range(len(path))]
-    with _open_output(cfg["output"]) as fh:
-        csv.writer(fh).writerow(["t"] + list(system.labels))
-        write_rows(fh, _float_row(1 + system.dim), [times, *path.T])
+    write_csv(cfg["output"], ["t"] + list(system.labels),
+              _float_row(1 + system.dim), [times, *path.T])
 
 
 def _cmd_trajectory(cfg: dict) -> None:
@@ -298,14 +297,11 @@ def _cmd_trajectory(cfg: dict) -> None:
                                record_stride=cfg["stride"])
     record = run_ensemble(model, run_cfg)
     tap = model.feedback.tap_index
-    with _open_output(cfg["output"]) as fh:
-        csv.writer(fh).writerow(["t", "mean_energy", "stderr_energy",
-                                 "mean_Dx", "var_Dx", "mean_Dp", "var_Dp"])
-        write_rows(fh, _float_row(7), [
-            record.times, record.energy_mean, record.energy_stderr,
-            record.signal_mean[0, tap], record.signal_var[0, tap],
-            record.signal_mean[1, tap], record.signal_var[1, tap],
-        ])
+    write_csv(cfg["output"], ["t", "mean_energy", "stderr_energy", "mean_Dx", "var_Dx",
+                              "mean_Dp", "var_Dp"], _float_row(7),
+              [record.times, record.energy_mean, record.energy_stderr,
+               record.signal_mean[0, tap], record.signal_var[0, tap],
+               record.signal_mean[1, tap], record.signal_var[1, tap]])
 
 
 def _cmd_phase_diagram(cfg: dict) -> None:

@@ -44,7 +44,9 @@ the count.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import sys
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -335,6 +337,15 @@ def write_rows(fh, fmt: str, columns) -> None:
         c.tolist() if isinstance(c, np.ndarray) else c for c in columns))))
 
 
+def write_csv(path, header, fmt: str, columns) -> None:
+    """Write ``header`` as a ``csv.writer`` row, then ``write_rows(fh, fmt, columns)``.
+    ``path`` ``"-"`` is standard output, which stays open."""
+    with (contextlib.nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", newline="")) as fh:
+        csv.writer(fh).writerow(header)
+        write_rows(fh, fmt, columns)
+
+
 def export_phase_csv(result: PhaseGridResult, path) -> None:
     """Write the grid as CSV rows ``gamma,Omega,E1,E2,E3,Ebp,winner,flags``.
 
@@ -342,6 +353,7 @@ def export_phase_csv(result: PhaseGridResult, path) -> None:
     for protocols that are not applicable or not requested); ``flags`` joins
     the four per-protocol flags with semicolons in the order E1;E2;E3;Ebp.
     Rows run over Omega fastest.  Each axis value is formatted once.
+    ``path`` ``"-"`` writes to standard output.
     """
     spec = result.spec
     ng, nO = spec.gamma_values.size, spec.Omega_values.size
@@ -355,10 +367,8 @@ def export_phase_csv(result: PhaseGridResult, path) -> None:
             flags.append(np.full(ng * nO, FLAG_NA, dtype=object))
     gamma = np.array(["%.12g" % v for v in spec.gamma_values.tolist()], dtype=object)
     Omega = ["%.12g" % v for v in spec.Omega_values.tolist()]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(CSV_HEADER)
-        write_rows(fh, _PHASE_ROW, [np.repeat(gamma, nO), Omega * ng, *energies,
-                                    result.winner.ravel(), *flags])
+    write_csv(path, CSV_HEADER, _PHASE_ROW, [np.repeat(gamma, nO), Omega * ng, *energies,
+                                             result.winner.ravel(), *flags])
 
 
 def load_phase_csv(path):

@@ -9,12 +9,14 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filtercool.cli import load_config, main
 from filtercool.cli import ConfigError
+from filtercool.filters import impulse_response, lowpass_cascade
 from filtercool.moment_systems import (
     ProtocolKind,
     ProtocolParams,
@@ -109,6 +111,17 @@ class TestFilterResponse:
                      "--t-max", "2.0", "--points", "5", "--output", str(out)])
         assert code == 0
         assert read_rows(out)[0] == ["t", "h_1", "h_2"]
+
+    def test_lowpass_cascade_is_exact_on_its_grid(self, tmp_path):
+        out = tmp_path / "fr.csv"
+        assert main(["filter-response", "--filter", "lowpass", "--gammas", "1,2",
+                     "--t-max", "3", "--points", "7", "--output", str(out)]) == 0
+        header, *rows = read_rows(out)
+        assert header == ["t", "h_1", "h_2"] and len(rows) == 7
+        model = lowpass_cascade((1.0, 2.0))
+        for row in rows:
+            t, h = float(row[0]), [float(v) for v in row[1:]]
+            assert np.allclose(h, impulse_response(model, t), rtol=1e-11, atol=0)
 
 
 class TestEvolve:
@@ -296,6 +309,49 @@ class TestConfigFile:
             load_config(str(cfg))
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_integral_int_value_exits_2_naming_the_option(source, tmp_path, capsys):
+    # a flag and a file value pass through one converter and fail alike
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"protocol": "lowpass1", "gamma": 2.0'
+                   + (', "steps": 2.7}' if source == "config" else "}"))
+    argv = ["evolve", "--config", str(cfg)] + (["--steps", "2.7"] if source == "flag" else [])
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("filtercool: error: option 'steps': "), lines
+
+
+def test_integral_json_number_is_an_int_value(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"protocol": "lowpass1", "gamma": 2.0, "steps": 4.0, "stride": 2}')
+    out = tmp_path / "ev.csv"
+    assert main(["evolve", "--config", str(cfg), "--output", str(out)]) == 0
+    assert len(read_rows(out)) == 1 + 3
+
+
+_SMALL_RUNS = {
+    "filter-response": ["--filter", "lowpass", "--gammas", "1,2", "--points", "5"],
+    "steady-state": ["--protocol", "lowpass2", "--gamma", "2", "--Omega", "2"],
+    "evolve": ["--protocol", "lowpass1", "--gamma", "2", "--steps", "10", "--stride", "5"],
+    "trajectory": ["--protocol", "lowpass1", "--gamma", "2", "--steps", "20",
+                   "--ntraj", "3", "--fock", "6"],
+    "phase-diagram": ["--gamma-points", "3", "--Omega-points", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_output_dash_is_stdout(command, tmp_path, monkeypatch, capsys):
+    # the CSV a file gets is printed, and no file named '-' appears
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *_SMALL_RUNS[command], "--output"]
+    assert main(argv + ["file.csv"]) == 0
+    assert main(argv + ["-"]) == 0
+    out = capsys.readouterr().out
+    assert not sys.stdout.closed
+    assert out.encode() == (tmp_path / "file.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.csv"]
+
+
 class TestExitCodes:
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
@@ -441,7 +497,7 @@ def test_config_file_equals_flags(tmp_path_factory, case, split):
 @pytest.mark.parametrize("args, code, message", [
     # bad input
     pytest.param(["steady-state", "--config", "{not_utf8}"], 2,
-                 "filtercool: error: 'utf-8' codec can't decode", id="config-not-utf8"),
+                 "filtercool: error: {not_utf8}: 'utf-8' codec can't decode", id="config-not-utf8"),
     pytest.param(["evolve", "--config", "{huge_steps}"], 2,
                  "filtercool: error: option 'steps': cannot convert float infinity to integer",
                  id="config-int-overflow"),
@@ -459,6 +515,16 @@ def test_config_file_equals_flags(tmp_path_factory, case, split):
                   "--dt", "1e200", "--steps", "2"], 3,
                  "filtercool: numerical failure: state became non-finite at step 1",
                  id="evolve-step-overflow"),
+    # dt and stride are each valid; only the output step dt * stride overflows
+    pytest.param(["evolve", "--protocol", "lowpass1", "--gamma", "1", "--dt", "1e300",
+                  "--steps", "10000000000", "--stride", "10000000000"], 3,
+                 "filtercool: numerical failure: dt * stride overflows: 1e+300 * 10000000000",
+                 id="evolve-stride-overflow"),
+    # h(t) = exp(t) is finite at t = 500 and overflows at t = 1000
+    pytest.param(["filter-response", "--filter", "kernel", "--kernel-coeffs", "-1",
+                  "--kernel-init", "1", "--t-max", "1000", "--points", "3"], 3,
+                 "filtercool: numerical failure: state became non-finite at step 2 (t = 1000)",
+                 id="filter-response-overflow"),
     # valid grids whose cross-checked cells reach cond(A) ~ 1e8
     pytest.param(["phase-diagram", "--gamma-max", "1e10", "--gamma-points", "20",
                   "--Omega-points", "20", "--output", "{out}"], 0, None, id="grid-1e10"),
@@ -472,6 +538,7 @@ def test_exit_code_contract(args, code, message, tmp_path, capsys):
     huge_steps.write_text('{"protocol": "lowpass1", "gamma": 2.0, "steps": 1e400}')
     argv = [a.format(not_utf8=not_utf8, huge_steps=huge_steps, out=tmp_path / "out.csv")
             for a in args]
+    message = message and message.format(not_utf8=not_utf8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # nothing but the one line reaches the user
         assert main(argv) == code

@@ -265,6 +265,22 @@ class TestRunEnsemble:
         assert np.abs(ra.energy_mean - rb.energy_mean).max() < 1e-12
         assert np.array_equal(ra.signal_mean, rb.signal_mean)
 
+    def test_generic_feedback_on_density_matrix_matches_trap(self):
+        # a mixed start runs the density-matrix engine; a custom rule takes its
+        # generic commutator and energy branches, the trap model its own
+        rho = np.zeros((10, 10), dtype=complex)
+        rho[0, 0], rho[1, 1] = 0.6, 0.4
+        p = ProtocolParams(1.0, 1.0, 1.5, 3.0, ProtocolKind.LOWPASS2)
+        fast = oscillator_cooling_model(p, 10)
+        trap = ShiftedTrapFeedback(build_truncated_oscillator(10, 1.0), 1)
+        slow = SystemModel(fast.H0, fast.measured_ops, p.lam, fast.filter_model,
+                           lambda G: trap(G))
+        cfg = TrajectoryConfig(dt=1e-3, n_steps=40, n_traj=4, base_seed=6,
+                               record_stride=10, initial_state=QuantumState(rho))
+        ra, rb = run_ensemble(fast, cfg), run_ensemble(slow, cfg)
+        for name in ("energy_mean", "energy_stderr", "op_mean", "signal_mean", "signal_var"):
+            assert np.abs(getattr(ra, name) - getattr(rb, name)).max() < 1e-12, name
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrajectoryConfig(dt=0.0, n_steps=10, n_traj=1, base_seed=0)
