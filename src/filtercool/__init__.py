@@ -41,7 +41,6 @@ from .moment_systems import (
     build_single_layer,
     build_three_layer,
     build_two_layer,
-    characteristic_polynomial,
     evolve,
     steady_state,
 )
@@ -51,7 +50,6 @@ from .numerics import (
     SingularMatrixError,
     UnstableSystemError,
     eigenvalues,
-    integrate_affine,
     mat_exp,
     propagate_affine,
     solve_linear,

@@ -12,8 +12,10 @@ phase-diagram     (gamma, Omega) winner map              -> phase CSV
 Every flag can also be supplied through ``--config FILE``, a flat JSON
 object whose keys equal the flag names (flags override the file).  A flag's
 text and a file value get the same conversion, in :func:`_merge_options`
-alone, and every command writes its CSV through
-:func:`~filtercool.phase_diagram.write_csv`, where ``--output -`` is stdout.
+alone (argparse passes no ``type=`` or ``choices=``; an option's help text
+lists its values), and no option takes a JSON boolean.  Every command writes
+its CSV through :func:`~filtercool.phase_diagram.write_csv`, where
+``--output -`` is stdout.
 All randomness is seeded explicitly, so identical configurations produce
 byte-identical output.  :func:`main` alone sets the exit code: 0 success,
 2 bad input (``ValueError``, ``ConfigError`` among them, or ``OSError``),
@@ -24,9 +26,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -89,7 +92,6 @@ class _Opt:
     type: Callable
     default: object = None
     required: bool = False
-    choices: Optional[tuple] = None
     help: str = ""
 
     @property
@@ -99,7 +101,7 @@ class _Opt:
 
 _PROTOCOL_OPTS = (
     _Opt("protocol", ProtocolKind, required=True,
-         choices=tuple(k.value for k in ALL_PROTOCOLS)),
+         help="one of " + ", ".join(k.value for k in ALL_PROTOCOLS)),
     _Opt("lambda", float, 1.0, help="measurement strength"),
     _Opt("omega", float, 1.0, help="oscillator frequency"),
     _Opt("gamma", float, required=True, help="first filter bandwidth"),
@@ -108,7 +110,7 @@ _PROTOCOL_OPTS = (
 
 _SUBCOMMANDS = {
     "filter-response": (
-        _Opt("filter", str, required=True, choices=("lowpass", "bandpass", "kernel")),
+        _Opt("filter", str, required=True, help="one of lowpass, bandpass, kernel"),
         _Opt("gammas", _float_list, help="cascade bandwidths, e.g. 1.0,2.0"),
         _Opt("gamma", float, help="band-pass bandwidth"),
         _Opt("Omega", float, help="band-pass center frequency"),
@@ -116,17 +118,17 @@ _SUBCOMMANDS = {
         _Opt("kernel-init", _float_list, help="kernel initial derivatives f(0),...,f^(n-1)(0)"),
         _Opt("t-max", float, 10.0),
         _Opt("points", _int, 200),
-        _Opt("output", str, "-"),
+        _Opt("output", os.fspath, "-"),
     ),
     "steady-state": _PROTOCOL_OPTS + (
-        _Opt("output", str, "-"),
+        _Opt("output", os.fspath, "-"),
     ),
     "evolve": _PROTOCOL_OPTS + (
         _Opt("e0", float, 1.0, help="initial energy in units of hbar*omega"),
         _Opt("dt", float, 1e-3),
         _Opt("steps", _int, 1000),
         _Opt("stride", _int, 1),
-        _Opt("output", str, "-"),
+        _Opt("output", os.fspath, "-"),
     ),
     "trajectory": _PROTOCOL_OPTS + (
         _Opt("dt", float, 1e-3),
@@ -135,7 +137,7 @@ _SUBCOMMANDS = {
         _Opt("seed", _int, 0),
         _Opt("fock", _int, 15, help="oscillator basis cutoff"),
         _Opt("stride", _int, 10, help="record every this many steps"),
-        _Opt("output", str, "-"),
+        _Opt("output", os.fspath, "-"),
     ),
     "phase-diagram": (
         _Opt("gamma-min", float, 0.1),
@@ -146,8 +148,9 @@ _SUBCOMMANDS = {
         _Opt("Omega-points", _int, 200),
         _Opt("lambda", float, 1.0),
         _Opt("omega", float, 1.0),
-        _Opt("protocols", _protocol_list, ALL_PROTOCOLS),
-        _Opt("output", str, required=True),
+        _Opt("protocols", _protocol_list, ALL_PROTOCOLS,
+             help="comma-separated subset of " + ",".join(k.value for k in ALL_PROTOCOLS)),
+        _Opt("output", os.fspath, required=True),
     ),
 }
 
@@ -157,7 +160,9 @@ _DESCRIPTIONS = {"trajectory": (
     "Monte Carlo ensemble of one protocol. A run whose top-two Fock populations "
     "exceed 1e-3 at a recorded step is truncation limited: it still exits 0 and "
     "writes its CSV, and a RuntimeWarning on stderr says so. Raise --fock until "
-    "the warning is gone.")}
+    "the warning is gone. The cutoff needed grows with run time, since the "
+    "recentred trap wanders with the filtered signal: at the defaults, lowpass2 at "
+    "gamma = Omega = 2 is clean at --steps 1000 and flagged at 2000.")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None,
                         help="JSON file with flag-name keys; flags override it")
         for opt in opts:  # text only: _merge_options converts it, naming the option
-            sp.add_argument(f"--{opt.name}", dest=opt.dest, default=None, help=opt.help,
-                            choices=opt.choices)
+            sp.add_argument(f"--{opt.name}", dest=opt.dest, default=None, help=opt.help)
     return parser
 
 
@@ -204,7 +208,8 @@ def load_config(path, known_keys=None) -> dict:
 
 def _merge_options(ns: argparse.Namespace) -> dict:
     """Combine flags, config file and defaults; flags win over the file.  The
-    one place a value is converted: all three get the option's type and checks."""
+    one place a value is converted: all three get the option's type and checks,
+    and a JSON boolean is refused before the type can read it as 0 or 1."""
     opts = _SUBCOMMANDS[ns.command]
     file_values = {}
     if ns.config is not None:
@@ -216,14 +221,14 @@ def _merge_options(ns: argparse.Namespace) -> dict:
             value = file_values[opt.name]
         if value is None:
             value = opt.default
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, bool) for v in items):
+            raise ConfigError(f"option '{opt.name}': no option takes a boolean, got {value!r}")
         if value is not None:
             try:
-                value, raw = opt.type(value), value
+                value = opt.type(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"option '{opt.name}': {exc}") from exc
-            if opt.choices and raw not in opt.choices:
-                raise ConfigError(f"option '{opt.name}': {raw!r} is not one of "
-                                  + ", ".join(opt.choices))
             if opt.type in (float, _float_list) and not np.all(np.isfinite(value)):
                 raise ConfigError(f"option '{opt.name}' must be finite, got {value}")
         if value is None and opt.required:
@@ -247,9 +252,11 @@ def _build_filter(cfg: dict) -> FilterModel:
         if cfg["gamma"] is None or cfg["Omega"] is None:
             raise ConfigError("bandpass filter needs --gamma and --Omega")
         return bandpass(cfg["gamma"], cfg["Omega"])
-    if not cfg["kernel_coeffs"] or not cfg["kernel_init"]:
-        raise ConfigError("kernel filter needs --kernel-coeffs and --kernel-init")
-    return kernel_filter(KernelSpec(cfg["kernel_coeffs"], cfg["kernel_init"]))
+    if kind == "kernel":
+        if not cfg["kernel_coeffs"] or not cfg["kernel_init"]:
+            raise ConfigError("kernel filter needs --kernel-coeffs and --kernel-init")
+        return kernel_filter(KernelSpec(cfg["kernel_coeffs"], cfg["kernel_init"]))
+    raise ConfigError(f"option 'filter': {kind!r} is not one of lowpass, bandpass, kernel")
 
 
 def _cmd_filter_response(cfg: dict) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 from .numerics import (
     UnstableSystemError,
     as_real_matrix,
-    mat_exp,
+    propagate_affine,
     require_finite,
     solve_linear,
 )
@@ -153,11 +153,15 @@ def kernel_filter(spec: KernelSpec) -> FilterModel:
 def impulse_response(model: FilterModel, t: float) -> np.ndarray:
     """Response of every component at time t to a unit impulse in the record.
 
-    Equals exp(M t) @ b; at t = 0 this is b itself.
+    Equals exp(M t) @ b, the solution of dh/dt = M h from h(0) = b, taken
+    in one exact step of ``propagate_affine``; at t = 0 this is b itself.
+    Raises ``NumericalError`` if the response overflows at t.
     """
     if t < 0:
         raise ValueError("impulse response is causal; t must be nonnegative")
-    return mat_exp(model.M, t) @ model.b
+    if t == 0:
+        return model.b.copy()
+    return propagate_affine(model.M, np.zeros(model.n), model.b, t, 1)[-1]
 
 
 def transfer_function(model: FilterModel, nu: float) -> np.ndarray:

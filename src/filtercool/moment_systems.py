@@ -311,9 +311,3 @@ def evolve(sys: MomentSystem, x0: np.ndarray, dt: float, n_steps: int) -> np.nda
     """
     return propagate_affine(sys.A, sys.c, x0, dt, n_steps)
 
-
-def characteristic_polynomial(a: np.ndarray) -> np.ndarray:
-    """Coefficients of det(sI - a), monic, in descending powers of s."""
-    a = np.asarray(a, dtype=float)
-    coeffs = np.poly(eigenvalues(a))
-    return np.real(coeffs)

@@ -5,12 +5,12 @@ complex128).  Matrices in this package are tiny (at most 9x9 for the moment
 systems, a few tens for truncated oscillators), so robustness is preferred
 over speed: the matrix exponential uses scaling-and-squaring and linear
 solves are LU with partial pivoting and an explicit condition guard.  Affine
-systems dx/dt = A x + c are stepped exactly by ``propagate_affine``, one
-exponential of the augmented matrix [[A, c], [0, 0]] and then one matvec per
-step; ``integrate_affine`` (classical RK4) is kept as the independent
-reference it is tested against.  ``hurwitz_test`` decides whether stacks of
-small matrices are stable from their characteristic polynomials, without
-eigenvalues, and reports how far each decision is from the boundary.
+systems dx/dt = A x + c are stepped exactly by ``propagate_affine``, the
+package's only ODE stepper: one exponential of the augmented matrix
+[[A, c], [0, 0]] and then one matvec per step.  ``hurwitz_test`` decides
+whether stacks of small matrices are stable from their characteristic
+polynomials, without eigenvalues, and reports how far each decision is from
+the boundary.
 
 All quantities are dimensionless (hbar = 1); rate-like entries carry units
 of inverse time as documented by the caller.
@@ -194,22 +194,6 @@ def hurwitz_test(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return stable, margin
 
 
-def _affine_inputs(a, c, x0, dt):
-    """Validated (a, c, x) of dx/dt = a @ x + c started at x0, for a step dt."""
-    a = require_square(a, "drift matrix")
-    c = np.asarray(c, dtype=float)
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (a.shape[0],) or c.shape != (a.shape[0],):
-        raise ValueError("dimension mismatch between matrix, offset and state")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return a, c, x
-
-
-def _non_finite(k: int, dt: float) -> NumericalError:
-    return NumericalError(f"state became non-finite at step {k} (t = {k * dt:.12g})")
-
-
 def propagate_affine(a: np.ndarray, c: np.ndarray, x0: np.ndarray,
                      dt: float, n_steps: int) -> np.ndarray:
     """Exact path of dx/dt = a @ x + c at the times k*dt, k = 0..n_steps.
@@ -227,7 +211,13 @@ def propagate_affine(a: np.ndarray, c: np.ndarray, x0: np.ndarray,
         If the state overflows to non-finite values; the message names the
         failing step and its time k*dt.
     """
-    a, c, x = _affine_inputs(a, c, x0, dt)
+    a = require_square(a, "drift matrix")
+    c = np.asarray(c, dtype=float)
+    x = np.asarray(x0, dtype=float).copy()
+    if x.shape != (a.shape[0],) or c.shape != (a.shape[0],):
+        raise ValueError("dimension mismatch between matrix, offset and state")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     dim = x.size
     augmented = np.zeros((dim + 1, dim + 1))
     augmented[:dim, :dim] = a
@@ -237,41 +227,12 @@ def propagate_affine(a: np.ndarray, c: np.ndarray, x0: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         hop = mat_exp(augmented, dt)
         phi, d = hop[:dim, :dim], hop[:dim, dim]
-        for k in range(n_steps):
+        for k in range(1, n_steps + 1):
             x = phi @ x + d
             if not np.isfinite(x).all():
-                raise _non_finite(k + 1, dt)
-            path[k + 1] = x
-    return path
-
-
-def integrate_affine(a: np.ndarray, c: np.ndarray, x0: np.ndarray,
-                     dt: float, n_steps: int) -> np.ndarray:
-    """Integrate dx/dt = a @ x + c with classical fixed-step RK4.
-
-    The RK4 reference for ``propagate_affine``: it shares no arithmetic with
-    the exact propagator, so tests compare the two.  Returns the full path,
-    shape ``(n_steps + 1, dim)``, including x0.  Global error is O(dt^4).
-
-    Raises
-    ------
-    NumericalError
-        If the state overflows to non-finite values; the message names the
-        failing step and its time k*dt.
-    """
-    a, c, x = _affine_inputs(a, c, x0, dt)
-    path = np.empty((n_steps + 1, x.size))
-    path[0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            k1 = a @ x + c
-            k2 = a @ (x + 0.5 * dt * k1) + c
-            k3 = a @ (x + 0.5 * dt * k2) + c
-            k4 = a @ (x + dt * k3) + c
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(x).all():
-                raise _non_finite(k + 1, dt)
-            path[k + 1] = x
+                raise NumericalError(f"state became non-finite at step {k} "
+                                     f"(t = {k * dt:.12g})")
+            path[k] = x
     return path
 
 

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from _reference import characteristic_polynomial
 from filtercool.analytics import (
     THREE_LAYER_THRESHOLD,
     TWO_LAYER_THRESHOLD,
@@ -26,7 +27,6 @@ from filtercool.moment_systems import (
     ProtocolKind,
     ProtocolParams,
     build_moment_system,
-    characteristic_polynomial,
     evolve,
     steady_state,
 )

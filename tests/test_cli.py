@@ -404,13 +404,41 @@ def test_unknown_protocol_in_config_exits_2(tmp_path, capsys):
 
 
 def test_config_value_outside_choices_names_key_and_choices(tmp_path, capsys):
-    # a file value passes the choices check a flag gets from argparse
+    # a file value and a flag get the same check, in _build_filter
     cfg = tmp_path / "f.json"
     cfg.write_text('{"filter": "xyz"}')
     assert main(["filter-response", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "option 'filter': 'xyz' is not one of lowpass, bandpass, kernel" in err
     assert "kernel-coeffs" not in err
+
+
+@pytest.mark.parametrize("command, values, message", [
+    pytest.param("steady-state", {"protocol": "lowpass1", "gamma": True},
+                 "'gamma': no option takes a boolean, got True", id="float"),
+    pytest.param("evolve", {"protocol": "lowpass1", "gamma": 2.0, "steps": True},
+                 "'steps': no option takes a boolean, got True", id="int"),
+    pytest.param("filter-response", {"filter": "lowpass", "gammas": [1.0, True]},
+                 "'gammas': no option takes a boolean, got [1.0, True]", id="list-item"),
+])
+def test_config_boolean_exits_2_naming_the_option(command, values, message, tmp_path, capsys):
+    # float(True) is 1.0 and int(True) is 1: a boolean would run as the number 1
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(values))
+    assert main([command, "--config", str(cfg), "--output", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"filtercool: error: option {message}"]
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("output", [5, True])
+def test_config_output_that_is_not_text_exits_2(output, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"protocol": "lowpass1", "gamma": 2.0, "output": output}))
+    assert main(["steady-state", "--config", str(cfg)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("filtercool: error: option 'output': ")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_trajectory_zero_steps_names_the_field(capsys):
@@ -504,6 +532,33 @@ def test_config_file_equals_flags(tmp_path_factory, case, split):
     pytest.param(["phase-diagram", "--protocols", "lowpass9", "--output", "{out}"], 2,
                  "filtercool: error: option 'protocols': 'lowpass9' is not a valid ProtocolKind",
                  id="unknown-protocol"),
+    # a flag outside an option's values gets the same one line as a file value
+    pytest.param(["steady-state", "--protocol", "lowpass9", "--gamma", "1"], 2,
+                 "filtercool: error: option 'protocol': 'lowpass9' is not a valid ProtocolKind",
+                 id="unknown-protocol-flag"),
+    pytest.param(["filter-response", "--filter", "xyz"], 2,
+                 "filtercool: error: option 'filter': 'xyz' is not one of lowpass, bandpass, "
+                 "kernel", id="unknown-filter-flag"),
+    pytest.param(["steady-state", "--config", "{array}"], 2,
+                 "filtercool: error: {array}: expected a flat JSON object", id="config-array"),
+    pytest.param(["filter-response", "--filter", "bandpass", "--gamma", "1"], 2,
+                 "filtercool: error: bandpass filter needs --gamma and --Omega",
+                 id="bandpass-without-Omega"),
+    pytest.param(["filter-response", "--filter", "kernel", "--kernel-coeffs", "1"], 2,
+                 "filtercool: error: kernel filter needs --kernel-coeffs and --kernel-init",
+                 id="kernel-without-init"),
+    pytest.param(["filter-response", "--filter", "lowpass", "--gammas", "1", "--t-max", "0"],
+                 2, "filtercool: error: t-max must be positive and points at least 2",
+                 id="t-max-zero"),
+    pytest.param(["filter-response", "--filter", "lowpass", "--gammas", "1", "--points", "1"],
+                 2, "filtercool: error: t-max must be positive and points at least 2",
+                 id="one-point"),
+    pytest.param(["evolve", "--protocol", "lowpass1", "--gamma", "1", "--steps", "10",
+                  "--stride", "3"], 2,
+                 "filtercool: error: stride must be positive and divide steps",
+                 id="stride-not-dividing-steps"),
+    pytest.param(["phase-diagram", "--protocols", "", "--output", "{out}"], 2,
+                 "filtercool: error: need at least one protocol", id="no-protocols"),
     # valid input whose moment system overflows float64
     pytest.param(["steady-state", "--protocol", "lowpass1", "--gamma", "1e200"], 3,
                  "filtercool: numerical failure: lowpass1 moment system overflows at "
@@ -536,9 +591,11 @@ def test_exit_code_contract(args, code, message, tmp_path, capsys):
     not_utf8.write_bytes(b'{"protocol": "lowpass1", "gamma": 2.0, "note": "\xe9"}')
     huge_steps = tmp_path / "steps.json"
     huge_steps.write_text('{"protocol": "lowpass1", "gamma": 2.0, "steps": 1e400}')
-    argv = [a.format(not_utf8=not_utf8, huge_steps=huge_steps, out=tmp_path / "out.csv")
-            for a in args]
-    message = message and message.format(not_utf8=not_utf8)
+    array = tmp_path / "array.json"
+    array.write_text('["protocol", "lowpass1"]')
+    argv = [a.format(not_utf8=not_utf8, huge_steps=huge_steps, array=array,
+                     out=tmp_path / "out.csv") for a in args]
+    message = message and message.format(not_utf8=not_utf8, array=array)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # nothing but the one line reaches the user
         assert main(argv) == code

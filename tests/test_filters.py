@@ -14,7 +14,7 @@ from filtercool.filters import (
     stationary_statistics,
     transfer_function,
 )
-from filtercool.numerics import SingularMatrixError, UnstableSystemError
+from filtercool.numerics import NumericalError, SingularMatrixError, UnstableSystemError
 
 
 class TestLowpassCascade:
@@ -103,6 +103,16 @@ class TestImpulseResponse:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             impulse_response(lowpass_cascade((1.0,)), -0.1)
+
+    def test_overflow_raises_like_filter_response(self):
+        # h(t) = exp(t) is finite at t = 500 and overflows at t = 1000
+        m = kernel_filter(KernelSpec((-1.0,), (1.0,)))
+        assert impulse_response(m, 500.0)[0] == pytest.approx(np.exp(500.0), rel=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match=r"^state became non-finite at step 1 \(t = 1000\)$"):
+                impulse_response(m, 1000.0)
 
     def test_cascade_composition_matches_convolution(self):
         # component k response equals the k-fold convolution of the stage

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_continuous_lyapunov
 
+from _reference import characteristic_polynomial, integrate_affine
 from filtercool.analytics import (
     NOT_APPLICABLE,
     energy_1layer,
@@ -21,12 +22,11 @@ from filtercool.moment_systems import (
     build_single_layer,
     build_three_layer,
     build_two_layer,
-    characteristic_polynomial,
     evolve,
     filter_drift,
     steady_state,
 )
-from filtercool.numerics import NumericalError, SingularMatrixError, integrate_affine
+from filtercool.numerics import NumericalError, SingularMatrixError
 from filtercool.trajectory import oscillator_cooling_model
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _reference import integrate_affine
 from filtercool.moment_systems import ProtocolKind, ProtocolParams, build_two_layer
 from filtercool.numerics import (
     NoiseStream,
@@ -8,7 +9,6 @@ from filtercool.numerics import (
     SingularMatrixError,
     eigenvalues,
     hurwitz_test,
-    integrate_affine,
     mat_exp,
     propagate_affine,
     solve_linear,

@@ -896,3 +896,57 @@ class TestClassicalEngine:
         with pytest.raises(TrajectoryError,
                            match=r"trajectory [01] became non-finite at step \d+"):
             run_ensemble(model, cfg)
+
+
+def _trap_model(ops, filter_model, tap=0):
+    osc = build_truncated_oscillator(4, 1.0)
+    return SystemModel(osc.H0, tuple(getattr(osc, o) for o in ops), 1.0, filter_model,
+                       ShiftedTrapFeedback(osc, tap))
+
+
+def _step(model=None, dt=1e-3, noise=(0.0, 0.0)):
+    model = model or _trap_model("xp", lowpass_cascade((1.0,)))
+    return step(QuantumState.ground_state(4), np.zeros((2, 1)), model, dt, np.array(noise))
+
+
+def _run(**start):
+    cfg = TrajectoryConfig(dt=1e-3, n_steps=1, n_traj=1, base_seed=0, **start)
+    return run_ensemble(_trap_model("xp", lowpass_cascade((1.0,))), cfg)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: _step(_trap_model("x", lowpass_cascade((1.0,))), noise=(0.0,)),
+                 r"trap-shift feedback needs the \(x, p\) channel pair", id="one-channel"),
+    pytest.param(lambda: _step(_trap_model("xp", None)),
+                 "trap-shift feedback needs a filter model", id="no-filter"),
+    pytest.param(lambda: _step(_trap_model("xp", lowpass_cascade((1.0,)), tap=1)),
+                 "tap index 1 out of range for 1-component filter", id="tap-out-of-range"),
+    pytest.param(lambda: _step(dt=0.0), "dt must be positive", id="step-dt"),
+    pytest.param(lambda: _step(noise=(0.0, 0.0, 0.0)),
+                 r"need one noise draw per channel, got shape \(3,\)", id="step-noise-shape"),
+    pytest.param(lambda: _run(initial_state=QuantumState.ground_state(3)),
+                 "initial state dimension does not match the model", id="start-dimension"),
+    pytest.param(lambda: _run(initial_signals=np.zeros((2, 2))),
+                 r"initial signals must have shape \(2, 1\), got \(2, 2\)",
+                 id="start-signal-shape"),
+    pytest.param(lambda: QuantumState(np.zeros((2, 3))),
+                 r"density matrix must be square, got \(2, 3\)", id="state-not-square"),
+    pytest.param(lambda: QuantumState(np.diag([np.nan, 1.0])),
+                 "density matrix has non-finite entries", id="state-non-finite"),
+    pytest.param(lambda: SystemModel(np.zeros((2, 3)), (), 0.0),
+                 "H0 must be square", id="H0-not-square"),
+    pytest.param(lambda: SystemModel(np.zeros((2, 2)), (np.eye(3),), 1.0),
+                 "all operators must share the Hilbert dimension", id="operator-dimension"),
+    pytest.param(lambda: SystemModel(np.zeros((2, 2)), (np.triu(np.ones((2, 2))),), 1.0),
+                 "operators must be Hermitian", id="operator-not-hermitian"),
+    pytest.param(lambda: build_truncated_oscillator(4, 0.0),
+                 "omega must be positive, got 0.0", id="oscillator-omega"),
+    pytest.param(lambda: _trap_model("xp", None, tap=-1),
+                 "tap index must be nonnegative", id="negative-tap"),
+    pytest.param(lambda: _trap_model("xp", None).feedback(np.zeros((3, 1))),
+                 r"expected signals with one row per \(x, p\) channel",
+                 id="feedback-signal-rows"),
+])
+def test_input_check_names_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
