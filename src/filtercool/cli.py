@@ -244,19 +244,20 @@ def _protocol_params(cfg: dict) -> ProtocolParams:
 
 def _build_filter(cfg: dict) -> FilterModel:
     kind = cfg["filter"]
-    if kind == "lowpass":
-        if not cfg["gammas"]:
-            raise ConfigError("lowpass filter needs --gammas")
-        return lowpass_cascade(cfg["gammas"])
-    if kind == "bandpass":
-        if cfg["gamma"] is None or cfg["Omega"] is None:
-            raise ConfigError("bandpass filter needs --gamma and --Omega")
-        return bandpass(cfg["gamma"], cfg["Omega"])
-    if kind == "kernel":
-        if not cfg["kernel_coeffs"] or not cfg["kernel_init"]:
-            raise ConfigError("kernel filter needs --kernel-coeffs and --kernel-init")
-        return kernel_filter(KernelSpec(cfg["kernel_coeffs"], cfg["kernel_init"]))
-    raise ConfigError(f"option 'filter': {kind!r} is not one of lowpass, bandpass, kernel")
+    kinds = {"lowpass": (("gammas",), lowpass_cascade),
+             "bandpass": (("gamma", "Omega"), bandpass),
+             "kernel": (("kernel-coeffs", "kernel-init"),
+                        lambda coeffs, init: kernel_filter(KernelSpec(coeffs, init)))}
+    if kind not in kinds:
+        raise ConfigError(f"option 'filter': {kind!r} is not one of lowpass, bandpass, kernel")
+    names, build = kinds[kind]
+    for name in ("gammas", "gamma", "Omega", "kernel-coeffs", "kernel-init"):
+        if name not in names and cfg[name.replace("-", "_")] is not None:
+            raise ConfigError(f"option '{name}' does not apply to --filter {kind}")
+    values = [cfg[name.replace("-", "_")] for name in names]
+    if any(v is None or v == () for v in values):
+        raise ConfigError(f"{kind} filter needs " + " and ".join(f"--{n}" for n in names))
+    return build(*values)
 
 
 def _cmd_filter_response(cfg: dict) -> None:

@@ -155,7 +155,9 @@ def impulse_response(model: FilterModel, t: float) -> np.ndarray:
 
     Equals exp(M t) @ b, the solution of dh/dt = M h from h(0) = b, taken
     in one exact step of ``propagate_affine``; at t = 0 this is b itself.
-    Raises ``NumericalError`` if the response overflows at t.
+    Raises ``NumericalError`` if the response overflows at t, and also at a
+    t so large that ``numerics.mat_exp`` returns NaN (t = 1e38 for the
+    (2, 3) cascade), where the exact response is 0.
     """
     if t < 0:
         raise ValueError("impulse response is causal; t must be nonnegative")

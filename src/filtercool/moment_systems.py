@@ -73,6 +73,8 @@ class ProtocolParams:
     kind: ProtocolKind = ProtocolKind.LOWPASS1
 
     def __post_init__(self):
+        if not isinstance(self.kind, ProtocolKind):
+            raise ValueError(f"kind must be a ProtocolKind, got {self.kind!r}")
         if self.kind is ProtocolKind.LOWPASS1 and self.Omega is not None:
             raise ValueError("lowpass1 has a single bandwidth; Omega does not apply")
         for name in ("lam", "omega", "gamma"):

@@ -71,7 +71,10 @@ def mat_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     """Matrix exponential exp(a*t) for a square real (or complex) matrix.
 
     Uses scaling-and-squaring with a Pade core, accurate to ~1e-12
-    entrywise relative error at the sizes used here.
+    entrywise relative error at the sizes used here.  scipy's ``expm``
+    returns NaN once ||a t|| is huge, even where the exact result is 0: for
+    the (2, 3) low-pass cascade it gives exactly 0 at t = 1e37 and NaN from
+    t = 1e38 (scipy 1.17).
     """
     a = require_square(a, "exponent")
     require_finite(a, "exponent")

@@ -105,7 +105,7 @@ class GridSpec:
 
     Axis values must be positive, finite and strictly increasing; they are
     the actual gamma and Omega values evaluated (use :meth:`log_spaced` for
-    the usual geometric grids).  Each protocol may appear once.
+    the usual geometric grids).  Each ``ProtocolKind`` may appear once.
     """
 
     gamma_values: np.ndarray
@@ -128,6 +128,9 @@ class GridSpec:
         self.protocols = tuple(self.protocols)
         if not self.protocols:
             raise ValueError("need at least one protocol")
+        for kind in self.protocols:
+            if not isinstance(kind, ProtocolKind):
+                raise ValueError(f"protocols must be ProtocolKind members, got {kind!r}")
         if len(set(self.protocols)) != len(self.protocols):
             raise ValueError("protocols must not repeat, got "
                              + ",".join(k.value for k in self.protocols))

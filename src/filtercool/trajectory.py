@@ -51,11 +51,12 @@ for mixed input; :func:`step` uses it, and it is the reference the SSE path
 is tested against.  Both quantum engines are one class, :class:`_Engine`;
 the kind of the batch (state vectors or density matrices) picks the kernel.
 
-Feedback enters by recomputing the Hamiltonian from the current signals at
-every step.  The cooling protocols recentre the trap on one filter
-component, with filter and tap read from ``moment_systems.ProtocolParams``;
-the engine exploits the linearity of that shift in x and p so whole
-ensembles can be stepped as one batched array operation.
+Feedback is a Hamiltonian H(G) of the current signals.  The cooling
+protocols recentre the trap on one filter component (filter and tap from
+``moment_systems.ProtocolParams``), linear in x and p, so whole ensembles
+step as one batched array operation.  A generic rule (any callable) runs
+once per state, n_traj * (n_steps + 1) times a run: the moments of a state
+carry <H(G)> to its record and H(G) to the step from it.
 
 Ensembles are reproducible by construction: trajectory i draws its noise
 from ``NoiseStream(base_seed, i)`` and statistics are reduced in trajectory
@@ -333,7 +334,7 @@ class TrajectoryConfig:
     chunk_size * (NOISE_BLOCK * ch + (NOISE_BLOCK // record_stride + 1) * q)
     doubles with q = 1 + ch + ch * m record columns, plus 4 * n_rec * q
     doubles of per-slot sums; nothing grows with ``n_traj``.  Counts and
-    the seed must be integers, and ``dt`` and ``initial_signals`` finite.
+    the seed must be integers (not bools), ``dt`` and ``initial_signals`` finite.
     """
 
     dt: float
@@ -350,7 +351,7 @@ class TrajectoryConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         for name in ("base_seed", "n_steps", "n_traj", "record_stride", "chunk_size"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if name != "base_seed" and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
@@ -397,14 +398,16 @@ class _Engine:
     The interface :func:`run_ensemble` drives is :meth:`start`,
     :meth:`_moments`, :meth:`advance`, :meth:`energies`, :meth:`op_means`
     and :meth:`edge_populations`; :class:`_ClassicalEngine` implements it
-    for d = 1.
+    for d = 1.  :meth:`_moments` is the one evaluation per state, read by
+    its record and the next step; the feedback rule is ``trap`` (the
+    :class:`ShiftedTrapFeedback`) or ``fb`` (a generic rule).
 
     ``blocks`` is the operator stack B_j = [H0, A_1..A_ch, S = sum_k A_k^2],
     plus x, p only when they are not the measured pair: 4 blocks for the
-    cooling protocols.  The state-vector path applies them stacked as one
-    CSR array, :attr:`Wt`, so the products cost O(nnz) per trajectory.
-    Steps and records read the same :meth:`_moments`.  A state-vector step
-    then makes one coefficient product per trajectory,
+    cooling protocols.  Both kernels read H0, the A_k and the trap's x, p
+    from it.  The state-vector path applies the blocks stacked as one CSR
+    array, :attr:`Wt`, so the products cost O(nnz) per trajectory.  A
+    state-vector step then makes one coefficient product per trajectory,
     sum_j c_j B_j psi + c0 psi: each step builds the columns of c, -i dt on
     H0, -lam dt / 2 on S, kick_k on A_k and +i dt w g on the trap's x, p
     blocks (see :meth:`_advance_psi`).  The engine keeps no per-run state.
@@ -414,18 +417,17 @@ class _Engine:
         self.d = model.dim
         self.n_ch = model.n_channels
         self.m = model.n_signal_components
-        self.ops = model.measured_ops
-        self.ops_sq = tuple(A @ A for A in self.ops)
-        self.H0 = model.H0
+        ops = model.measured_ops
+        self.ops_sq = tuple(A @ A for A in ops)
         self.lam = model.lam
         self.sqrt_lam = np.sqrt(model.lam) if self.n_ch else 0.0
         self.noise_gain = 1.0 / np.sqrt(4.0 * model.lam) if self.n_ch else 0.0
         self.M_T = model.filter_model.M.T.copy() if self.m else None
         self.b = model.filter_model.b if self.m else None
         fb = model.feedback
-        if fb is None:
-            self.mode = "free"
-        elif isinstance(fb, ShiftedTrapFeedback):
+        self.trap = fb if isinstance(fb, ShiftedTrapFeedback) else None
+        self.fb = None if self.trap else fb
+        if self.trap is not None:
             if self.n_ch != 2:
                 raise ValueError("trap-shift feedback needs the (x, p) channel pair")
             if self.m == 0:
@@ -436,19 +438,13 @@ class _Engine:
             if fb.oscillator.dim != self.d:
                 raise ValueError("trap-shift feedback oscillator must have the "
                                  "model's dimension")
-            self.mode = "trap"
-            self.osc = fb.oscillator
-            self.tap = fb.tap_index
-        else:
-            self.mode = "generic"
-            self.fb = fb
-        blocks = [self.H0, *self.ops] + ([sum(self.ops_sq)] if self.n_ch else [])
+        blocks = [model.H0, *ops] + ([sum(self.ops_sq)] if self.n_ch else [])
         # <B> is taken of the first n_ev blocks: H0 and the A_k, and all of
         # them when x and p need blocks of their own after S.
         self.n_ev = 1 + self.n_ch
-        if self.mode == "trap":
-            xp = (self.osc.x, self.osc.p)
-            if not all(np.array_equal(A, B) for A, B in zip(self.ops, xp)):
+        if self.trap is not None:
+            xp = (fb.oscillator.x, fb.oscillator.p)
+            if not all(np.array_equal(A, B) for A, B in zip(ops, xp)):
                 blocks += xp
                 self.n_ev = len(blocks)
             self.xp = slice(self.n_ev - 2, self.n_ev)
@@ -468,13 +464,19 @@ class _Engine:
         density matrix."""
         return np.broadcast_to(state0, (n,) + state0.shape).copy()
 
-    def _moments(self, state: np.ndarray):
-        """(prod, ev) of a batch, which :meth:`energies` and :meth:`op_means`
-        take as ``mom``: ev[:, j] = <B_j> for the first ``n_ev`` blocks, and
-        for state vectors prod[:, j] = B_j psi for every block."""
+    def _moments(self, state: np.ndarray, G: np.ndarray):
+        """(prod, ev, HG) of a batch with signals G, the ``mom`` the other
+        methods take: ev[:, j] = <B_j> for the first ``n_ev`` blocks, with
+        <H(G)> in ev[:, 0] under a generic rule; for state vectors
+        prod[:, j] = B_j psi.  HG is a generic rule's H(G) psi, or H(G) for
+        density matrices, else None."""
+        HG = None if self.fb is None else self._feedback_hamiltonians(G)
         if state.ndim == 3:
-            return None, np.stack([np.einsum('nij,ji->n', state, A).real
-                                   for A in self.blocks[:self.n_ev]], axis=1)
+            ev = np.stack([np.einsum('nij,ji->n', state, A).real
+                           for A in self.blocks[:self.n_ev]], axis=1)
+            if HG is not None:
+                ev[:, 0] = np.einsum('nij,nji->n', HG, state).real
+            return None, ev, HG
         # A CSR product adds each output row's stored terms in one order, so
         # a trajectory's arithmetic is the same for any batch size.  It comes
         # back trajectory-minor; the copy gives every trajectory a contiguous
@@ -483,26 +485,26 @@ class _Engine:
         prod = np.ascontiguousarray((self.Wt @ state.T).T).reshape(
             len(state), -1, self.d)
         ev = (prod[:, :self.n_ev] @ state.conj()[:, :, None])[:, :, 0].real
-        return prod, ev
+        if HG is not None:
+            HG = (HG @ state[:, :, None])[:, :, 0]
+            ev[:, 0] = (state.conj() * HG).sum(axis=1).real
+        return prod, ev, HG
 
     def op_means(self, mom) -> np.ndarray:
         """Conditional <A_k> of a batch from its :meth:`_moments`, shape
         (n, channels)."""
         return mom[1][:, 1:1 + self.n_ch]
 
-    def _commutator(self, rho: np.ndarray, G: np.ndarray) -> np.ndarray:
-        if self.mode == "trap":
-            # H(G) = H0 - w(gx x + gp p) + const; the constant drops out.
-            w = self.osc.omega
-            gx = (w * G[:, 0, self.tap])[:, None, None]
-            gp = (w * G[:, 1, self.tap])[:, None, None]
-            return (self.H0 @ rho - rho @ self.H0
-                    - gx * (self.osc.x @ rho - rho @ self.osc.x)
-                    - gp * (self.osc.p @ rho - rho @ self.osc.p))
-        if self.mode == "generic":
-            H = self._feedback_hamiltonians(G)
-            return H @ rho - rho @ H
-        return self.H0 @ rho - rho @ self.H0
+    def energies(self, G: np.ndarray, mom) -> np.ndarray:
+        """<H(G)> of a batch with signals G and moments ``mom``: the trap
+        shift's expansion about <H0>, and ev[:, 0] otherwise (<H0> without
+        feedback, <H(G)> under a generic rule)."""
+        ev = mom[1]
+        if self.trap is None:
+            return ev[:, 0]
+        w, g = self.trap.oscillator.omega, G[:, :, self.trap.tap_index]
+        return (ev[:, 0] - w * (g * ev[:, self.xp]).sum(axis=1)
+                + 0.5 * w * (g**2).sum(axis=1))
 
     def _feedback_hamiltonians(self, G: np.ndarray) -> np.ndarray:
         return np.stack([np.asarray(self.fb(Gi), dtype=complex) for Gi in G])
@@ -518,7 +520,7 @@ class _Engine:
         """One Euler-Maruyama step of a batch on standard-normal draws xi:
         the SSE for state vectors, the SME for density matrices.  Returns
         (state, G)."""
-        return self.advance(state, G, xi * np.sqrt(dt), dt, self._moments(state))
+        return self.advance(state, G, xi * np.sqrt(dt), dt, self._moments(state, G))
 
     def advance(self, state, G, dW, dt, mom):
         """:meth:`step` on Wiener increments dW and the batch's moments."""
@@ -527,10 +529,18 @@ class _Engine:
 
     def _advance_rho(self, rho, G, dW, dt, mom):
         """SME :meth:`step` on Wiener increments dW and rho's moments."""
-        a = self.op_means(mom)
-        drho = (-1j * dt) * self._commutator(rho, G)
+        _, ev, H = mom
+        a = ev[:, 1:1 + self.n_ch]
+        H = self.blocks[0] if H is None else H
+        comm = H @ rho - rho @ H
+        if self.trap is not None:
+            # H(G) = H0 - w(gx x + gp p) + const; the constant drops out.
+            w, g = self.trap.oscillator.omega, G[:, :, self.trap.tap_index]
+            for g_k, B in zip(g.T, self.blocks[self.xp]):
+                comm = comm - (w * g_k)[:, None, None] * (B @ rho - rho @ B)
+        drho = (-1j * dt) * comm
         for k in range(self.n_ch):
-            A, A2 = self.ops[k], self.ops_sq[k]
+            A, A2 = self.blocks[1 + k], self.ops_sq[k]
             Ar = A @ rho
             rA = rho @ A
             drho += (self.lam * dt) * (Ar @ A - 0.5 * (A2 @ rho + rho @ A2))
@@ -551,30 +561,26 @@ class _Engine:
         c0 = i dt <H> - sum_k (kick_k - (lam dt / 2) a_k) a_k.  The trap's
         H(G) = H0 - w (g_x x + g_p p) + const adds +i dt w g on the x, p
         blocks; the constant drops out.  A generic rule puts 0 on H0 and
-        adds its dense -i dt H(G) psi apart.
+        adds the moments' -i dt H(G) psi apart.
         """
         ch = self.n_ch
-        prod, ev = mom
+        prod, ev, Hpsi = mom
         a = ev[:, 1:1 + ch]
         c = np.zeros((len(psi), len(self.blocks)), dtype=complex)
-        if self.mode == "generic":
-            Hpsi = (self._feedback_hamiltonians(G) @ psi[:, :, None])[:, :, 0]
-            eH = (psi.conj() * Hpsi).sum(axis=1).real
-        else:
+        if Hpsi is None:
             c[:, 0] = -1j * dt
-            eH = ev[:, 0]
-        c0 = (1j * dt) * eH
+        c0 = (1j * dt) * ev[:, 0]
         if ch:
             kick = self.sqrt_lam * dW + (self.lam * dt) * a
             c[:, 1:1 + ch] = kick
             c[:, 1 + ch] = -0.5 * self.lam * dt
             c0 += (((0.5 * self.lam * dt) * a - kick) * a).sum(axis=1)
-        if self.mode == "trap":
-            shift = (1j * dt * self.osc.omega) * G[:, :, self.tap]
+        if self.trap is not None:
+            shift = (1j * dt * self.trap.oscillator.omega) * G[:, :, self.trap.tap_index]
             c0 -= (shift * ev[:, self.xp]).sum(axis=1)
             c[:, self.xp] += shift  # onto the kicks when x, p are A_1, A_2
         dpsi = (c[:, None, :] @ prod)[:, 0]
-        if self.mode == "generic":
+        if Hpsi is not None:
             dpsi += (-1j * dt) * Hpsi
         psi = psi + (dpsi + c0[:, None] * psi)
         v = psi.view(float)
@@ -592,22 +598,6 @@ class _Engine:
             return (edge.real**2 + edge.imag**2).sum(axis=1)
         return np.einsum('nii->ni', state[:, -2:, -2:]).real.sum(axis=1)
 
-    def energies(self, state: np.ndarray, G: np.ndarray, mom) -> np.ndarray:
-        """<H(G)> of a batch with moments ``mom`` (H0 when there is no
-        feedback)."""
-        if self.mode == "generic":
-            H = self._feedback_hamiltonians(G)
-            if state.ndim == 2:
-                Hpsi = (H @ state[:, :, None])[:, :, 0]
-                return (state.conj() * Hpsi).sum(axis=1).real
-            return np.einsum('nij,nji->n', H, state).real
-        ev = mom[1]
-        if self.mode == "trap":
-            w, g = self.osc.omega, G[:, :, self.tap]
-            return (ev[:, 0] - w * (g * ev[:, self.xp]).sum(axis=1)
-                    + 0.5 * w * (g**2).sum(axis=1))
-        return ev[:, 0]
-
 
 class _ClassicalEngine(_Engine):
     """The engine of a one-dimensional model (d = 1).
@@ -619,23 +609,17 @@ class _ClassicalEngine(_Engine):
     never built.  Under a generic feedback rule the energy is H(G)[0, 0].
     """
 
-    def __init__(self, model: SystemModel):
-        super().__init__(model)
-        self.ev = np.array([B[0, 0].real for B in (self.H0, *self.ops)])
-
     def start(self, state0, n):
-        return np.tile(self.ev, (n, 1))
+        return np.tile([B[0, 0].real for B in self.blocks[:self.n_ev]], (n, 1))
 
-    def _moments(self, state):
-        return None, state
+    def _moments(self, state, G):
+        if self.fb is not None:
+            state = state.copy()
+            state[:, 0] = self._feedback_hamiltonians(G)[:, 0, 0].real
+        return None, state, None
 
     def advance(self, state, G, dW, dt, mom):
         return state, self._filter_step(G, self.op_means(mom), dW, dt)
-
-    def energies(self, state, G, mom):
-        if self.mode == "generic":
-            return self._feedback_hamiltonians(G)[:, 0, 0].real
-        return state[:, 0]
 
 
 def step(state: QuantumState, signals: np.ndarray, model: SystemModel,
@@ -684,10 +668,10 @@ def _initial_state(model: SystemModel, config: TrajectoryConfig):
         state = config.initial_state
         if state.dim != model.dim:
             raise ValueError("initial state dimension does not match the model")
+        evals, evecs = np.linalg.eigh(state.rho)
+        state0 = evecs[:, -1] if evals[-1] > 1.0 - _PURE_TOL else state.rho
     else:
-        state = QuantumState.ground_state_of(model.H0)
-    evals, evecs = np.linalg.eigh(state.rho)
-    state0 = evecs[:, -1] if evals[-1] > 1.0 - _PURE_TOL else state.rho
+        state0 = np.linalg.eigh(model.H0)[1][:, 0]
     shape = (model.n_channels, model.n_signal_components)
     if config.initial_signals is not None:
         G0 = np.asarray(config.initial_signals, dtype=float)
@@ -786,7 +770,7 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
         lo = 0  # first slot held in the window
 
         def record(row, state, G, mom):
-            row[:, 0] = engine.energies(state, G, mom)
+            row[:, 0] = engine.energies(G, mom)
             row[:, 1:1 + ch] = engine.op_means(mom)
             row[:, 1 + ch:] = G.reshape(n, -1)
             pops = engine.edge_populations(state)
@@ -794,7 +778,7 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
                 np.maximum(edge, pops, out=edge)
 
         # The moments of each state serve its record and the next step.
-        mom = engine._moments(state)
+        mom = engine._moments(state, G)
         record(win[:, 0], state, G, mom)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for first in range(0, config.n_steps, NOISE_BLOCK):
@@ -815,7 +799,7 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
                             bad = int(np.nonzero(~ok.all(axis=1))[0][0]) + start
                             raise TrajectoryError(
                                 f"trajectory {bad} became non-finite at step {s}")
-                    mom = engine._moments(state)
+                    mom = engine._moments(state, G)
                     if s % stride == 0:
                         record(win[:, s // stride - lo], state, G, mom)
                 hi = (first + rows) // stride + 1

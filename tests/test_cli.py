@@ -547,6 +547,19 @@ def test_config_file_equals_flags(tmp_path_factory, case, split):
     pytest.param(["filter-response", "--filter", "kernel", "--kernel-coeffs", "1"], 2,
                  "filtercool: error: kernel filter needs --kernel-coeffs and --kernel-init",
                  id="kernel-without-init"),
+    # an option of another filter kind is refused, not ignored
+    pytest.param(["filter-response", "--filter", "lowpass", "--gammas", "1", "--gamma", "5",
+                  "--Omega", "3", "--kernel-coeffs", "1"], 2,
+                 "filtercool: error: option 'gamma' does not apply to --filter lowpass",
+                 id="lowpass-with-gamma"),
+    pytest.param(["filter-response", "--filter", "bandpass", "--gamma", "1", "--Omega", "2",
+                  "--gammas", "1"], 2,
+                 "filtercool: error: option 'gammas' does not apply to --filter bandpass",
+                 id="bandpass-with-gammas"),
+    pytest.param(["filter-response", "--filter", "kernel", "--kernel-coeffs", "1",
+                  "--kernel-init", "1", "--Omega", "2"], 2,
+                 "filtercool: error: option 'Omega' does not apply to --filter kernel",
+                 id="kernel-with-Omega"),
     pytest.param(["filter-response", "--filter", "lowpass", "--gammas", "1", "--t-max", "0"],
                  2, "filtercool: error: t-max must be positive and points at least 2",
                  id="t-max-zero"),

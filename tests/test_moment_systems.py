@@ -57,6 +57,13 @@ class TestProtocolParams:
                                              "Omega does not apply"):
             params(ProtocolKind.LOWPASS1, gamma=2.0, Omega=3.0)
 
+    def test_kind_name_rejected(self):
+        # a name is refused, not converted: filter_model() and the builders
+        # would fail on it late
+        with pytest.raises(ValueError, match="^kind must be a ProtocolKind, "
+                                             "got 'lowpass2'$"):
+            ProtocolParams(1.0, 1.0, 2.0, 2.0, "lowpass2")
+
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_two_layer(params(ProtocolKind.LOWPASS1, gamma=1.0))

@@ -1,8 +1,9 @@
-"""Package-level checks: the README's library example and the lazy import
-of ``scipy.sparse``."""
+"""Package-level checks: the README's library example and command lines,
+and the lazy import of ``scipy.sparse``."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,21 @@ def test_readme_library_example_runs_as_written():
     # the moment system and the closed form, as the comments say
     assert lines[:2] == ["0.78125", "0.78125"]
     assert len(lines) == 3 and "+-" in lines[2]
+
+
+def test_readme_command_lines_run_clean(tmp_path):
+    # every filtercool line of the command block, continuations joined, in a
+    # scratch directory: each exits 0 and none is truncation limited
+    text = README.read_text().replace("\\\n", " ")
+    lines = re.findall(r"^filtercool (.*)$", text, re.M)
+    assert len(lines) == 6
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for line in lines:
+        done = subprocess.run([sys.executable, "-m", "filtercool.cli", *shlex.split(line)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, (line, done.stderr)
+        assert "truncation" not in done.stderr, (line, done.stderr)
 
 
 _SPARSE_PROBE = """

@@ -84,6 +84,12 @@ class TestGridSpec:
                      protocols=(ProtocolKind.LOWPASS2, ProtocolKind.BANDPASS,
                                 ProtocolKind.LOWPASS2))
 
+    def test_protocol_name_rejected(self):
+        # a name is refused, not converted: the sweep would fail on it late
+        with pytest.raises(ValueError, match="^protocols must be ProtocolKind members, "
+                                             "got 'lowpass2'$"):
+            GridSpec(np.array([1.0]), np.array([1.0]), protocols=("lowpass2",))
+
     @pytest.mark.parametrize("gamma_range, Omega_range", [
         ((-1.0, 10.0), (1.0, 10.0)),
         ((0.0, 10.0), (1.0, 10.0)),

@@ -502,7 +502,7 @@ class TestSparseStack:
         rng = np.random.default_rng(23)
         engine = trajectory._Engine(TestStepKernel._model(kind, d, rng))
         psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        prod, _ = engine._moments(psi)
+        prod, _, _ = engine._moments(psi, np.zeros((n, 2, 2)))
         W = np.concatenate(engine.blocks).T
         dense = (psi @ W).reshape(n, -1, d)
         bound = (np.abs(psi) @ np.abs(W)).reshape(n, -1, d)
@@ -583,6 +583,64 @@ class TestSparseStack:
         assert "Wt" in vars(engines[-1])
 
 
+def _generic_models():
+    """A generic rule that recentres the trap as ShiftedTrapFeedback does,
+    on the state-vector (lowpass2, d = 7), density-matrix (mixed start,
+    d = 10) and classical (d = 1) engines, each with its config.  Every
+    model counts its rule's calls in ``calls``."""
+    calls = []
+    p = ProtocolParams(1.0, 1.0, 1.5, 3.0, ProtocolKind.LOWPASS2)
+    cfg = TrajectoryConfig(dt=1e-3, n_steps=40, n_traj=4, base_seed=6,
+                           record_stride=10)
+    runs = {}
+    for label, d in (("psi", 7), ("rho", 10)):
+        fast = oscillator_cooling_model(p, d)
+        trap = ShiftedTrapFeedback(build_truncated_oscillator(d, 1.0), 1)
+
+        def rule(G, trap=trap):
+            calls.append(1)
+            return trap(G)
+
+        model = SystemModel(fast.H0, fast.measured_ops, p.lam, fast.filter_model, rule)
+        runs[label] = (model, cfg)
+    rho = np.zeros((10, 10), dtype=complex)
+    rho[0, 0], rho[1, 1] = 0.6, 0.4
+    runs["rho"] = (runs["rho"][0],
+                   dataclasses.replace(cfg, initial_state=QuantumState(rho)))
+
+    def single_entry(G):
+        calls.append(1)
+        return np.array([[0.5 + G[0, 0]**2 - 0.25 * G[0, 1]]])
+
+    runs["classical"] = (SystemModel(np.array([[0.5]]), (np.array([[0.2]]),), 1.0,
+                                     lowpass_cascade((1.0, 1.5)), single_entry), cfg)
+    return runs, calls
+
+
+class TestGenericRule:
+    """A generic feedback rule: its records are pinned, and it is
+    evaluated once per state."""
+
+    @pytest.mark.parametrize("label, digest", [
+        ("psi", "7431b8c47d432dc2f612fcf6cc46f344d0b0db15ba92f2a986dc7370546079c7"),
+        ("rho", "feca76a9c8f317ec986139f672a6409cca21631001cf2b4f0ddc2d248659f607"),
+    ])
+    def test_record_is_pinned(self, label, digest):
+        # taken before the engine evaluated the rule once per state
+        runs, _ = _generic_models()
+        assert _record_digest(run_ensemble(*runs[label])) == digest
+
+    @pytest.mark.parametrize("label", ["psi", "rho", "classical"])
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_rule_runs_once_per_state(self, label, stride):
+        # each trajectory's n_steps + 1 states serve the record and the
+        # next step from one evaluation: 164 calls for 4 x 40 at any stride
+        runs, calls = _generic_models()
+        model, cfg = runs[label]
+        run_ensemble(model, dataclasses.replace(cfg, record_stride=stride))
+        assert len(calls) == cfg.n_traj * (cfg.n_steps + 1) == 164
+
+
 def test_finite_signals_whose_sum_overflows_pass():
     # the per-step check sums the whole batch; a sum that overflows from
     # finite rows must fall back to the row check, not fail the run
@@ -629,6 +687,13 @@ class TestConfigInputs:
                                              "got 3 and 10"):
             self._config(record_stride=3)
 
+    @pytest.mark.parametrize("name", ["n_steps", "n_traj", "record_stride",
+                                      "chunk_size", "base_seed"])
+    def test_boolean_count_or_seed_rejected(self, name):
+        # a bool is an int to Python; as a count or seed it is a mistake
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
+            self._config(**{name: True})
+
     def test_numpy_integer_counts_accepted(self):
         cfg = self._config(n_steps=np.int64(10), chunk_size=np.int32(3))
         assert cfg.n_steps == 10 and cfg.chunk_size == 3
@@ -657,8 +722,8 @@ def _full_record_reference(model, cfg):
         if s:
             state, G = engine.step(state, G, xi[:, s - 1], cfg.dt)
         if s % stride == 0:
-            mom = engine._moments(state)
-            energy[:, s // stride] = engine.energies(state, G, mom)
+            mom = engine._moments(state, G)
+            energy[:, s // stride] = engine.energies(G, mom)
             opmeans[:, s // stride] = engine.op_means(mom)
             signals[:, s // stride] = G
 
