@@ -27,6 +27,7 @@ from .numerics import (
     as_real_matrix,
     propagate_affine,
     require_finite,
+    require_number,
     solve_linear,
 )
 
@@ -95,7 +96,7 @@ def lowpass_cascade(gammas) -> FilterModel:
     +gamma_k on the subdiagonal (k >= 2); only the first component is driven,
     b = (gamma_1, 0, ..., 0).
     """
-    gammas = tuple(float(g) for g in gammas)
+    gammas = tuple(float(require_number(g, f"gammas[{k}]")) for k, g in enumerate(gammas))
     if not gammas:
         raise ValueError("cascade needs at least one stage")
     if any(g <= 0 for g in gammas):
@@ -122,8 +123,8 @@ def bandpass(gamma: float, Omega: float) -> FilterModel:
     Omega = 0 is allowed and degenerates to a single low-pass stage plus an
     inert second component.
     """
-    gamma = float(gamma)
-    Omega = float(Omega)
+    gamma = float(require_number(gamma, "gamma"))
+    Omega = float(require_number(Omega, "Omega"))
     if gamma <= 0:
         raise ValueError("bandwidth gamma must be positive")
     if Omega < 0:
@@ -196,9 +197,9 @@ def stationary_statistics(model: FilterModel, lam: float,
         If M has an eigenvalue with nonnegative real part ("no stationary
         state").
     """
-    if not (np.isfinite(lam) and lam > 0):
+    if not (np.isfinite(require_number(lam, "lam")) and lam > 0):
         raise ValueError(f"measurement strength lam must be positive and finite, got {lam}")
-    if not np.isfinite(mean_A):
+    if not np.isfinite(require_number(mean_A, "mean_A")):
         raise ValueError(f"record mean mean_A must be finite, got {mean_A}")
     M, b = model.M, model.b
     n = model.n

@@ -31,7 +31,13 @@ from typing import Optional
 import numpy as np
 
 from .filters import FilterModel, bandpass, lowpass_cascade
-from .numerics import NumericalError, eigenvalues, propagate_affine, solve_linear
+from .numerics import (
+    NumericalError,
+    eigenvalues,
+    propagate_affine,
+    require_number,
+    solve_linear,
+)
 
 #: Relative slack used for the stability and physicality classifications.
 STABILITY_TOL = 1e-9
@@ -78,10 +84,11 @@ class ProtocolParams:
         if self.kind is ProtocolKind.LOWPASS1 and self.Omega is not None:
             raise ValueError("lowpass1 has a single bandwidth; Omega does not apply")
         for name in ("lam", "omega", "gamma"):
-            v = getattr(self, name)
+            v = require_number(getattr(self, name), name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         if self.kind is not ProtocolKind.LOWPASS1:
+            require_number(self.Omega, "Omega")
             if self.Omega is None or not (np.isfinite(self.Omega) and self.Omega > 0):
                 raise ValueError(f"{self.kind.value} requires Omega > 0, got {self.Omega}")
 

@@ -54,6 +54,14 @@ def require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def require_number(value, name: str):
+    """``value``, refused when it is a bool: Python takes True for 1, so a
+    bool given as a rate would run as one."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def require_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
     a = np.asarray(a)
     if not np.isfinite(a).all():

@@ -61,7 +61,7 @@ from .moment_systems import (
     filter_drift,
     steady_state,
 )
-from .numerics import NumericalError, hurwitz_test
+from .numerics import NumericalError, hurwitz_test, require_number
 
 ALL_PROTOCOLS = tuple(ProtocolKind)
 
@@ -122,7 +122,8 @@ class GridSpec:
                 raise ValueError(f"{name} axis is empty")
             if not (np.isfinite(ax) & (ax > 0)).all() or (np.diff(ax) <= 0).any():
                 raise ValueError(f"{name} axis must be positive, finite and strictly increasing")
-        if not all(np.isfinite(v) and v > 0 for v in (self.lam, self.omega)):
+        if not all(np.isfinite(require_number(v, name)) and v > 0
+                   for name, v in (("lam", self.lam), ("omega", self.omega))):
             raise ValueError(f"lam and omega must be positive and finite, "
                              f"got {self.lam}, {self.omega}")
         self.protocols = tuple(self.protocols)

@@ -12,15 +12,17 @@ increment per measurement channel:
 :func:`run_ensemble` is one driver for three engines.  The driver owns what
 every engine needs: chunking, the noise of trajectory i from
 ``NoiseStream(base_seed, i)`` drawn ``NOISE_BLOCK`` steps at a time, the
-record window and its streamed reduction, the per-step finiteness check
-and the truncation check.  An engine supplies the start batch, the moments
-of a batch, one step on a slice of the noise block and the record values
-(energy, <A_k> and, from d = 3 on, the top-two basis populations).  The
-engine is fixed by the model and the start state:
+record window and its streamed reduction, and the truncation check.  An
+engine supplies the start batch, the moments of a batch, the steps of one
+noise block (``run_block``, which checks finiteness and calls the driver's
+record at record steps) and the record values (energy, <A_k> and, from
+d = 3 on, the top-two basis populations).  The engine is fixed by the model
+and the start state:
 
 * d = 1, the classical engine: psi is a phase, so <H0> and the <A_k> are
   constants read once from the operators' single entries, and a step is
-  the filter recursion alone (``frozen_signal_model`` runs here);
+  the filter recursion alone (``frozen_signal_model`` runs here); it steps
+  a whole block per call, in place;
 * d > 1 from a pure start (the default ground state), the state-vector
   engine;
 * d > 1 from a mixed start, the density-matrix engine.
@@ -77,7 +79,7 @@ import numpy as np
 
 from .filters import FilterModel
 from .moment_systems import ProtocolParams
-from .numerics import NoiseStream, NumericalError
+from .numerics import NoiseStream, NumericalError, require_number
 
 #: Sum of the top two basis-state populations above which a run is flagged
 #: as truncation limited; it is sampled on the record grid.
@@ -182,7 +184,7 @@ def build_truncated_oscillator(n_fock: int, omega: float) -> TruncatedOscillator
     """
     if n_fock < 3:
         raise ValueError(f"need at least 3 basis states, got {n_fock}")
-    if not omega > 0:
+    if not require_number(omega, "omega") > 0:
         raise ValueError(f"omega must be positive, got {omega}")
     n = np.arange(n_fock - 1)
     a = np.zeros((n_fock, n_fock), dtype=complex)
@@ -265,6 +267,7 @@ class SystemModel:
                 raise ValueError("operators must be finite")
             if np.abs(A - A.conj().T).max() > _HERMITICITY_TOL:
                 raise ValueError("operators must be Hermitian")
+        require_number(self.lam, "lam")
         if ops and not self.lam > 0:
             raise ValueError("measurement strength lam must be positive")
         if not (self.lam >= 0 and np.isfinite(self.lam)):
@@ -315,7 +318,7 @@ def frozen_signal_model(filter_model: FilterModel, lam: float,
     filter recursion and records, with no quantum state to step.
     """
     H0 = np.zeros((1, 1), dtype=complex)
-    A = np.array([[mean_A]], dtype=complex)
+    A = np.array([[require_number(mean_A, "mean_A")]], dtype=complex)
     return SystemModel(H0, (A,), lam, filter_model, None)
 
 
@@ -333,7 +336,9 @@ class TrajectoryConfig:
     chunk's noise block and record window,
     chunk_size * (NOISE_BLOCK * ch + (NOISE_BLOCK // record_stride + 1) * q)
     doubles with q = 1 + ch + ch * m record columns, plus 4 * n_rec * q
-    doubles of per-slot sums; nothing grows with ``n_traj``.  Counts and
+    doubles of per-slot sums; nothing grows with ``n_traj``.  The classical
+    engine steps a whole block per call, in place: it adds two arrays of
+    the chunk's signals, nothing of the block's size.  Counts and
     the seed must be integers (not bools), ``dt`` and ``initial_signals`` finite.
     """
 
@@ -347,7 +352,7 @@ class TrajectoryConfig:
     chunk_size: int = 256
 
     def __post_init__(self):
-        if not (self.dt > 0 and np.isfinite(self.dt)):
+        if not (require_number(self.dt, "dt") > 0 and np.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         for name in ("base_seed", "n_steps", "n_traj", "record_stride", "chunk_size"):
             value = getattr(self, name)
@@ -396,9 +401,10 @@ class _Engine:
     shape (n, d, d); :meth:`advance`, :meth:`step` and the observables
     accept both, and the kind of the batch picks the SSE or the SME kernel.
     The interface :func:`run_ensemble` drives is :meth:`start`,
-    :meth:`_moments`, :meth:`advance`, :meth:`energies`, :meth:`op_means`
-    and :meth:`edge_populations`; :class:`_ClassicalEngine` implements it
-    for d = 1.  :meth:`_moments` is the one evaluation per state, read by
+    :meth:`_moments`, :meth:`run_block` (one :meth:`advance` per step of a
+    noise block), :meth:`energies`, :meth:`op_means` and
+    :meth:`edge_populations`; :class:`_ClassicalEngine` implements it for
+    d = 1.  :meth:`_moments` is the one evaluation per state, read by
     its record and the next step; the feedback rule is ``trap`` (the
     :class:`ShiftedTrapFeedback`) or ``fb`` (a generic rule).
 
@@ -527,6 +533,24 @@ class _Engine:
         advance = self._advance_psi if state.ndim == 2 else self._advance_rho
         return advance(state, G, dW, dt, mom)
 
+    def run_block(self, state, G, mom, dW, dt, first, stride, record, start):
+        """Steps first + 1 .. first + rows of a batch on one noise block.
+
+        dW holds the steps' Wiener increments, shape (n, rows, ch).  After
+        each step s the batch is checked (see :func:`_check_finite`; row i
+        is trajectory start + i), its moments are taken, and
+        ``record(s, state, G, mom)`` runs when ``stride`` divides s.
+        Returns (state, G, mom) after the last step.
+        """
+        for j in range(dW.shape[1]):
+            s = first + j + 1  # steps taken, this one included
+            state, G = self.advance(state, G, dW[:, j], dt, mom)
+            _check_finite(state, G, s, start)
+            mom = self._moments(state, G)
+            if s % stride == 0:
+                record(s, state, G, mom)
+        return state, G, mom
+
     def _advance_rho(self, rho, G, dW, dt, mom):
         """SME :meth:`step` on Wiener increments dW and rho's moments."""
         _, ev, H = mom
@@ -606,7 +630,8 @@ class _ClassicalEngine(_Engine):
     is a constant: <H0> and the <A_k> are the operators' single entries,
     read once.  The batch state is the (n, 1 + ch) array of those moments,
     a step is the filter recursion alone, and the operator stack ``Wt`` is
-    never built.  Under a generic feedback rule the energy is H(G)[0, 0].
+    never built.  :meth:`run_block` steps a whole noise block per call.
+    Under a generic feedback rule the energy is H(G)[0, 0].
     """
 
     def start(self, state0, n):
@@ -618,8 +643,48 @@ class _ClassicalEngine(_Engine):
             state[:, 0] = self._feedback_hamiltonians(G)[:, 0, 0].real
         return None, state, None
 
-    def advance(self, state, G, dW, dt, mom):
-        return state, self._filter_step(G, self.op_means(mom), dW, dt)
+    def run_block(self, state, G, mom, dW, dt, first, stride, record, start):
+        """:meth:`_Engine.run_block` for d = 1, where a step is the filter
+        recursion alone and G advances in place.
+
+        dW becomes the block's z dt = <A> dt + dW / sqrt(4 lam) in one pass,
+        in :meth:`_filter_step`'s operations and order.  A non-finite entry
+        of the linear recursion stays non-finite, so one check at the end of
+        the block finds any; the block is then replayed from its start with
+        the per-step check, which names the trajectory and step.  A generic
+        rule sees only finite signals: under one, every step is checked.
+        """
+        M_T, b, rule = self.M_T, self.b, self.fb is not None
+        filtered = bool(self.m and self.n_ch)
+        if filtered:
+            dW *= self.noise_gain
+            dW += (self.op_means(mom) * dt)[:, None, :]
+        GM = np.empty_like(G)
+
+        def steps(mom, check):
+            for j in range(dW.shape[1]):
+                s = first + j + 1
+                if filtered:
+                    # G + dt (G M^T) + b z dt, rounded as _filter_step rounds it
+                    np.matmul(G, M_T, out=GM)
+                    np.multiply(GM, dt, out=GM)
+                    np.add(GM, G, out=GM)
+                    np.multiply(b, dW[:, j, :, None], out=G)
+                    np.add(G, GM, out=G)
+                if check:
+                    _check_finite(state, G, s, start)
+                if rule:
+                    mom = self._moments(state, G)
+                if s % stride == 0:
+                    record(s, state, G, mom)
+            return mom
+
+        G_start = G.copy()
+        mom_end = steps(mom, rule)
+        if not np.isfinite(G).all():
+            G[...] = G_start
+            steps(mom, True)
+        return state, G, mom_end
 
 
 def step(state: QuantumState, signals: np.ndarray, model: SystemModel,
@@ -680,6 +745,21 @@ def _initial_state(model: SystemModel, config: TrajectoryConfig):
     else:
         G0 = np.zeros(shape)
     return state0, G0
+
+
+def _check_finite(state, G, s, start):
+    """Raise :class:`TrajectoryError` naming the first trajectory of a batch
+    whose state or signals are non-finite after step s; ``start`` is the
+    index of the batch's first trajectory."""
+    # One sum finds a non-finite entry; then rows are checked.  (add.reduce
+    # and math.isfinite of its abs skip the ndarray.sum and np.isfinite
+    # wrappers, half the cost.)
+    if not math.isfinite(abs(np.add.reduce(state, None) + np.add.reduce(G, None))):
+        n = len(G)
+        ok = np.isfinite(np.c_[state.reshape(n, -1), G.reshape(n, -1)])
+        if not ok.all():
+            bad = int(np.nonzero(~ok.all(axis=1))[0][0]) + start
+            raise TrajectoryError(f"trajectory {bad} became non-finite at step {s}")
 
 
 def _accumulate(acc, ref, win, lo, hi, first_chunk):
@@ -769,7 +849,8 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
         edge = np.zeros(n)
         lo = 0  # first slot held in the window
 
-        def record(row, state, G, mom):
+        def record(s, state, G, mom):
+            row = win[:, s // stride - lo]
             row[:, 0] = engine.energies(G, mom)
             row[:, 1:1 + ch] = engine.op_means(mom)
             row[:, 1 + ch:] = G.reshape(n, -1)
@@ -779,29 +860,15 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
 
         # The moments of each state serve its record and the next step.
         mom = engine._moments(state, G)
-        record(win[:, 0], state, G, mom)
+        record(0, state, G, mom)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for first in range(0, config.n_steps, NOISE_BLOCK):
                 rows = min(NOISE_BLOCK, config.n_steps - first)
                 for i, gen in enumerate(gens):
                     dW[i, :rows] = gen.standard_normal((rows, ch))
                 dW[:, :rows] *= np.sqrt(config.dt)  # as step's xi * sqrt(dt)
-                for j in range(rows):
-                    s = first + j + 1  # steps taken, this one included
-                    state, G = engine.advance(state, G, dW[:, j], config.dt, mom)
-                    # One sum finds a non-finite entry; then rows are checked.
-                    # (add.reduce and math.isfinite of its abs skip the
-                    # ndarray.sum and np.isfinite wrappers, half the cost.)
-                    if not math.isfinite(abs(np.add.reduce(state, None)
-                                             + np.add.reduce(G, None))):
-                        ok = np.isfinite(np.c_[state.reshape(n, -1), G.reshape(n, -1)])
-                        if not ok.all():
-                            bad = int(np.nonzero(~ok.all(axis=1))[0][0]) + start
-                            raise TrajectoryError(
-                                f"trajectory {bad} became non-finite at step {s}")
-                    mom = engine._moments(state, G)
-                    if s % stride == 0:
-                        record(win[:, s // stride - lo], state, G, mom)
+                state, G, mom = engine.run_block(state, G, mom, dW[:, :rows], config.dt,
+                                                 first, stride, record, start)
                 hi = (first + rows) // stride + 1
                 if hi > lo:
                     _accumulate(acc, ref, win, lo, hi, start == 0)

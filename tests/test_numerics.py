@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _reference import integrate_affine
+from filtercool.filters import bandpass, lowpass_cascade, stationary_statistics
 from filtercool.moment_systems import ProtocolKind, ProtocolParams, build_two_layer
 from filtercool.numerics import (
     NoiseStream,
@@ -12,6 +13,13 @@ from filtercool.numerics import (
     mat_exp,
     propagate_affine,
     solve_linear,
+)
+from filtercool.phase_diagram import GridSpec
+from filtercool.trajectory import (
+    SystemModel,
+    TrajectoryConfig,
+    build_truncated_oscillator,
+    frozen_signal_model,
 )
 
 
@@ -252,3 +260,30 @@ class TestNoiseStream:
 
     def test_negative_seed_allowed(self):
         assert NoiseStream(-3, 0).normal(4).shape == (4,)
+
+
+@pytest.mark.parametrize("call, field", [
+    pytest.param(lambda: ProtocolParams(True, True, 2.0), "lam", id="ProtocolParams-lam"),
+    pytest.param(lambda: ProtocolParams(1.0, 1.0, 2.0, True, ProtocolKind.BANDPASS),
+                 "Omega", id="ProtocolParams-Omega"),
+    pytest.param(lambda: TrajectoryConfig(dt=True, n_steps=2, n_traj=1, base_seed=0),
+                 "dt", id="TrajectoryConfig-dt"),
+    pytest.param(lambda: GridSpec([1.0], [1.0], lam=True), "lam", id="GridSpec-lam"),
+    pytest.param(lambda: GridSpec([1.0], [1.0], omega=np.True_), "omega",
+                 id="GridSpec-omega"),
+    pytest.param(lambda: lowpass_cascade((2.0, True)), r"gammas\[1\]", id="lowpass_cascade"),
+    pytest.param(lambda: bandpass(True, 2.0), "gamma", id="bandpass-gamma"),
+    pytest.param(lambda: bandpass(1.0, True), "Omega", id="bandpass-Omega"),
+    pytest.param(lambda: frozen_signal_model(lowpass_cascade((1.0,)), lam=True), "lam",
+                 id="frozen_signal_model-lam"),
+    pytest.param(lambda: frozen_signal_model(lowpass_cascade((1.0,)), 1.0, mean_A=True),
+                 "mean_A", id="frozen_signal_model-mean_A"),
+    pytest.param(lambda: SystemModel(np.zeros((2, 2)), (), True), "lam", id="SystemModel-lam"),
+    pytest.param(lambda: build_truncated_oscillator(4, True), "omega", id="oscillator-omega"),
+    pytest.param(lambda: stationary_statistics(lowpass_cascade((1.0,)), True), "lam",
+                 id="stationary_statistics-lam"),
+])
+def test_bool_rate_is_refused_naming_the_field(call, field):
+    # True is the int 1 to Python; as a rate or a mean it is a mistake
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got (np.)?True_?$"):
+        call()

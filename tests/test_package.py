@@ -1,6 +1,7 @@
 """Package-level checks: the README's library example and command lines,
-and the lazy import of ``scipy.sparse``."""
+the lazy import of ``scipy.sparse`` and the committed benchmark records."""
 
+import json
 import os
 import re
 import shlex
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import filtercool
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 SRC = str(Path(filtercool.__file__).resolve().parent.parent)
 
 
@@ -85,3 +87,23 @@ print("scipy.sparse" in sys.modules)
 def test_one_dimensional_runs_do_not_import_scipy_sparse():
     # a d = 1 model runs on the classical engine, which applies no stack
     assert _run_python(_CLASSICAL_PROBE).split() == ["False"]
+
+
+def test_bench_records_hold_the_claimed_medians():
+    # each BENCH_<nn>.json names its claim as "<workload> <metric>, ..."; the
+    # claimed workload must hold a parent and a change median of every
+    # end-to-end metric, and its alternating pairs must all be counted
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        record = json.loads(path.read_text())
+        workload, metric = record["claim"].replace(",", " ").split()[:2]
+        assert metric in metrics, path.name
+        entry = record["workloads"][workload]
+        assert entry["pairs"] == len(entry["seeds"]) >= 3, path.name
+        for side in ("parent", "change"):
+            for name in metrics:
+                stats = entry[side][name]
+                assert stats["median"] > 0 and len(stats["runs"]) == entry["pairs"], (
+                    path.name, side, name)

@@ -757,10 +757,16 @@ class TestStreamedStatistics:
         lowpass2 = oscillator_cooling_model(p, 10)
         ou = frozen_signal_model(lowpass_cascade((1.0,)), 1.0, mean_A=0.3)
         # lowpass2 fits one noise block; the OU run spans three, and its
-        # -0.0 start makes the mean at t = 0 a signed zero
+        # -0.0 start makes the mean at t = 0 a signed zero.  The m = 2 and
+        # m = 3 cascades run on the classical engine, which steps a whole
+        # block per call; the reference steps them through _filter_step.
+        cascades = [frozen_signal_model(lowpass_cascade(gammas), 1.0, mean_A=0.3)
+                    for gammas in ((1.2, 0.8), (1.0, 2.0, 3.0))]
         return [(lowpass2, dict(dt=1e-3, n_steps=60, record_stride=5)),
                 (ou, dict(dt=1e-3, n_steps=2100, record_stride=7,
-                          initial_signals=np.full((1, 1), -0.0)))]
+                          initial_signals=np.full((1, 1), -0.0)))] + [
+                (cascade, dict(dt=1e-3, n_steps=1100, record_stride=11))
+                for cascade in cascades]
 
     @pytest.mark.parametrize("n_traj", [1, 2, 9])
     def test_matches_full_record_reference(self, n_traj):
@@ -901,21 +907,22 @@ class TestClassicalEngine:
         assert "Wt" not in vars(engines[0])
 
     def test_record_does_not_depend_on_chunking_or_noise_block(self, monkeypatch):
-        model = frozen_signal_model(lowpass_cascade((1.2, 0.8)), 1.0, mean_A=0.3)
+        for gammas in ((1.2, 0.8), (1.0, 2.0, 3.0)):
+            model = frozen_signal_model(lowpass_cascade(gammas), 1.0, mean_A=0.3)
 
-        def run(chunk):
-            return _record_arrays(run_ensemble(model, TrajectoryConfig(
-                dt=1e-3, n_steps=60, n_traj=9, base_seed=2, record_stride=3,
-                chunk_size=chunk)))
+            def run(chunk):
+                return _record_arrays(run_ensemble(model, TrajectoryConfig(
+                    dt=1e-3, n_steps=60, n_traj=9, base_seed=2, record_stride=3,
+                    chunk_size=chunk)))
 
-        recs = [run(chunk) for chunk in (1, 4, 256)]
-        with monkeypatch.context() as mp:
-            mp.setattr(trajectory, "NOISE_BLOCK", 7)
-            recs.append(run(4))
-        for rec in recs[1:]:
-            for name, arr in rec.items():
-                assert np.array_equal(arr, recs[0][name]), name
-                assert np.array_equal(np.signbit(arr), np.signbit(recs[0][name]))
+            recs = [run(chunk) for chunk in (1, 4, 256)]
+            with monkeypatch.context() as mp:
+                mp.setattr(trajectory, "NOISE_BLOCK", 7)
+                recs.append(run(4))
+            for rec in recs[1:]:
+                for name, arr in rec.items():
+                    assert np.array_equal(arr, recs[0][name]), (gammas, name)
+                    assert np.array_equal(np.signbit(arr), np.signbit(recs[0][name]))
 
     def test_constant_moments_are_exact(self):
         # every trajectory records the operators' single entries to the
@@ -961,6 +968,44 @@ class TestClassicalEngine:
         with pytest.raises(TrajectoryError,
                            match=r"trajectory [01] became non-finite at step \d+"):
             run_ensemble(model, cfg)
+
+    @pytest.mark.parametrize("n_traj, chunk_size, block, message", [
+        pytest.param(2, 256, None, "trajectory 0 became non-finite at step 184",
+                     id="one-chunk"),
+        pytest.param(7, 3, None, "trajectory 2 became non-finite at step 183",
+                     id="chunks-of-three"),
+        # 100-step blocks: the failure lands mid-block, so the block that
+        # failed its end-of-block check is replayed step by step
+        pytest.param(7, 3, 100, "trajectory 2 became non-finite at step 183",
+                     id="mid-block"),
+    ])
+    def test_divergence_names_the_first_trajectory_and_step(
+            self, monkeypatch, n_traj, chunk_size, block, message):
+        # the setup above; the messages were taken while every step was
+        # checked as it was taken
+        if block is not None:
+            monkeypatch.setattr(trajectory, "NOISE_BLOCK", block)
+        model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
+        cfg = TrajectoryConfig(dt=50.0, n_steps=400, n_traj=n_traj, base_seed=0,
+                               record_stride=400, chunk_size=chunk_size)
+        with pytest.raises(TrajectoryError, match=f"^{message}$"):
+            run_ensemble(model, cfg)
+
+    def test_peak_memory_of_a_block(self):
+        # 256 trajectories x 2000 steps at stride 10: the 256 x 1024 noise
+        # block (2.1 MB), the 256 x 103 x 3 record window (0.63 MB) and the
+        # per-slot sums; the block is stepped in place, so nothing else of
+        # its size is allocated
+        model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
+        cfg = TrajectoryConfig(dt=1e-3, n_steps=2000, n_traj=256, base_seed=0,
+                               record_stride=10)
+        tracemalloc.start()
+        try:
+            run_ensemble(model, cfg)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb <= 3.3
 
 
 def _trap_model(ops, filter_model, tap=0):
