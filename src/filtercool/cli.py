@@ -288,7 +288,10 @@ def _cmd_evolve(cfg: dict) -> None:
     x0 = np.zeros(system.dim)
     x0[system.energy_index] = cfg["e0"]
     # The propagator is exact, so stepping at the output stride gives the
-    # rows a step of dt would, without holding the rows in between.
+    # rows a step of dt would, without holding the rows in between.  It
+    # writes each row in place, checks finiteness at power-of-two rows and
+    # the last (naming the first non-finite row), and stops stepping once a
+    # row repeats the one before it bit for bit, filling the rest with it.
     stride = cfg["stride"]
     if not np.isfinite(cfg["dt"] * stride):
         raise NumericalError(f"dt * stride overflows: {cfg['dt']:g} * {stride}")

@@ -315,8 +315,12 @@ def evolve(sys: MomentSystem, x0: np.ndarray, dt: float, n_steps: int) -> np.nda
 
     The system is affine, so ``numerics.propagate_affine`` steps it with one
     matrix exponential and has no dt error: ``dt`` sets only where the path
-    is sampled.  Raises ``NumericalError`` naming the step and time at which
-    an unstable system overflows.
+    is sampled.  Each step is one matrix-vector product written in place;
+    finiteness is checked at power-of-two steps and the last step, and once
+    a row repeats the one before it bit for bit the path holds that fixed
+    point to the end without further steps.  Raises ``NumericalError``
+    naming the first non-finite step and its time when an unstable system
+    overflows.
     """
     return propagate_affine(sys.A, sys.c, x0, dt, n_steps)
 

@@ -7,10 +7,13 @@ over speed: the matrix exponential uses scaling-and-squaring and linear
 solves are LU with partial pivoting and an explicit condition guard.  Affine
 systems dx/dt = A x + c are stepped exactly by ``propagate_affine``, the
 package's only ODE stepper: one exponential of the augmented matrix
-[[A, c], [0, 0]] and then one matvec per step.  ``hurwitz_test`` decides
-whether stacks of small matrices are stable from their characteristic
-polynomials, without eigenvalues, and reports how far each decision is from
-the boundary.
+[[A, c], [0, 0]] and then one matvec per step, written in place into the
+path.  It checks finiteness only at power-of-two steps and the last step
+(the error still names the first non-finite step), and stops stepping at a
+row whose bits repeat the row before it, a fixed point of the map.
+``hurwitz_test`` decides whether stacks of small matrices are stable from
+their characteristic polynomials, without eigenvalues, and reports how far
+each decision is from the boundary.
 
 All quantities are dimensionless (hbar = 1); rate-like entries carry units
 of inverse time as documented by the caller.
@@ -142,14 +145,18 @@ def _minor(e, rows, cols):
     return out
 
 
+@functools.cache
 def _cayley_matrix(m: int) -> np.ndarray:
     """Integer map from the elementary symmetric functions E_k of an m x m
     matrix's eigenvalues s_i to the ascending coefficients of
     sum_k E_k (1 - z)^(m-k) (1 + z)^k = prod_i ((1 - z) + s_i (1 + z)),
-    whose roots are z_i = (1 + s_i)/(1 - s_i)."""
+    whose roots are z_i = (1 + s_i)/(1 - s_i).  Built once per m and
+    read-only, since every caller shares it."""
     P = np.polynomial.polynomial
-    return np.stack([P.polymul(P.polypow([1, -1], m - k), P.polypow([1, 1], k))
-                     for k in range(m + 1)], axis=1)
+    cayley = np.stack([P.polymul(P.polypow([1, -1], m - k), P.polypow([1, 1], k))
+                       for k in range(m + 1)], axis=1)
+    cayley.flags.writeable = False
+    return cayley
 
 
 def hurwitz_test(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -216,34 +223,59 @@ def propagate_affine(a: np.ndarray, c: np.ndarray, x0: np.ndarray,
     covered.  Returns the full path, shape ``(n_steps + 1, dim)``, including
     x0.
 
+    Each step writes its row in place, from the row before it.  Finiteness
+    is checked at the steps k that are powers of two and at the last step,
+    over the rows since the previous check, so an overflowing run computes
+    at most twice the steps up to its first non-finite row.  At the same
+    checks, a row whose bits equal the row before it is a fixed point of the
+    deterministic map: the rest of the path is filled with it and no more
+    steps are taken.  The rows are bit for bit those of the plain loop
+    x = phi @ x + d.
+
     Raises
     ------
+    ValueError
+        If ``dt`` is not a positive finite number or ``n_steps`` is not a
+        nonnegative integer.
     NumericalError
         If the state overflows to non-finite values; the message names the
-        failing step and its time k*dt.
+        first non-finite step and its time k*dt.
     """
     a = require_square(a, "drift matrix")
     c = np.asarray(c, dtype=float)
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (a.shape[0],) or c.shape != (a.shape[0],):
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (a.shape[0],) or c.shape != (a.shape[0],):
         raise ValueError("dimension mismatch between matrix, offset and state")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    dim = x.size
+    if not (require_number(dt, "dt") > 0 and np.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be at least 0, got {n_steps}")
+    dim = x0.size
     augmented = np.zeros((dim + 1, dim + 1))
     augmented[:dim, :dim] = a
     augmented[:dim, dim] = c
     path = np.empty((n_steps + 1, dim))
-    path[0] = x
+    path[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         hop = mat_exp(augmented, dt)
         phi, d = hop[:dim, :dim], hop[:dim, dim]
-        for k in range(1, n_steps + 1):
-            x = phi @ x + d
-            if not np.isfinite(x).all():
+        done = 0  # rows 0..done are computed and finite
+        while done < n_steps:
+            check = min(2 * done or 1, n_steps)  # the next power of two, or the last step
+            for k in range(done + 1, check + 1):
+                np.matmul(phi, path[k - 1], out=path[k])
+                path[k] += d
+            bad = ~np.isfinite(path[done + 1:check + 1]).all(axis=1)
+            if bad.any():
+                k = done + 1 + int(bad.argmax())
                 raise NumericalError(f"state became non-finite at step {k} "
                                      f"(t = {k * dt:.12g})")
-            path[k] = x
+            if np.array_equal(path[check].view(np.uint64), path[check - 1].view(np.uint64)):
+                path[check + 1:] = path[check]
+                break
+            done = check
     return path
 
 

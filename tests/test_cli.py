@@ -169,6 +169,16 @@ class TestEvolve:
         assert match, err
         assert 3650.0 < float(match.group(1)) < 3665.0
 
+    def test_unstable_system_message_names_the_first_non_finite_row(self, capsys):
+        # the same run: rows are 1 time unit apart, and row 3658 lies between
+        # the powers of two 2048 and 4096
+        code = main(["evolve", "--protocol", "bandpass", "--gamma", "0.1",
+                     "--Omega", "1", "--dt", "0.01", "--steps", "500000",
+                     "--stride", "100"])
+        assert code == 3
+        assert capsys.readouterr().err == ("filtercool: numerical failure: state became "
+                                           "non-finite at step 3658 (t = 3658)\n")
+
     def test_bench_run_digest_pinned(self, tmp_path):
         # the benchmark's three-stage run (2001 rows), as csv.writer wrote it
         # from fields formatted one at a time

@@ -1,13 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 
 from _reference import integrate_affine
 from filtercool.filters import bandpass, lowpass_cascade, stationary_statistics
-from filtercool.moment_systems import ProtocolKind, ProtocolParams, build_two_layer
+from filtercool.moment_systems import (
+    ProtocolKind,
+    ProtocolParams,
+    build_moment_system,
+    build_two_layer,
+)
 from filtercool.numerics import (
     NoiseStream,
     NumericalError,
     SingularMatrixError,
+    _cayley_matrix,
     eigenvalues,
     hurwitz_test,
     mat_exp,
@@ -129,6 +137,14 @@ class TestEigenvalues:
 
 
 class TestHurwitzTest:
+    def test_cayley_map_is_built_once_and_shared_read_only(self):
+        cayley = _cayley_matrix(3)
+        assert _cayley_matrix(3) is cayley
+        assert not cayley.flags.writeable
+        # (1 - z)^3 is the first column, (1 + z)^3 the last
+        np.testing.assert_array_equal(cayley[:, 0], [1, -3, 3, -1])
+        np.testing.assert_array_equal(cayley[:, 3], [1, 3, 3, 1])
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_certified_decisions_match_eigenvalues(self, m):
         rng = np.random.default_rng(m)
@@ -209,6 +225,28 @@ class TestIntegrateAffine:
             integrate_affine(np.zeros((1, 1)), np.zeros(1), [1.0], 0.0, 5)
 
 
+def step_loop(a, c, x0, dt, n_steps):
+    """x <- phi @ x + d, one new vector per step, from the propagator's map."""
+    dim = len(x0)
+    augmented = np.zeros((dim + 1, dim + 1))
+    augmented[:dim, :dim] = a
+    augmented[:dim, dim] = c
+    hop = mat_exp(augmented, dt)
+    phi, d = hop[:dim, :dim], hop[:dim, dim]
+    x = np.asarray(x0, dtype=float)
+    rows = [x]
+    for _ in range(n_steps):
+        x = phi @ x + d
+        rows.append(x)
+    return np.array(rows)
+
+
+def assert_same_bits(x, y):
+    """Equal as bit patterns, so -0.0 and 0.0 differ."""
+    assert x.shape == y.shape
+    np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
 class TestPropagateAffine:
     def test_exact_scalar_relaxation(self):
         g, Uinf, U0, dt = 1.0, 0.75, 2.0, 1e-3
@@ -228,6 +266,60 @@ class TestPropagateAffine:
         # e^(50 k) first exceeds the float range at k = 15
         with pytest.raises(NumericalError, match=r"step 15 \(t = 7\.5\)"):
             propagate_affine(np.array([[100.0]]), np.zeros(1), [1.0], 0.5, 500)
+
+    @pytest.mark.parametrize("a, n_steps, step", [
+        pytest.param(11.1, 500, 64, id="at-a-power-of-two"),
+        pytest.param(7.1, 500, 100, id="between-powers-of-two"),
+        pytest.param(7.1, 100, 100, id="at-the-last-step"),
+    ])
+    def test_overflow_names_the_first_non_finite_step(self, a, n_steps, step):
+        # e^(a k) first exceeds the float range at k = ceil(709.78 / a)
+        with pytest.raises(NumericalError) as exc:
+            propagate_affine([[a]], [0.0], [1.0], 1.0, n_steps)
+        assert str(exc.value) == f"state became non-finite at step {step} (t = {step})"
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_moment_path_matches_the_step_loop_bit_for_bit(self, kind):
+        # the settings of the benchmark's evolve run, stepped at its stride
+        Omega = None if kind is ProtocolKind.LOWPASS1 else 20.0
+        sys = build_moment_system(ProtocolParams(1.0, 1.0, 5.0, Omega, kind))
+        x0 = np.zeros(sys.dim)
+        x0[sys.energy_index] = 2.0
+        path = propagate_affine(sys.A, sys.c, x0, 0.04, 2000)
+        assert_same_bits(path, step_loop(sys.A, sys.c, x0, 0.04, 2000))
+        if kind is ProtocolKind.LOWPASS3:
+            assert_same_bits(path[-1], path[-2])  # the path reaches a fixed point
+
+    def test_impulse_decaying_to_exact_zeros_matches_the_step_loop(self):
+        model = lowpass_cascade((2.0, 3.0))
+        path = propagate_affine(model.M, np.zeros(2), model.b, 1.0, 1000)
+        assert not path[-1].any()
+        assert_same_bits(path, step_loop(model.M, np.zeros(2), model.b, 1.0, 1000))
+
+    def test_negative_zero_start_matches_the_step_loop(self):
+        # -0.0 == 0.0, but the rows must still hold the loop's bits
+        a, c, x0 = [[-1.0, 0.5], [0.0, -2.0]], [0.0, 0.0], [-0.0, -0.0]
+        path = propagate_affine(a, c, x0, 0.5, 100)
+        assert np.signbit(path[0]).all()
+        assert_same_bits(path, step_loop(a, c, x0, 0.5, 100))
+
+    def test_path_that_never_repeats_matches_the_step_loop(self):
+        path = propagate_affine([[0.0]], [1.0], [0.0], 1.0, 5000)
+        np.testing.assert_array_equal(path[:, 0], np.arange(5001.0))
+        assert_same_bits(path, step_loop([[0.0]], [1.0], [0.0], 1.0, 5000))
+
+    @pytest.mark.parametrize("dt, n_steps, message", [
+        pytest.param(0.1, -1, "n_steps must be at least 0, got -1", id="n_steps-negative"),
+        pytest.param(0.1, 2.5, "n_steps must be an integer, got 2.5", id="n_steps-float"),
+        pytest.param(0.1, True, "n_steps must be an integer, got True", id="n_steps-bool"),
+        pytest.param(True, 5, "dt must be a number, got True", id="dt-bool"),
+        pytest.param(0.0, 5, "dt must be positive and finite, got 0.0", id="dt-zero"),
+        pytest.param(np.inf, 5, "dt must be positive and finite, got inf", id="dt-inf"),
+        pytest.param(np.nan, 5, "dt must be positive and finite, got nan", id="dt-nan"),
+    ])
+    def test_bad_step_is_refused_naming_the_field(self, dt, n_steps, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            propagate_affine([[-1.0]], [0.0], [1.0], dt, n_steps)
 
     @pytest.mark.parametrize("args", [
         (np.zeros((1, 1)), np.zeros(1), [1.0], 0.0, 5),
