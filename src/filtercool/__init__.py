@@ -6,7 +6,8 @@ The package is organized into seven modules:
 * :mod:`filtercool.filters` -- state-space filter realizations (M, b),
 * :mod:`filtercool.moment_systems` -- exact ensemble moment ODE systems,
 * :mod:`filtercool.analytics` -- closed-form asymptotic energies,
-* :mod:`filtercool.trajectory` -- stochastic Monte Carlo engine,
+* :mod:`filtercool.trajectory` -- stochastic Monte Carlo: a classical and a
+  state-vector engine; a mixed start is sampled as pure states,
 * :mod:`filtercool.phase_diagram` -- protocol winner maps over (gamma, Omega),
 * :mod:`filtercool.cli` -- command-line interface.
 """
@@ -66,7 +67,6 @@ from .trajectory import (
     measurement_only_model,
     oscillator_cooling_model,
     run_ensemble,
-    step,
 )
 
 __version__ = "0.1.0"

@@ -9,25 +9,28 @@ increment per measurement channel:
   the record z_k dt = <A_k> dt + dW_k / sqrt(4 lam) reuses the same dW_k
   that drove the state update.
 
-:func:`run_ensemble` is one driver for three engines.  The driver owns what
+:func:`run_ensemble` is one driver for two engines.  The driver owns what
 every engine needs: chunking, the noise of trajectory i from
 ``NoiseStream(base_seed, i)`` drawn ``NOISE_BLOCK`` steps at a time, the
 record window and its streamed reduction, and the truncation check.  An
 engine supplies the start batch, the moments of a batch, the steps of one
 noise block (``run_block``, which checks finiteness and calls the driver's
 record at record steps) and the record values (energy, <A_k> and, from
-d = 3 on, the top-two basis populations).  The engine is fixed by the model
-and the start state:
+d = 3 on, the top-two basis populations).  The engine is fixed by the model:
 
 * d = 1, the classical engine: psi is a phase, so <H0> and the <A_k> are
   constants read once from the operators' single entries, and a step is
   the filter recursion alone (``frozen_signal_model`` runs here); it steps
   a whole block per call, in place;
-* d > 1 from a pure start (the default ground state), the state-vector
-  engine;
-* d > 1 from a mixed start, the density-matrix engine.
+* d > 1, the state-vector engine.
 
-The measurement has unit efficiency, so a pure state stays pure.  The
+The measurement has unit efficiency, so a pure state stays pure.  A mixed
+start rho0 = sum_i p_i |psi_i><psi_i| is sampled: trajectory j draws its
+component i ~ p with one uniform from its own stream, ahead of its noise,
+and is stepped as psi_i.  The record probabilities are linear in rho0, so
+every ensemble mean is the one the density matrix would give (Wiseman &
+Milburn, ch. 4); the standard errors are those of the sampled estimator,
+and the truncation check reads each sampled trajectory's psi.  The
 state-vector engine steps psi with the stochastic Schroedinger equation
 (SSE), a_k = <A_k>,
 
@@ -44,14 +47,9 @@ stack [H0, A_1..A_ch, S = sum_k A_k^2] (4 blocks for the cooling protocols)
 to psi once, as a sparse CSR product: for the oscillator models every block
 is diagonal or tridiagonal, 140 stored entries at d = 24 in place of 2304.
 The products give the moments the records read, and one coefficient product
-per trajectory, one weight per block, forms the whole Euler move.
-
-The density-matrix engine steps the SME (unitary drift, backaction
-dissipators and the nonlinear innovation term), Euler-Maruyama with
-re-Hermitization and trace renormalization after every step.  It is exact
-for mixed input; :func:`step` uses it, and it is the reference the SSE path
-is tested against.  Both quantum engines are one class, :class:`_Engine`;
-the kind of the batch (state vectors or density matrices) picks the kernel.
+per trajectory, one weight per block, forms the whole Euler move.  The
+density-matrix SME is not part of the package: the tests keep it as the
+independent reference the SSE is held to.
 
 Feedback is a Hamiltonian H(G) of the current signals.  The cooling
 protocols recentre the trap on one filter component (filter and tap from
@@ -88,8 +86,8 @@ EDGE_POPULATION_LIMIT = 1e-3
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-10
 
-#: An initial state whose top eigenvalue exceeds 1 - _PURE_TOL is stepped
-#: as a state vector.
+#: An initial state whose top eigenvalue exceeds 1 - _PURE_TOL is pure: its
+#: trajectories draw no component.
 _PURE_TOL = 1e-12
 
 #: Steps of noise drawn at once per trajectory; bounds the noise buffer at
@@ -109,11 +107,9 @@ class TrajectoryError(NumericalError):
 class QuantumState:
     """Finite-dimensional density matrix (the conditioned state).
 
-    Hermiticity (to 1e-12) and unit trace (to 1e-10) are enforced on
-    construction; positivity is not, since the density-matrix integrator
-    (the mixed-state path of :func:`run_ensemble` and :func:`step`) can
-    transiently produce slightly negative eigenvalues.  Pure states are
-    stepped as state vectors, which cannot lose positivity.
+    Hermiticity (to 1e-12), unit trace (to 1e-10) and positivity (no
+    eigenvalue below -1e-12) are enforced on construction: a mixed start is
+    sampled from its eigenvalues, which must be probabilities.
     """
 
     rho: np.ndarray
@@ -128,6 +124,8 @@ class QuantumState:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(rho).real - 1.0) > _TRACE_TOL or abs(np.trace(rho).imag) > _TRACE_TOL:
             raise ValueError("density matrix trace must be 1")
+        if np.linalg.eigvalsh(rho)[0] < -_HERMITICITY_TOL:
+            raise ValueError("density matrix is not positive semidefinite")
         self.rho = rho
 
     @property
@@ -340,6 +338,9 @@ class TrajectoryConfig:
     engine steps a whole block per call, in place: it adds two arrays of
     the chunk's signals, nothing of the block's size.  Counts and
     the seed must be integers (not bools), ``dt`` and ``initial_signals`` finite.
+    A mixed ``initial_state`` (default: the ground state of H0) is sampled,
+    one component per trajectory, so the ensemble means are its own and
+    the standard errors those of the sampled estimator.
     """
 
     dt: float
@@ -395,28 +396,25 @@ class TrajectoryRecord:
 
 
 class _Engine:
-    """The quantum engines: batched stepping kernels for one SystemModel.
+    """The state-vector engine: the batched SSE kernel for one SystemModel.
 
-    A batch is either state vectors, shape (n, d), or density matrices,
-    shape (n, d, d); :meth:`advance`, :meth:`step` and the observables
-    accept both, and the kind of the batch picks the SSE or the SME kernel.
-    The interface :func:`run_ensemble` drives is :meth:`start`,
-    :meth:`_moments`, :meth:`run_block` (one :meth:`advance` per step of a
-    noise block), :meth:`energies`, :meth:`op_means` and
-    :meth:`edge_populations`; :class:`_ClassicalEngine` implements it for
-    d = 1.  :meth:`_moments` is the one evaluation per state, read by
-    its record and the next step; the feedback rule is ``trap`` (the
-    :class:`ShiftedTrapFeedback`) or ``fb`` (a generic rule).
+    A batch is state vectors, shape (n, d), one per trajectory; a mixed
+    start reaches it already sampled.  The interface :func:`run_ensemble`
+    drives is :meth:`start`, :meth:`_moments`, :meth:`run_block` (one
+    :meth:`advance` per step of a noise block), :meth:`energies`,
+    :meth:`op_means` and :meth:`edge_populations`; :class:`_ClassicalEngine`
+    implements it for d = 1.  :meth:`_moments` is the one evaluation per
+    state, read by its record and the next step; the feedback rule is
+    ``trap`` (the :class:`ShiftedTrapFeedback`) or ``fb`` (a generic rule).
 
     ``blocks`` is the operator stack B_j = [H0, A_1..A_ch, S = sum_k A_k^2],
     plus x, p only when they are not the measured pair: 4 blocks for the
-    cooling protocols.  Both kernels read H0, the A_k and the trap's x, p
-    from it.  The state-vector path applies the blocks stacked as one CSR
-    array, :attr:`Wt`, so the products cost O(nnz) per trajectory.  A
-    state-vector step then makes one coefficient product per trajectory,
-    sum_j c_j B_j psi + c0 psi: each step builds the columns of c, -i dt on
-    H0, -lam dt / 2 on S, kick_k on A_k and +i dt w g on the trap's x, p
-    blocks (see :meth:`_advance_psi`).  The engine keeps no per-run state.
+    cooling protocols.  The kernel applies them stacked as one CSR array,
+    :attr:`Wt`, so the products cost O(nnz) per trajectory.  A step then
+    makes one coefficient product per trajectory, sum_j c_j B_j psi + c0 psi:
+    each step builds the columns of c, -i dt on H0, -lam dt / 2 on S, kick_k
+    on A_k and +i dt w g on the trap's x, p blocks (see :meth:`advance`).
+    The engine keeps no per-run state.
     """
 
     def __init__(self, model: SystemModel):
@@ -424,7 +422,6 @@ class _Engine:
         self.n_ch = model.n_channels
         self.m = model.n_signal_components
         ops = model.measured_ops
-        self.ops_sq = tuple(A @ A for A in ops)
         self.lam = model.lam
         self.sqrt_lam = np.sqrt(model.lam) if self.n_ch else 0.0
         self.noise_gain = 1.0 / np.sqrt(4.0 * model.lam) if self.n_ch else 0.0
@@ -444,7 +441,7 @@ class _Engine:
             if fb.oscillator.dim != self.d:
                 raise ValueError("trap-shift feedback oscillator must have the "
                                  "model's dimension")
-        blocks = [model.H0, *ops] + ([sum(self.ops_sq)] if self.n_ch else [])
+        blocks = [model.H0, *ops] + ([sum(A @ A for A in ops)] if self.n_ch else [])
         # <B> is taken of the first n_ev blocks: H0 and the A_k, and all of
         # them when x and p need blocks of their own after S.
         self.n_ev = 1 + self.n_ch
@@ -458,31 +455,23 @@ class _Engine:
 
     @cached_property
     def Wt(self):
-        """The blocks stacked row-wise as a ``scipy.sparse.csr_array``, the
-        stack the state-vector path applies.  It is built on first use, so a
-        density-matrix run and :func:`step` neither build it nor import
-        ``scipy.sparse``."""
+        """The blocks stacked row-wise as a ``scipy.sparse.csr_array``.  It
+        is built, and ``scipy.sparse`` imported (about 20 ms), on first use:
+        the d = 1 classical engine never applies it, and the subcommands
+        that run no trajectories never import it."""
         from scipy.sparse import csr_array
         return csr_array(np.concatenate(self.blocks))
 
-    def start(self, state0: np.ndarray, n: int) -> np.ndarray:
-        """The start batch: n copies of one trajectory's state vector or
-        density matrix."""
-        return np.broadcast_to(state0, (n,) + state0.shape).copy()
+    def start(self, psi: np.ndarray) -> np.ndarray:
+        """The start batch from the trajectories' state vectors, shape (n, d)."""
+        return psi
 
     def _moments(self, state: np.ndarray, G: np.ndarray):
         """(prod, ev, HG) of a batch with signals G, the ``mom`` the other
-        methods take: ev[:, j] = <B_j> for the first ``n_ev`` blocks, with
-        <H(G)> in ev[:, 0] under a generic rule; for state vectors
-        prod[:, j] = B_j psi.  HG is a generic rule's H(G) psi, or H(G) for
-        density matrices, else None."""
+        methods take: prod[:, j] = B_j psi and ev[:, j] = <B_j> for the first
+        ``n_ev`` blocks, with <H(G)> in ev[:, 0] under a generic rule.  HG is
+        a generic rule's H(G) psi, else None."""
         HG = None if self.fb is None else self._feedback_hamiltonians(G)
-        if state.ndim == 3:
-            ev = np.stack([np.einsum('nij,ji->n', state, A).real
-                           for A in self.blocks[:self.n_ev]], axis=1)
-            if HG is not None:
-                ev[:, 0] = np.einsum('nij,nji->n', HG, state).real
-            return None, ev, HG
         # A CSR product adds each output row's stored terms in one order, so
         # a trajectory's arithmetic is the same for any batch size.  It comes
         # back trajectory-minor; the copy gives every trajectory a contiguous
@@ -522,17 +511,6 @@ class _Engine:
             G = G + dt * (G @ self.M_T) + self.b[None, None, :] * z_dt[:, :, None]
         return G
 
-    def step(self, state: np.ndarray, G: np.ndarray, xi: np.ndarray, dt: float):
-        """One Euler-Maruyama step of a batch on standard-normal draws xi:
-        the SSE for state vectors, the SME for density matrices.  Returns
-        (state, G)."""
-        return self.advance(state, G, xi * np.sqrt(dt), dt, self._moments(state, G))
-
-    def advance(self, state, G, dW, dt, mom):
-        """:meth:`step` on Wiener increments dW and the batch's moments."""
-        advance = self._advance_psi if state.ndim == 2 else self._advance_rho
-        return advance(state, G, dW, dt, mom)
-
     def run_block(self, state, G, mom, dW, dt, first, stride, record, start):
         """Steps first + 1 .. first + rows of a batch on one noise block.
 
@@ -551,33 +529,9 @@ class _Engine:
                 record(s, state, G, mom)
         return state, G, mom
 
-    def _advance_rho(self, rho, G, dW, dt, mom):
-        """SME :meth:`step` on Wiener increments dW and rho's moments."""
-        _, ev, H = mom
-        a = ev[:, 1:1 + self.n_ch]
-        H = self.blocks[0] if H is None else H
-        comm = H @ rho - rho @ H
-        if self.trap is not None:
-            # H(G) = H0 - w(gx x + gp p) + const; the constant drops out.
-            w, g = self.trap.oscillator.omega, G[:, :, self.trap.tap_index]
-            for g_k, B in zip(g.T, self.blocks[self.xp]):
-                comm = comm - (w * g_k)[:, None, None] * (B @ rho - rho @ B)
-        drho = (-1j * dt) * comm
-        for k in range(self.n_ch):
-            A, A2 = self.blocks[1 + k], self.ops_sq[k]
-            Ar = A @ rho
-            rA = rho @ A
-            drho += (self.lam * dt) * (Ar @ A - 0.5 * (A2 @ rho + rho @ A2))
-            drho += (self.sqrt_lam * dW[:, k])[:, None, None] * (
-                Ar + rA - 2.0 * a[:, k][:, None, None] * rho)
-        rho = rho + drho
-        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-        trace = np.einsum('nii->n', rho).real
-        rho = rho / trace[:, None, None]
-        return rho, self._filter_step(G, a, dW, dt)
-
-    def _advance_psi(self, psi, G, dW, dt, mom):
-        """SSE :meth:`step` on Wiener increments dW and psi's moments.
+    def advance(self, psi, G, dW, dt, mom):
+        """One Euler-Maruyama SSE step of a batch on Wiener increments dW,
+        shape (n, ch), and its :meth:`_moments`.  Returns (psi, G).
 
         With kick_k = sqrt(lam) dW_k + lam dt a_k, the SSE move expanded in
         powers of A_k (S carries sum_k A_k^2) is
@@ -617,10 +571,8 @@ class _Engine:
         states are the whole space."""
         if self.d < 3:
             return None
-        if state.ndim == 2:
-            edge = state[:, -2:]
-            return (edge.real**2 + edge.imag**2).sum(axis=1)
-        return np.einsum('nii->ni', state[:, -2:, -2:]).real.sum(axis=1)
+        edge = state[:, -2:]
+        return (edge.real**2 + edge.imag**2).sum(axis=1)
 
 
 class _ClassicalEngine(_Engine):
@@ -634,8 +586,8 @@ class _ClassicalEngine(_Engine):
     Under a generic feedback rule the energy is H(G)[0, 0].
     """
 
-    def start(self, state0, n):
-        return np.tile([B[0, 0].real for B in self.blocks[:self.n_ev]], (n, 1))
+    def start(self, psi):
+        return np.tile([B[0, 0].real for B in self.blocks[:self.n_ev]], (len(psi), 1))
 
     def _moments(self, state, G):
         if self.fb is not None:
@@ -661,7 +613,7 @@ class _ClassicalEngine(_Engine):
             dW += (self.op_means(mom) * dt)[:, None, :]
         GM = np.empty_like(G)
 
-        def steps(mom, check):
+        def walk(mom, check):
             for j in range(dW.shape[1]):
                 s = first + j + 1
                 if filtered:
@@ -680,63 +632,36 @@ class _ClassicalEngine(_Engine):
             return mom
 
         G_start = G.copy()
-        mom_end = steps(mom, rule)
+        mom_end = walk(mom, rule)
         if not np.isfinite(G).all():
             G[...] = G_start
-            steps(mom, True)
+            walk(mom, True)
         return state, G, mom_end
 
 
-def step(state: QuantumState, signals: np.ndarray, model: SystemModel,
-         dt: float, noise) -> tuple:
-    """Advance one trajectory by a single Euler-Maruyama step of the SME.
-
-    This is the density-matrix SME reference: it accepts mixed states, and
-    the state-vector path :func:`run_ensemble` takes for pure states is
-    tested against it.
-
-    ``noise`` is either a numpy Generator (one standard normal is drawn per
-    channel) or an array of per-channel standard-normal draws; internally
-    they are scaled to Wiener increments dW_k ~ N(0, dt).  The same dW_k
-    drives both the state update and that channel's record
-    z_k dt = <A_k> dt + dW_k / sqrt(4 lam).
-
-    Returns the new ``(state, signals)`` pair; the state is re-Hermitized
-    and trace-normalized, so its trace is exactly 1.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    engine = _Engine(model)
-    signals = np.asarray(signals, dtype=float)
-    if signals.shape != (engine.n_ch, engine.m):
-        raise ValueError(f"signals must have shape {(engine.n_ch, engine.m)}, "
-                         f"got {signals.shape}")
-    if isinstance(noise, np.random.Generator):
-        xi = noise.standard_normal(engine.n_ch)
-    else:
-        xi = np.asarray(noise, dtype=float)
-        if xi.shape != (engine.n_ch,):
-            raise ValueError(f"need one noise draw per channel, got shape {xi.shape}")
-    rho, G = engine.step(state.rho[None], signals[None], xi[None], dt)
-    if not np.isfinite(rho.view(float)).all() or not np.isfinite(G).all():
-        raise TrajectoryError("state became non-finite during the step")
-    return QuantumState(rho[0]), G[0]
-
-
 def _initial_state(model: SystemModel, config: TrajectoryConfig):
-    """One trajectory's start: (state vector or density matrix, signals).
+    """The start: (psi, cdf, signals).
 
-    A pure initial state comes back as its state vector, so that the run
-    steps the SSE; a mixed one as its density matrix.
+    The rows of psi are the start's components.  A pure start (top
+    eigenvalue above 1 - _PURE_TOL; by default the ground state of H0) has
+    one, and cdf is None.  A mixed one has its eigenvectors, and cdf the
+    running sums of its eigenvalues, clipped at 0 and scaled to end at
+    exactly 1: a trajectory whose uniform draw is u takes row
+    ``searchsorted(cdf, u, side="right")``, which never has probability 0.
     """
+    cdf = None
     if config.initial_state is not None:
         state = config.initial_state
         if state.dim != model.dim:
             raise ValueError("initial state dimension does not match the model")
         evals, evecs = np.linalg.eigh(state.rho)
-        state0 = evecs[:, -1] if evals[-1] > 1.0 - _PURE_TOL else state.rho
+        if evals[-1] > 1.0 - _PURE_TOL:
+            psi = evecs[:, -1:].T
+        else:
+            psi, cdf = evecs.T, np.cumsum(np.maximum(evals, 0.0))
+            cdf /= cdf[-1]
     else:
-        state0 = np.linalg.eigh(model.H0)[1][:, 0]
+        psi = np.linalg.eigh(model.H0)[1][:, :1].T
     shape = (model.n_channels, model.n_signal_components)
     if config.initial_signals is not None:
         G0 = np.asarray(config.initial_signals, dtype=float)
@@ -744,7 +669,7 @@ def _initial_state(model: SystemModel, config: TrajectoryConfig):
             raise ValueError(f"initial signals must have shape {shape}, got {G0.shape}")
     else:
         G0 = np.zeros(shape)
-    return state0, G0
+    return psi, cdf, G0
 
 
 def _check_finite(state, G, s, start):
@@ -792,14 +717,18 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     Trajectory i is driven by ``NoiseStream(config.base_seed, i)``; the
     default initial condition is the ground state of H0 with zero signals.
     A one-dimensional model runs on the classical engine (the filter
-    recursion alone); otherwise a pure initial state (top eigenvalue above
-    1 - 1e-12) is stepped as a state vector (SSE), a mixed one as a density
-    matrix (SME).  The output
+    recursion alone), any other on the state-vector engine (SSE).  A mixed
+    initial state (top eigenvalue at most 1 - 1e-12) is sampled: trajectory
+    i takes the eigenvector of rho0 picked by one uniform draw, the first
+    of its stream, with the eigenvalues as probabilities.  The means are
+    those of rho0, the standard errors those of the sampled estimator; a
+    pure start draws nothing.  The output
     is deterministic for fixed configuration, independent of chunking.  A
     run whose top-two basis populations exceed ``EDGE_POPULATION_LIMIT`` at
     any recorded step is flagged and a ``RuntimeWarning`` is emitted, since
-    its energies are no longer trustworthy; the populations are sampled on
-    the record grid only, so an excursion between records goes unseen.
+    its energies are no longer trustworthy; the populations are read from
+    each sampled trajectory's psi on the record grid only, so an excursion
+    between records goes unseen.
 
     Statistics are reduced while the run goes, so no per-trajectory record
     is kept.  Each chunk writes its records (energy, <A_k>, flattened
@@ -822,7 +751,7 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     n_rec = config.n_steps // stride + 1
     n_traj = config.n_traj
     ch, m = engine.n_ch, engine.m
-    state0, G0 = _initial_state(model, config)
+    psi0, cdf, G0 = _initial_state(model, config)
 
     # Per slot and record column: sum of values, of deviations from
     # trajectory 0 and of squared deviations.
@@ -839,12 +768,15 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     for start in range(0, n_traj, config.chunk_size):
         stop = min(start + config.chunk_size, n_traj)
         n = stop - start
-        state = engine.start(state0, n)
-        G = np.broadcast_to(G0, (n,) + G0.shape).copy()
-        # Each trajectory's Philox stream is read in sequence, block by
+        # Each trajectory's Philox stream is read in sequence: under a mixed
+        # start one uniform picks its component, then its noise block by
         # block, so the draws equal one up-front (n_steps, ch) array.
         gens = [NoiseStream(config.base_seed, start + i).generator()
                 for i in range(n)]
+        pick = (np.zeros(n, dtype=int) if cdf is None else
+                np.searchsorted(cdf, [gen.random() for gen in gens], side="right"))
+        state = engine.start(psi0[pick])
+        G = np.broadcast_to(G0, (n,) + G0.shape).copy()
         dW, win = dW_buf[:n], win_buf[:n]
         edge = np.zeros(n)
         lo = 0  # first slot held in the window
@@ -866,7 +798,7 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
                 rows = min(NOISE_BLOCK, config.n_steps - first)
                 for i, gen in enumerate(gens):
                     dW[i, :rows] = gen.standard_normal((rows, ch))
-                dW[:, :rows] *= np.sqrt(config.dt)  # as step's xi * sqrt(dt)
+                dW[:, :rows] *= np.sqrt(config.dt)
                 state, G, mom = engine.run_block(state, G, mom, dW[:, :rows], config.dt,
                                                  first, stride, record, start)
                 hi = (first + rows) // stride + 1

@@ -1,14 +1,17 @@
 """Independent references that the package's own paths are tested against.
 
 ``integrate_affine`` (classical RK4) shares no arithmetic with the exact
-propagator ``numerics.propagate_affine``, and ``characteristic_polynomial``
+propagator ``numerics.propagate_affine``, ``characteristic_polynomial``
 (``np.poly`` of the eigenvalues) none with the principal-minor sums of
-``numerics.hurwitz_test``.  Neither is part of the package.
+``numerics.hurwitz_test``, and ``sme_step`` (the density-matrix stochastic
+master equation) none with the state-vector kernel of ``trajectory``.  None
+of them is part of the package.
 """
 
 import numpy as np
 
 from filtercool.numerics import NumericalError, eigenvalues, require_square
+from filtercool.trajectory import ShiftedTrapFeedback
 
 
 def _affine_inputs(a, c, x0, dt):
@@ -62,3 +65,77 @@ def characteristic_polynomial(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     coeffs = np.poly(eigenvalues(a))
     return np.real(coeffs)
+
+
+def _hamiltonians(model, G):
+    """H(G) of each trajectory of a batch with signals G, shape (n, d, d)."""
+    fb = model.feedback
+    if fb is None:
+        return np.broadcast_to(model.H0, (len(G),) + model.H0.shape)
+    if isinstance(fb, ShiftedTrapFeedback):
+        # (omega/2)[(p - g_p)^2 + (x - g_x)^2] for the whole batch at once
+        osc, g = fb.oscillator, G[:, :, fb.tap_index, None, None]
+        X = osc.x - g[:, 0] * np.eye(osc.dim)
+        P = osc.p - g[:, 1] * np.eye(osc.dim)
+        return 0.5 * osc.omega * (P @ P + X @ X)
+    return np.stack([np.asarray(fb(g), dtype=complex) for g in G])
+
+
+def _stack(model):
+    """The measured operators as one (ch, d, d) array."""
+    return np.array(model.measured_ops, dtype=complex).reshape(-1, model.dim, model.dim)
+
+
+def sme_step(model, rho, G, dW, dt):
+    """One Euler-Maruyama step of the diffusive stochastic master equation.
+
+    A batch of density matrices rho (n, d, d) with signals G (n, ch, m) takes
+    the Wiener increments dW (n, ch):
+
+        drho = -i [H(G), rho] dt + lam sum_k (A_k rho A_k - {A_k^2, rho}/2) dt
+               + sqrt(lam) sum_k (A_k rho + rho A_k - 2 <A_k> rho) dW_k,
+
+    after which rho is re-Hermitized and divided by its trace.  Each
+    channel's filter reads its record z_k dt = <A_k> dt + dW_k / sqrt(4 lam),
+    G <- G + dt G M^T + b z dt.  Returns (rho, G).
+    """
+    ops, lam = model.measured_ops, model.lam
+    H = _hamiltonians(model, G)
+    a = np.einsum("kij,nji->nk", _stack(model), rho).real
+    drho = (-1j * dt) * (H @ rho - rho @ H)
+    for k, A in enumerate(ops):
+        Ar, rA = A @ rho, rho @ A
+        drho += (lam * dt) * (Ar @ A - 0.5 * (A @ Ar + rA @ A))
+        drho += (np.sqrt(lam) * dW[:, k])[:, None, None] * (
+            Ar + rA - 2.0 * a[:, k, None, None] * rho)
+    rho = rho + drho
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    if model.filter_model is not None and ops:
+        M, b = model.filter_model.M, model.filter_model.b
+        z_dt = a * dt + dW / np.sqrt(4.0 * lam)
+        G = G + dt * (G @ M.T) + b * z_dt[:, :, None]
+    return rho, G
+
+
+def sme_ensemble(model, rho0, dt, xi, stride):
+    """Records of density-matrix trajectories stepped as one batch.
+
+    Trajectory i starts at rho0 with zero signals and takes the Wiener
+    increments xi[i] * sqrt(dt), xi of shape (n, n_steps, ch).  Returns
+    <H(G)> and the <A_k> at steps 0, stride, 2 stride, ..., shapes
+    (n, n_rec) and (n, n_rec, ch).
+    """
+    n, n_steps, ch = xi.shape
+    rho = np.array(np.broadcast_to(rho0, (n,) + rho0.shape), dtype=complex)
+    G = np.zeros((n, ch, model.n_signal_components))
+    energy = np.empty((n, n_steps // stride + 1))
+    ops = np.empty(energy.shape + (ch,))
+    for s in range(n_steps + 1):
+        if s:
+            rho, G = sme_step(model, rho, G, xi[:, s - 1] * np.sqrt(dt), dt)
+        if s % stride == 0:
+            H = _hamiltonians(model, G)
+            energy[:, s // stride] = np.einsum("nij,nji->n", H, rho).real
+            ops[:, s // stride] = np.einsum("kij,nji->nk", _stack(model), rho).real
+    return energy, ops

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _reference import sme_ensemble, sme_step
 from filtercool import trajectory
 from filtercool.filters import lowpass_cascade
-from filtercool.moment_systems import ProtocolKind, ProtocolParams
+from filtercool.moment_systems import ProtocolKind, ProtocolParams, build_moment_system, evolve
 from filtercool.numerics import NoiseStream
 from filtercool.trajectory import (
     QuantumState,
@@ -20,7 +21,6 @@ from filtercool.trajectory import (
     measurement_only_model,
     oscillator_cooling_model,
     run_ensemble,
-    step,
 )
 
 
@@ -109,16 +109,27 @@ class TestShiftedTrapFeedback:
 
 
 class TestStep:
+    """The density-matrix SME step of the test reference, which the
+    state-vector kernel is held to."""
+
+    @staticmethod
+    def _steps(model, rho, seed, dt, n_steps):
+        """rho after each of n_steps reference steps from rho on the
+        draws of NoiseStream(seed, 0)."""
+        rho = rho[None]
+        G = np.zeros((1, model.n_channels, model.n_signal_components))
+        gen = NoiseStream(seed, 0).generator()
+        for _ in range(n_steps):
+            dW = gen.standard_normal((1, model.n_channels)) * np.sqrt(dt)
+            rho, G = sme_step(model, rho, G, dW, dt)
+            yield rho[0]
+
     def test_trace_is_one_after_step(self):
         model = oscillator_cooling_model(
             ProtocolParams(1.0, 1.0, 2.0, None, ProtocolKind.LOWPASS1), 10)
-        state = QuantumState.ground_state(10)
-        signals = np.zeros((2, 1))
-        gen = NoiseStream(0, 0).generator()
-        for _ in range(20):
-            state, signals = step(state, signals, model, 1e-3, gen)
-            assert abs(np.trace(state.rho).real - 1.0) < 1e-14
-            assert np.abs(state.rho - state.rho.conj().T).max() < 1e-14
+        for rho in self._steps(model, QuantumState.ground_state(10).rho, 0, 1e-3, 20):
+            assert abs(np.trace(rho).real - 1.0) < 1e-14
+            assert np.abs(rho - rho.conj().T).max() < 1e-14
 
     def test_unitary_limit_conserves_energy(self):
         # no measurement channels: plain Hamiltonian step, energy exact
@@ -127,12 +138,10 @@ class TestStep:
         rng = np.random.default_rng(5)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         v /= np.linalg.norm(v)
-        state = QuantumState(np.outer(v, v.conj()))
-        e0 = state.expectation(osc.H0)
-        for _ in range(50):
-            state, _ = step(state, np.zeros((0, 0)), model, 1e-3,
-                            np.zeros(0))
-        assert abs(state.expectation(osc.H0) - e0) < 1e-10
+        rho = np.outer(v, v.conj())
+        e0 = np.trace(rho @ osc.H0).real
+        *_, rho = self._steps(model, rho, 0, 1e-3, 50)
+        assert abs(np.trace(rho @ osc.H0).real - e0) < 1e-10
 
     def test_purity_stays_high_and_improves_with_dt(self):
         # the continuous flow preserves purity; the integrator defect is
@@ -141,35 +150,13 @@ class TestStep:
         model = SystemModel(osc.H0, (osc.x,), 1.0, None, None)
 
         def max_defect(dt, n_steps):
-            state = QuantumState.ground_state(15)
-            signals = np.zeros((1, 0))
-            gen = NoiseStream(1, 0).generator()
-            worst = 0.0
-            for _ in range(n_steps):
-                state, signals = step(state, signals, model, dt, gen)
-                worst = max(worst, 1.0 - state.purity())
-            return worst
+            rho = QuantumState.ground_state(15).rho
+            return max(1.0 - np.trace(rho @ rho).real
+                       for rho in self._steps(model, rho, 1, dt, n_steps))
 
         coarse = max_defect(1e-4, 1000)
         assert coarse <= 5e-3
         assert max_defect(5e-5, 2000) < coarse
-
-    def test_noise_array_matches_generator(self):
-        model = oscillator_cooling_model(
-            ProtocolParams(1.0, 1.0, 1.0, 2.0, ProtocolKind.LOWPASS2), 8)
-        xi = NoiseStream(3, 0).normal(2)
-        s0 = QuantumState.ground_state(8)
-        sig0 = np.zeros((2, 2))
-        s1, g1 = step(s0, sig0, model, 1e-3, xi)
-        s2, g2 = step(s0, sig0, model, 1e-3, NoiseStream(3, 0).generator())
-        assert np.array_equal(s1.rho, s2.rho) and np.array_equal(g1, g2)
-
-    def test_bad_signal_shape_rejected(self):
-        model = oscillator_cooling_model(
-            ProtocolParams(1.0, 1.0, 2.0, None, ProtocolKind.LOWPASS1), 6)
-        with pytest.raises(ValueError):
-            step(QuantumState.ground_state(6), np.zeros((2, 3)), model, 1e-3,
-                 np.zeros(2))
 
 
 class TestRunEnsemble:
@@ -265,9 +252,9 @@ class TestRunEnsemble:
         assert np.abs(ra.energy_mean - rb.energy_mean).max() < 1e-12
         assert np.array_equal(ra.signal_mean, rb.signal_mean)
 
-    def test_generic_feedback_on_density_matrix_matches_trap(self):
-        # a mixed start runs the density-matrix engine; a custom rule takes its
-        # generic commutator and energy branches, the trap model its own
+    def test_generic_feedback_on_mixed_start_matches_trap(self):
+        # a mixed start is sampled alike under both rules; a custom rule takes
+        # the kernel's generic branches, the trap model its own
         rho = np.zeros((10, 10), dtype=complex)
         rho[0, 0], rho[1, 1] = 0.6, 0.4
         p = ProtocolParams(1.0, 1.0, 1.5, 3.0, ProtocolKind.LOWPASS2)
@@ -291,29 +278,19 @@ class TestRunEnsemble:
 
 class TestStateVectorPath:
     def test_sse_matches_sme_with_common_noise(self):
-        # run_ensemble steps the pure start as a state vector; a loop of
-        # step() integrates the density-matrix SME on the same draws
+        # run_ensemble steps the pure start as a state vector; the reference
+        # integrates the density-matrix SME on the same draws
         p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
         model = oscillator_cooling_model(p, 14)
-        dt, n_steps, n_traj, stride, seed = 1e-3, 400, 40, 40, 5
-        cfg = TrajectoryConfig(dt=dt, n_steps=n_steps, n_traj=n_traj,
-                               base_seed=seed, record_stride=stride)
+        cfg = TrajectoryConfig(dt=1e-3, n_steps=400, n_traj=40, base_seed=5,
+                               record_stride=40)
         rec = run_ensemble(model, cfg)
-        sme = np.empty((n_traj, rec.times.size))
-        for i in range(n_traj):
-            gen = NoiseStream(seed, i).generator()
-            state = QuantumState.ground_state_of(model.H0)
-            signals = np.zeros((2, 2))
-            sme[i, 0] = state.expectation(model.feedback(signals))
-            for s in range(1, n_steps + 1):
-                state, signals = step(state, signals, model, dt, gen)
-                if s % stride == 0:
-                    sme[i, s // stride] = state.expectation(model.feedback(signals))
-        dev = np.abs(sme.mean(axis=0) - rec.energy_mean)
-        assert dev[0] < 1e-12
-        assert (dev[1:] <= 0.5 * rec.energy_stderr[1:]).all()
+        energy = _assert_common_noise_match(model, cfg)
+        assert np.array_equal(energy.mean(axis=0), rec.energy_mean)
 
-    def test_mixed_initial_state_runs_density_matrix_path(self):
+    def test_mixed_initial_state_is_sampled(self):
+        # the three trajectories of seed 2 all draw |0>: the t = 0 mean is
+        # 0.5 with no spread, where the density matrix gives 0.8
         rho = np.zeros((10, 10), dtype=complex)
         rho[0, 0], rho[1, 1] = 0.7, 0.3
         p = ProtocolParams(1.0, 1.0, 2.0, None, ProtocolKind.LOWPASS1)
@@ -321,7 +298,8 @@ class TestStateVectorPath:
         cfg = TrajectoryConfig(dt=1e-3, n_steps=20, n_traj=3, base_seed=2,
                                record_stride=10, initial_state=QuantumState(rho))
         rec = run_ensemble(model, cfg)
-        assert rec.energy_mean[0] == pytest.approx(0.8, abs=1e-12)
+        assert rec.energy_mean[0] == pytest.approx(0.5, abs=1e-12)
+        assert rec.energy_stderr[0] == 0.0
         assert np.isfinite(rec.energy_mean).all()
 
     def test_trap_path_chunk_independent(self):
@@ -350,43 +328,146 @@ class TestStateVectorPath:
         assert np.array_equal(rec.signal_var, ref.signal_var)
 
 
-def _sme_loop(model, cfg, psi0):
-    """Energies and <A_k>, shape (n_traj, n_rec[, ch]), of density-matrix
-    step() trajectories driven by run_ensemble's noise streams."""
-    stride, n_rec = cfg.record_stride, cfg.n_steps // cfg.record_stride + 1
-    energy = np.empty((cfg.n_traj, n_rec))
-    ops = np.empty((cfg.n_traj, n_rec, model.n_channels))
-    for i in range(cfg.n_traj):
-        gen = NoiseStream(cfg.base_seed, i).generator()
-        state = QuantumState(np.outer(psi0, psi0.conj()))
-        signals = np.zeros((model.n_channels, model.n_signal_components))
-        for s in range(cfg.n_steps + 1):
-            if s:
-                state, signals = step(state, signals, model, cfg.dt, gen)
-            if s % stride == 0:
-                H = model.feedback(signals) if model.feedback else model.H0
-                energy[i, s // stride] = state.expectation(H)
-                ops[i, s // stride] = [state.expectation(A) for A in model.measured_ops]
-    return energy, ops
+class TestMixedStart:
+    """A mixed start is sampled as pure states: one uniform draw per
+    trajectory, the first of its stream, picks an eigenvector of rho0.  The
+    ensemble means are rho0's; the standard errors are the sampled
+    estimator's."""
+
+    def test_means_match_evolve_and_the_density_matrix_reference(self):
+        # 0.7|0><0| + 0.3|1><1| has <x> = <p> = 0 and <x^2> = <p^2> = 0.8, so
+        # the moment system starts at energy 0.8; the reference steps rho0 on
+        # streams n_traj .. n_traj + 99 of the same seed, independent of the
+        # sampled run's
+        d, n_sme = 14, 100
+        rho = np.zeros((d, d), dtype=complex)
+        rho[0, 0], rho[1, 1] = 0.7, 0.3
+        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        model = oscillator_cooling_model(p, d)
+        cfg = TrajectoryConfig(dt=1e-3, n_steps=300, n_traj=400, base_seed=0,
+                               record_stride=30, initial_state=QuantumState(rho))
+        rec = run_ensemble(model, cfg)
+        assert not rec.truncation_warning
+        path = evolve(build_moment_system(p), np.array([0.8, 0.0, 0.0, 0.0]),
+                      cfg.dt, cfg.n_steps)[::cfg.record_stride, 0]
+        assert (np.abs(rec.energy_mean - path)[1:] <= 4.0 * rec.energy_stderr[1:]).all()
+
+        xi = np.stack([NoiseStream(cfg.base_seed, cfg.n_traj + i).generator().standard_normal(
+            (cfg.n_steps, 2)) for i in range(n_sme)])
+        sme, _ = sme_ensemble(model, rho, cfg.dt, xi, cfg.record_stride)
+        se = np.hypot(rec.energy_stderr, sme.std(axis=0, ddof=1) / np.sqrt(n_sme))
+        assert (np.abs(rec.energy_mean - sme.mean(axis=0))[1:] <= 4.0 * se[1:]).all()
+
+    def test_each_trajectory_starts_in_its_drawn_component(self):
+        # eigenvalues, ascending: -1e-13 on |2> (clipped to 0, never drawn),
+        # 0 on |3>..|7>, 0.3 + 1e-13 on |1> and 0.7 on |0>; a draw u below
+        # 0.3 + 1e-13 picks |1>, any other |0>.  A basis state's energy is
+        # the diagonal entry of H0, to the bit.
+        rho = np.diag([0.7, 0.3 + 1e-13, -1e-13, 0, 0, 0, 0, 0]).astype(complex)
+        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        model = oscillator_cooling_model(p, 8)
+        drawn = []
+        for seed in range(40):
+            rec = run_ensemble(model, TrajectoryConfig(
+                dt=1e-3, n_steps=1, n_traj=1, base_seed=seed,
+                initial_state=QuantumState(rho)))
+            u = NoiseStream(seed, 0).generator().random()
+            drawn.append(1 if u < 0.3 + 1e-13 else 0)
+            assert rec.energy_mean[0] == model.H0[drawn[-1], drawn[-1]].real, seed
+        assert 0 < sum(drawn) < 40
+
+    def test_truncation_check_reads_the_sampled_states(self):
+        # half the weight on the top basis state: the trajectories that draw
+        # it start with edge population 1, those that draw |0> with 0
+        rho = np.diag([0.5, 0.0, 0.0, 0.0, 0.5]).astype(complex)
+        cfg = TrajectoryConfig(dt=1e-3, n_steps=10, n_traj=8, base_seed=0,
+                               record_stride=10, initial_state=QuantumState(rho))
+        with pytest.warns(RuntimeWarning, match="truncation"):
+            rec = run_ensemble(measurement_only_model(5, 1.0, 1.0), cfg)
+        assert rec.truncation_warning and rec.max_edge_population == 1.0
+
+    @pytest.mark.slow
+    def test_standard_errors_cover_the_exact_mean(self):
+        # 200 independent runs of 50 trajectories from 0.5|0><0| + 0.3|1><1|
+        # + 0.2|2><2| (energy 1.2): the share whose t = 0.2 mean lies within 2
+        # of its standard errors of the exact moment path must lie inside the
+        # central 99.9% of Binomial(200, 0.954)
+        from scipy.stats import binom
+
+        d, runs = 16, 200
+        rho = np.zeros((d, d), dtype=complex)
+        rho[0, 0], rho[1, 1], rho[2, 2] = 0.5, 0.3, 0.2
+        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        model = oscillator_cooling_model(p, d)
+        exact = evolve(build_moment_system(p), np.array([1.2, 0.0, 0.0, 0.0]), 1e-3, 200)[-1, 0]
+        hits = 0
+        for seed in range(runs):
+            rec = run_ensemble(model, TrajectoryConfig(
+                dt=1e-3, n_steps=200, n_traj=50, base_seed=seed, record_stride=200,
+                initial_state=QuantumState(rho)))
+            assert not rec.truncation_warning
+            hits += abs(rec.energy_mean[-1] - exact) <= 2.0 * rec.energy_stderr[-1]
+        low, high = binom.interval(0.999, runs, 0.954)
+        assert low <= hits <= high, hits
 
 
-def _assert_common_noise_match(rec, energy, ops):
-    """Ensemble means equal at t = 0 and within 0.5 standard errors after.
+def _draws(cfg, ch):
+    """The standard-normal draws run_ensemble reads for a pure start,
+    shape (n_traj, n_steps, ch)."""
+    return np.stack([NoiseStream(cfg.base_seed, i).generator().standard_normal(
+        (cfg.n_steps, ch)) for i in range(cfg.n_traj)])
 
-    The two integrators differ by O(sqrt(dt)) per path, which is a sizeable
-    share of the early spread, so the first record should be 80 steps in."""
-    pairs = [(rec.energy_mean, rec.energy_stderr, energy)]
-    pairs += [(rec.op_mean[k], rec.op_stderr[k], ops[..., k])
-              for k in range(ops.shape[-1])]
-    for mean, stderr, sme in pairs:
-        dev = np.abs(sme.mean(axis=0) - mean)
-        assert dev[0] < 1e-12
-        assert (dev[1:] <= 0.5 * stderr[1:]).all(), dev / stderr
+
+def _sse_paths(model, cfg):
+    """Every trajectory's records of a pure-start run: energies (n, n_rec),
+    <A_k> (n, n_rec, ch) and signals (n, n_rec, ch, m).  The state-vector
+    engine steps all trajectories as one batch, ``advance`` on its
+    ``_moments``, with each trajectory's draws taken up front."""
+    engine = trajectory._Engine(model)
+    psi0, cdf, G0 = trajectory._initial_state(model, cfg)
+    assert cdf is None, "a mixed start draws its component first"
+    n, ch, m, stride = cfg.n_traj, engine.n_ch, engine.m, cfg.record_stride
+    n_rec = cfg.n_steps // stride + 1
+    xi = _draws(cfg, ch)
+    state = np.repeat(psi0, n, axis=0)
+    G = np.broadcast_to(G0, (n,) + G0.shape).copy()
+    energy = np.empty((n, n_rec))
+    opmeans = np.empty((n, n_rec, ch))
+    signals = np.empty((n, n_rec, ch, m))
+    for s in range(cfg.n_steps + 1):
+        if s:
+            state, G = engine.advance(state, G, xi[:, s - 1] * np.sqrt(cfg.dt), cfg.dt,
+                                      engine._moments(state, G))
+        if s % stride == 0:
+            mom = engine._moments(state, G)
+            energy[:, s // stride] = engine.energies(G, mom)
+            opmeans[:, s // stride] = engine.op_means(mom)
+            signals[:, s // stride] = G
+    return energy, opmeans, signals
+
+
+def _assert_common_noise_match(model, cfg):
+    """The SSE and the reference SME on each trajectory's own draws, from the
+    same pure start: energies and <A_k> equal at t = 0 and, after it, the
+    mean of the per-trajectory differences within 4 of its standard errors.
+    The pairing removes the spread the two paths share.
+    Returns the SSE energies."""
+    energy, ops, _ = _sse_paths(model, cfg)
+    psi0 = trajectory._initial_state(model, cfg)[0][0]
+    sme = sme_ensemble(model, np.outer(psi0, psi0.conj()), cfg.dt,
+                       _draws(cfg, model.n_channels), cfg.record_stride)
+    for sse_k, sme_k in zip((energy, ops), sme):
+        diff = sme_k - sse_k
+        assert np.abs(diff[:, 0]).max() < 1e-12
+        mean = diff[:, 1:].mean(axis=0)
+        se = diff[:, 1:].std(axis=0, ddof=1) / np.sqrt(cfg.n_traj)
+        assert (np.abs(mean) <= 4.0 * se).all(), mean / se
+    return energy
 
 
 class TestStepKernel:
     """Each branch of the state-vector kernel: batch-size independence, and
-    agreement with the density-matrix step() on common noise."""
+    agreement with the reference density-matrix SME on common noise."""
 
     @staticmethod
     def _model(kind, d, rng):
@@ -415,11 +496,15 @@ class TestStepKernel:
         psi /= np.linalg.norm(psi, axis=1)[:, None]
         G = rng.normal(0.0, 0.5, (n, 2, 2))
         xi = rng.standard_normal((n, 2))
-        whole = engine.step(psi, G, xi, dt)
+
+        def step(psi, G, xi):
+            return engine.advance(psi, G, xi * np.sqrt(dt), dt, engine._moments(psi, G))
+
+        whole = step(psi, G, xi)
         for size in (1, 3, 5):
             for lo in range(0, n, size):
                 rows = slice(lo, lo + size)
-                part = engine.step(psi[rows], G[rows], xi[rows], dt)
+                part = step(psi[rows], G[rows], xi[rows])
                 for got, want in zip(part, whole):
                     assert np.array_equal(got, want[rows]), (size, lo)
 
@@ -434,7 +519,8 @@ class TestStepKernel:
                                record_stride=30,
                                initial_state=QuantumState(np.outer(psi0, psi0.conj())))
         rec = run_ensemble(model, cfg)
-        energy, _ = _sme_loop(model, cfg, psi0)
+        energy, _ = sme_ensemble(model, np.outer(psi0, psi0.conj()), cfg.dt,
+                                 np.zeros((3, 300, 0)), cfg.record_stride)
         assert np.ptp(rec.energy_mean) < 1e-10
         assert np.abs(rec.energy_mean - 2.5).max() < 1e-10
         assert np.abs(energy.mean(axis=0) - rec.energy_mean).max() < 1e-10
@@ -445,9 +531,7 @@ class TestStepKernel:
         model = SystemModel(osc.H0, (osc.x,), 1.0)
         cfg = TrajectoryConfig(dt=5e-4, n_steps=400, n_traj=30, base_seed=3,
                                record_stride=80)
-        rec = run_ensemble(model, cfg)
-        psi0 = trajectory._initial_state(model, cfg)[0]
-        _assert_common_noise_match(rec, *_sme_loop(model, cfg, psi0))
+        _assert_common_noise_match(model, cfg)
 
     def test_cooling_protocols_step_with_four_blocks(self):
         # [H0, x, p, S]: x and p are the measured pair, S = x^2 + p^2
@@ -468,9 +552,7 @@ class TestStepKernel:
         assert len(trajectory._Engine(model).blocks) == 6
         cfg = TrajectoryConfig(dt=5e-4, n_steps=400, n_traj=30, base_seed=4,
                                record_stride=80)
-        rec = run_ensemble(model, cfg)
-        psi0 = trajectory._initial_state(model, cfg)[0]
-        _assert_common_noise_match(rec, *_sme_loop(model, cfg, psi0))
+        _assert_common_noise_match(model, cfg)
 
 
 def _record_digest(rec):
@@ -532,8 +614,9 @@ class TestSparseStack:
             "537e99342bd1cffae8c9f89c97a503e946135a22b92c20e676005934fecfb19f")
 
     def test_density_matrix_record_is_pinned(self):
-        # a mixed start runs the SME path, which the sparse stack leaves
-        # alone: the digest was taken before the stack was sparse
+        # a mixed start, each trajectory's component drawn ahead of its noise
+        # over chunks of three; the digest was taken when sampling replaced
+        # the density-matrix engine
         rho = np.zeros((10, 10), dtype=complex)
         rho[0, 0], rho[1, 1] = 0.7, 0.3
         p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
@@ -541,7 +624,7 @@ class TestSparseStack:
             dt=1e-3, n_steps=40, n_traj=7, base_seed=3, record_stride=10,
             initial_state=QuantumState(rho), chunk_size=3))
         assert _record_digest(rec) == (
-            "ede2fab36bb60e278221ba71b1c8c79b094964d780716878dcf99280b3c71adf")
+            "17533412472d851548c8c0aca126a6416b6fe081ad4a7e44aaa609d6bc6f20c7")
 
     def test_state_vector_record_is_pinned(self):
         # the bench's lowpass2 run at d = 24 (dt 5e-4, stride 20) on the
@@ -556,38 +639,12 @@ class TestSparseStack:
         assert _record_digest(rec) == (
             "83fa0861448a9eeb12c103bb621ae064be8db54e9590fb5ba7a6cfcb613e17d3")
 
-    def test_density_matrix_paths_do_not_build_the_stack(self, monkeypatch):
-        # step() builds an engine per call, and the SME reference loops call
-        # it about 1e4 times; neither it nor a mixed-start run needs Wt
-        engines = []
-
-        class Spy(trajectory._Engine):
-            def __init__(self, model):
-                super().__init__(model)
-                engines.append(self)
-
-        monkeypatch.setattr(trajectory, "_Engine", Spy)
-        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
-        model = oscillator_cooling_model(p, 8)
-        step(QuantumState.ground_state(8), np.zeros((2, 2)), model, 1e-3,
-             np.zeros(2))
-        rho = np.zeros((8, 8), dtype=complex)
-        rho[0, 0], rho[1, 1] = 0.7, 0.3
-        run_ensemble(model, TrajectoryConfig(
-            dt=1e-3, n_steps=10, n_traj=2, base_seed=0, record_stride=5,
-            initial_state=QuantumState(rho)))
-        assert len(engines) == 2
-        assert not any("Wt" in vars(e) for e in engines)
-        run_ensemble(model, TrajectoryConfig(
-            dt=1e-3, n_steps=10, n_traj=2, base_seed=0, record_stride=5))
-        assert "Wt" in vars(engines[-1])
-
 
 def _generic_models():
     """A generic rule that recentres the trap as ShiftedTrapFeedback does,
-    on the state-vector (lowpass2, d = 7), density-matrix (mixed start,
-    d = 10) and classical (d = 1) engines, each with its config.  Every
-    model counts its rule's calls in ``calls``."""
+    on the state-vector engine from a pure (lowpass2, d = 7) and a sampled
+    mixed start (d = 10), and on the classical (d = 1) engine, each with its
+    config.  Every model counts its rule's calls in ``calls``."""
     calls = []
     p = ProtocolParams(1.0, 1.0, 1.5, 3.0, ProtocolKind.LOWPASS2)
     cfg = TrajectoryConfig(dt=1e-3, n_steps=40, n_traj=4, base_seed=6,
@@ -623,10 +680,11 @@ class TestGenericRule:
 
     @pytest.mark.parametrize("label, digest", [
         ("psi", "7431b8c47d432dc2f612fcf6cc46f344d0b0db15ba92f2a986dc7370546079c7"),
-        ("rho", "feca76a9c8f317ec986139f672a6409cca21631001cf2b4f0ddc2d248659f607"),
+        ("rho", "4a2b97393b487a833e21aae56e48ccc22d6ca141ba42dc610d3d05fdcff0bcf8"),
     ])
     def test_record_is_pinned(self, label, digest):
-        # taken before the engine evaluated the rule once per state
+        # psi taken before the engine evaluated the rule once per state, rho
+        # when sampling replaced the density-matrix engine
         runs, _ = _generic_models()
         assert _record_digest(run_ensemble(*runs[label])) == digest
 
@@ -702,30 +760,13 @@ class TestConfigInputs:
 def _full_record_reference(model, cfg):
     """Ensemble statistics from every trajectory's full record.
 
-    Keeps (n_traj, n_rec, ...) arrays and reduces them with numpy's
-    two-pass mean/std/var, the reference that run_ensemble's streamed
-    statistics are held to.  All trajectories are stepped as one batch,
-    with each trajectory's noise drawn up front.
+    Keeps the (n_traj, n_rec, ...) arrays of :func:`_sse_paths` and reduces
+    them with numpy's two-pass mean/std/var, the reference that
+    run_ensemble's streamed statistics are held to.
     """
-    engine = trajectory._Engine(model)
-    state0, G0 = trajectory._initial_state(model, cfg)
-    n, ch, m, stride = cfg.n_traj, engine.n_ch, engine.m, cfg.record_stride
-    n_rec = cfg.n_steps // stride + 1
-    xi = np.stack([NoiseStream(cfg.base_seed, i).generator().standard_normal(
-        (cfg.n_steps, ch)) for i in range(n)])
-    state = np.broadcast_to(state0, (n,) + state0.shape).copy()
-    G = np.broadcast_to(G0, (n,) + G0.shape).copy()
-    energy = np.empty((n, n_rec))
-    opmeans = np.empty((n, n_rec, ch))
-    signals = np.empty((n, n_rec, ch, m))
-    for s in range(cfg.n_steps + 1):
-        if s:
-            state, G = engine.step(state, G, xi[:, s - 1], cfg.dt)
-        if s % stride == 0:
-            mom = engine._moments(state, G)
-            energy[:, s // stride] = engine.energies(G, mom)
-            opmeans[:, s // stride] = engine.op_means(mom)
-            signals[:, s // stride] = G
+    energy, opmeans, signals = _sse_paths(model, cfg)
+    n, (ch, m) = cfg.n_traj, signals.shape[2:]
+    n_rec = energy.shape[1]
 
     def stderr(arr):
         if n < 2:
@@ -899,7 +940,7 @@ class TestClassicalEngine:
             raise AssertionError("the state-vector kernel ran")
 
         monkeypatch.setattr(trajectory, "_ClassicalEngine", Spy)
-        monkeypatch.setattr(trajectory._Engine, "_advance_psi", no_state_kernel)
+        monkeypatch.setattr(trajectory._Engine, "advance", no_state_kernel)
         model = frozen_signal_model(lowpass_cascade((1.0, 2.0)), 1.0, mean_A=0.3)
         run_ensemble(model, TrajectoryConfig(dt=1e-3, n_steps=20, n_traj=3,
                                              base_seed=0, record_stride=5))
@@ -1014,26 +1055,18 @@ def _trap_model(ops, filter_model, tap=0):
                        ShiftedTrapFeedback(osc, tap))
 
 
-def _step(model=None, dt=1e-3, noise=(0.0, 0.0)):
-    model = model or _trap_model("xp", lowpass_cascade((1.0,)))
-    return step(QuantumState.ground_state(4), np.zeros((2, 1)), model, dt, np.array(noise))
-
-
 def _run(**start):
     cfg = TrajectoryConfig(dt=1e-3, n_steps=1, n_traj=1, base_seed=0, **start)
     return run_ensemble(_trap_model("xp", lowpass_cascade((1.0,))), cfg)
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: _step(_trap_model("x", lowpass_cascade((1.0,))), noise=(0.0,)),
+    pytest.param(lambda: trajectory._Engine(_trap_model("x", lowpass_cascade((1.0,)))),
                  r"trap-shift feedback needs the \(x, p\) channel pair", id="one-channel"),
-    pytest.param(lambda: _step(_trap_model("xp", None)),
+    pytest.param(lambda: trajectory._Engine(_trap_model("xp", None)),
                  "trap-shift feedback needs a filter model", id="no-filter"),
-    pytest.param(lambda: _step(_trap_model("xp", lowpass_cascade((1.0,)), tap=1)),
+    pytest.param(lambda: trajectory._Engine(_trap_model("xp", lowpass_cascade((1.0,)), tap=1)),
                  "tap index 1 out of range for 1-component filter", id="tap-out-of-range"),
-    pytest.param(lambda: _step(dt=0.0), "dt must be positive", id="step-dt"),
-    pytest.param(lambda: _step(noise=(0.0, 0.0, 0.0)),
-                 r"need one noise draw per channel, got shape \(3,\)", id="step-noise-shape"),
     pytest.param(lambda: _run(initial_state=QuantumState.ground_state(3)),
                  "initial state dimension does not match the model", id="start-dimension"),
     pytest.param(lambda: _run(initial_signals=np.zeros((2, 2))),
@@ -1043,6 +1076,8 @@ def _run(**start):
                  r"density matrix must be square, got \(2, 3\)", id="state-not-square"),
     pytest.param(lambda: QuantumState(np.diag([np.nan, 1.0])),
                  "density matrix has non-finite entries", id="state-non-finite"),
+    pytest.param(lambda: QuantumState(np.diag([1.0 + 1e-11, -1e-11])),
+                 "density matrix is not positive semidefinite", id="state-not-positive"),
     pytest.param(lambda: SystemModel(np.zeros((2, 3)), (), 0.0),
                  "H0 must be square", id="H0-not-square"),
     pytest.param(lambda: SystemModel(np.zeros((2, 2)), (np.eye(3),), 1.0),
