@@ -51,7 +51,6 @@ from .numerics import (
     SingularMatrixError,
     UnstableSystemError,
     eigenvalues,
-    mat_exp,
     propagate_affine,
     solve_linear,
 )

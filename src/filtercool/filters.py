@@ -28,6 +28,7 @@ from .numerics import (
     propagate_affine,
     require_finite,
     require_number,
+    require_positive,
     solve_linear,
 )
 
@@ -96,11 +97,9 @@ def lowpass_cascade(gammas) -> FilterModel:
     +gamma_k on the subdiagonal (k >= 2); only the first component is driven,
     b = (gamma_1, 0, ..., 0).
     """
-    gammas = tuple(float(require_number(g, f"gammas[{k}]")) for k, g in enumerate(gammas))
+    gammas = tuple(float(require_positive(g, f"gammas[{k}]")) for k, g in enumerate(gammas))
     if not gammas:
         raise ValueError("cascade needs at least one stage")
-    if any(g <= 0 for g in gammas):
-        raise ValueError("all cascade bandwidths must be positive")
     n = len(gammas)
     M = np.zeros((n, n))
     for k, g in enumerate(gammas):
@@ -123,12 +122,10 @@ def bandpass(gamma: float, Omega: float) -> FilterModel:
     Omega = 0 is allowed and degenerates to a single low-pass stage plus an
     inert second component.
     """
-    gamma = float(require_number(gamma, "gamma"))
+    gamma = float(require_positive(gamma, "gamma"))
     Omega = float(require_number(Omega, "Omega"))
-    if gamma <= 0:
-        raise ValueError("bandwidth gamma must be positive")
-    if Omega < 0:
-        raise ValueError("center frequency Omega must be nonnegative")
+    if not (np.isfinite(Omega) and Omega >= 0):
+        raise ValueError(f"Omega must be nonnegative and finite, got {Omega}")
     M = np.array([[-gamma, -Omega], [Omega, -gamma]])
     b = np.array([gamma, 0.0])
     return FilterModel(M, b)
@@ -157,8 +154,8 @@ def impulse_response(model: FilterModel, t: float) -> np.ndarray:
     Equals exp(M t) @ b, the solution of dh/dt = M h from h(0) = b, taken
     in one exact step of ``propagate_affine``; at t = 0 this is b itself.
     Raises ``NumericalError`` if the response overflows at t, and also at a
-    t so large that ``numerics.mat_exp`` returns NaN (t = 1e38 for the
-    (2, 3) cascade), where the exact response is 0.
+    t so large that the exponential in ``propagate_affine`` returns NaN
+    (t = 1e38 for the (2, 3) cascade), where the exact response is 0.
     """
     if t < 0:
         raise ValueError("impulse response is causal; t must be nonnegative")
@@ -197,8 +194,7 @@ def stationary_statistics(model: FilterModel, lam: float,
         If M has an eigenvalue with nonnegative real part ("no stationary
         state").
     """
-    if not (np.isfinite(require_number(lam, "lam")) and lam > 0):
-        raise ValueError(f"measurement strength lam must be positive and finite, got {lam}")
+    require_positive(lam, "lam")
     if not np.isfinite(require_number(mean_A, "mean_A")):
         raise ValueError(f"record mean mean_A must be finite, got {mean_A}")
     M, b = model.M, model.b

@@ -35,7 +35,7 @@ from .numerics import (
     NumericalError,
     eigenvalues,
     propagate_affine,
-    require_number,
+    require_positive,
     solve_linear,
 )
 
@@ -84,13 +84,9 @@ class ProtocolParams:
         if self.kind is ProtocolKind.LOWPASS1 and self.Omega is not None:
             raise ValueError("lowpass1 has a single bandwidth; Omega does not apply")
         for name in ("lam", "omega", "gamma"):
-            v = require_number(getattr(self, name), name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+            require_positive(getattr(self, name), name)
         if self.kind is not ProtocolKind.LOWPASS1:
-            require_number(self.Omega, "Omega")
-            if self.Omega is None or not (np.isfinite(self.Omega) and self.Omega > 0):
-                raise ValueError(f"{self.kind.value} requires Omega > 0, got {self.Omega}")
+            require_positive(self.Omega, "Omega")
 
     def filter_model(self) -> FilterModel:
         """The filter the protocol applies to each quadrature record.

@@ -3,10 +3,10 @@
 Everything here operates on plain numpy arrays (row-major, float64 or
 complex128).  Matrices in this package are tiny (at most 9x9 for the moment
 systems, a few tens for truncated oscillators), so robustness is preferred
-over speed: the matrix exponential uses scaling-and-squaring and linear
-solves are LU with partial pivoting and an explicit condition guard.  Affine
-systems dx/dt = A x + c are stepped exactly by ``propagate_affine``, the
-package's only ODE stepper: one exponential of the augmented matrix
+over speed: linear solves are LU with partial pivoting and an explicit
+condition guard.  Affine systems dx/dt = A x + c are stepped exactly by
+``propagate_affine``, the package's only ODE stepper and only matrix
+exponential: one scaling-and-squaring exponential of the augmented matrix
 [[A, c], [0, 0]] and then one matvec per step, written in place into the
 path.  It checks finiteness only at power-of-two steps and the last step
 (the error still names the first non-finite step), and stops stepping at a
@@ -16,7 +16,8 @@ their characteristic polynomials, without eigenvalues, and reports how far
 each decision is from the boundary.
 
 All quantities are dimensionless (hbar = 1); rate-like entries carry units
-of inverse time as documented by the caller.
+of inverse time as documented by the caller; ``require_positive`` is the
+one check of a rate or a step.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from typing import Tuple
 
 import numpy as np
@@ -65,6 +66,18 @@ def require_number(value, name: str):
     return value
 
 
+def require_positive(value, name: str):
+    """``value``, refused unless it is a positive finite number (not a bool)."""
+    require_number(value, name)
+    try:
+        ok = isfinite(value) and value > 0
+    except TypeError:  # None, a string, a complex number
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def require_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
     a = np.asarray(a)
     if not np.isfinite(a).all():
@@ -76,22 +89,6 @@ def as_real_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return a finite real square matrix as float64."""
     a = require_square(np.asarray(a, dtype=float), name)
     return require_finite(a, name)
-
-
-def mat_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential exp(a*t) for a square real (or complex) matrix.
-
-    Uses scaling-and-squaring with a Pade core, accurate to ~1e-12
-    entrywise relative error at the sizes used here.  scipy's ``expm``
-    returns NaN once ||a t|| is huge, even where the exact result is 0: for
-    the (2, 3) low-pass cascade it gives exactly 0 at t = 1e37 and NaN from
-    t = 1e38 (scipy 1.17).
-    """
-    a = require_square(a, "exponent")
-    require_finite(a, "exponent")
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
-    return expm(a * t)
 
 
 def solve_linear(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -216,8 +213,11 @@ def propagate_affine(a: np.ndarray, c: np.ndarray, x0: np.ndarray,
                      dt: float, n_steps: int) -> np.ndarray:
     """Exact path of dx/dt = a @ x + c at the times k*dt, k = 0..n_steps.
 
-    The exponential of the augmented matrix [[a, c], [0, 0]]*dt is the
-    one-step map [[phi, d], [0, 1]], so each step is x <- phi @ x + d.  It
+    The exponential of the augmented matrix [[a, c], [0, 0]]*dt (scipy's
+    scaling-and-squaring ``expm``) is the one-step map [[phi, d], [0, 1]],
+    so each step is x <- phi @ x + d.  ``expm`` returns NaN once ||a dt|| is
+    huge, even where the exact map is 0 (for the (2, 3) low-pass cascade
+    from dt = 1e38, scipy 1.17); the finiteness check reports it.  It
     has no step-size error (a path at step k*dt equals every k-th row of one
     at dt, to rounding) and needs no inverse of ``a``, so a singular drift is
     covered.  Returns the full path, shape ``(n_steps + 1, dim)``, including
@@ -235,8 +235,8 @@ def propagate_affine(a: np.ndarray, c: np.ndarray, x0: np.ndarray,
     Raises
     ------
     ValueError
-        If ``dt`` is not a positive finite number or ``n_steps`` is not a
-        nonnegative integer.
+        If ``a`` or ``c`` is not finite, ``dt`` is not a positive finite
+        number or ``n_steps`` is not a nonnegative integer.
     NumericalError
         If the state overflows to non-finite values; the message names the
         first non-finite step and its time k*dt.
@@ -246,8 +246,7 @@ def propagate_affine(a: np.ndarray, c: np.ndarray, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (a.shape[0],) or c.shape != (a.shape[0],):
         raise ValueError("dimension mismatch between matrix, offset and state")
-    if not (require_number(dt, "dt") > 0 and np.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    require_positive(dt, "dt")
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 0:
@@ -256,10 +255,11 @@ def propagate_affine(a: np.ndarray, c: np.ndarray, x0: np.ndarray,
     augmented = np.zeros((dim + 1, dim + 1))
     augmented[:dim, :dim] = a
     augmented[:dim, dim] = c
+    require_finite(augmented, "drift and offset")
     path = np.empty((n_steps + 1, dim))
     path[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        hop = mat_exp(augmented, dt)
+        hop = expm(augmented * dt)
         phi, d = hop[:dim, :dim], hop[:dim, dim]
         done = 0  # rows 0..done are computed and finite
         while done < n_steps:
@@ -297,7 +297,3 @@ class NoiseStream:
         key = np.array([self.base_seed & _UINT64_MASK,
                         self.substream_index & _UINT64_MASK], dtype=np.uint64)
         return Generator(Philox(key=key))
-
-    def normal(self, shape) -> np.ndarray:
-        """The first standard-normal draws of this substream."""
-        return self.generator().standard_normal(shape)

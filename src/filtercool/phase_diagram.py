@@ -61,7 +61,7 @@ from .moment_systems import (
     filter_drift,
     steady_state,
 )
-from .numerics import NumericalError, hurwitz_test, require_number
+from .numerics import NumericalError, hurwitz_test, require_positive
 
 ALL_PROTOCOLS = tuple(ProtocolKind)
 
@@ -122,10 +122,8 @@ class GridSpec:
                 raise ValueError(f"{name} axis is empty")
             if not (np.isfinite(ax) & (ax > 0)).all() or (np.diff(ax) <= 0).any():
                 raise ValueError(f"{name} axis must be positive, finite and strictly increasing")
-        if not all(np.isfinite(require_number(v, name)) and v > 0
-                   for name, v in (("lam", self.lam), ("omega", self.omega))):
-            raise ValueError(f"lam and omega must be positive and finite, "
-                             f"got {self.lam}, {self.omega}")
+        require_positive(self.lam, "lam")
+        require_positive(self.omega, "omega")
         self.protocols = tuple(self.protocols)
         if not self.protocols:
             raise ValueError("need at least one protocol")
@@ -144,10 +142,9 @@ class GridSpec:
         """Geometrically spaced grid; defaults bracket both decision
         thresholds and the band-pass resonance.  Both ends of each range
         must be positive and finite."""
-        for name, ends in (("gamma", gamma_range), ("Omega", Omega_range)):
-            if not all(np.isfinite(v) and v > 0 for v in ends):
-                raise ValueError(f"{name} range ends must be positive and finite, "
-                                 f"got {tuple(ends)}")
+        for name, ends in (("gamma_range", gamma_range), ("Omega_range", Omega_range)):
+            for k, v in enumerate(ends):
+                require_positive(v, f"{name}[{k}]")
         return cls(np.geomspace(*gamma_range, n_gamma),
                    np.geomspace(*Omega_range, n_Omega),
                    lam, omega, protocols)

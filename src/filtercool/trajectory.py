@@ -12,16 +12,19 @@ increment per measurement channel:
 :func:`run_ensemble` is one driver for two engines.  The driver owns what
 every engine needs: chunking, the noise of trajectory i from
 ``NoiseStream(base_seed, i)`` drawn ``NOISE_BLOCK`` steps at a time, the
-record window and its streamed reduction, and the truncation check.  An
-engine supplies the start batch, the moments of a batch, the steps of one
-noise block (``run_block``, which checks finiteness and calls the driver's
-record at record steps) and the record values (energy, <A_k> and, from
-d = 3 on, the top-two basis populations).  The engine is fixed by the model:
+record window and its streamed reduction, and the truncation check.  One
+block loop (``_Engine.run_block``) steps both engines: it calls the
+driver's record at record steps, checks finiteness once per block and
+replays a failed block step by step to name the trajectory and step, and
+the filter recursion is stepped in place by one ``_filter_step``.  An
+engine supplies the start batch, the moments of a batch, one ``advance``
+and the record values (energy, <A_k> and, from d = 3 on, the top-two
+basis populations).  The engine is fixed by the model:
 
 * d = 1, the classical engine: psi is a phase, so <H0> and the <A_k> are
-  constants read once from the operators' single entries, and a step is
-  the filter recursion alone (``frozen_signal_model`` runs here); it steps
-  a whole block per call, in place;
+  constants read once from the operators' single entries, the block's
+  noise becomes its records z dt in one pass, and a step is the filter
+  recursion alone (``frozen_signal_model`` runs here);
 * d > 1, the state-vector engine.
 
 The measurement has unit efficiency, so a pure state stays pure.  A mixed
@@ -77,7 +80,7 @@ import numpy as np
 
 from .filters import FilterModel
 from .moment_systems import ProtocolParams
-from .numerics import NoiseStream, NumericalError, require_number
+from .numerics import NoiseStream, NumericalError, require_number, require_positive
 
 #: Sum of the top two basis-state populations above which a run is flagged
 #: as truncation limited; it is sampled on the record grid.
@@ -139,23 +142,6 @@ class QuantumState:
         rho[0, 0] = 1.0
         return cls(rho)
 
-    @classmethod
-    def ground_state_of(cls, hamiltonian: np.ndarray) -> "QuantumState":
-        """Pure state built from the lowest eigenvector of a Hermitian matrix."""
-        _, vecs = np.linalg.eigh(hamiltonian)
-        v = vecs[:, 0]
-        return cls(np.outer(v, v.conj()))
-
-    def expectation(self, op: np.ndarray) -> float:
-        """Real expectation value of a Hermitian operator."""
-        return float(np.trace(self.rho @ op).real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
-
-    def populations(self) -> np.ndarray:
-        return np.diag(self.rho).real.copy()
-
 
 @dataclass
 class TruncatedOscillator:
@@ -182,8 +168,7 @@ def build_truncated_oscillator(n_fock: int, omega: float) -> TruncatedOscillator
     """
     if n_fock < 3:
         raise ValueError(f"need at least 3 basis states, got {n_fock}")
-    if not require_number(omega, "omega") > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    require_positive(omega, "omega")
     n = np.arange(n_fock - 1)
     a = np.zeros((n_fock, n_fock), dtype=complex)
     a[n, n + 1] = np.sqrt(n + 1.0)
@@ -334,10 +319,11 @@ class TrajectoryConfig:
     chunk's noise block and record window,
     chunk_size * (NOISE_BLOCK * ch + (NOISE_BLOCK // record_stride + 1) * q)
     doubles with q = 1 + ch + ch * m record columns, plus 4 * n_rec * q
-    doubles of per-slot sums; nothing grows with ``n_traj``.  The classical
-    engine steps a whole block per call, in place: it adds two arrays of
-    the chunk's signals, nothing of the block's size.  Counts and
-    the seed must be integers (not bools), ``dt`` and ``initial_signals`` finite.
+    doubles of per-slot sums; nothing grows with ``n_traj``.  The signals
+    step in place: a block adds two arrays of the chunk's signals (a
+    scratch and the copy a failed block is replayed from), nothing of the
+    block's size.  ``dt`` must be positive and finite, counts and the seed
+    integers (not bools) and ``initial_signals`` finite.
     A mixed ``initial_state`` (default: the ground state of H0) is sampled,
     one component per trajectory, so the ensemble means are its own and
     the standard errors those of the sampled estimator.
@@ -353,8 +339,7 @@ class TrajectoryConfig:
     chunk_size: int = 256
 
     def __post_init__(self):
-        if not (require_number(self.dt, "dt") > 0 and np.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        require_positive(self.dt, "dt")
         for name in ("base_seed", "n_steps", "n_traj", "record_stride", "chunk_size"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -400,10 +385,11 @@ class _Engine:
 
     A batch is state vectors, shape (n, d), one per trajectory; a mixed
     start reaches it already sampled.  The interface :func:`run_ensemble`
-    drives is :meth:`start`, :meth:`_moments`, :meth:`run_block` (one
-    :meth:`advance` per step of a noise block), :meth:`energies`,
-    :meth:`op_means` and :meth:`edge_populations`; :class:`_ClassicalEngine`
-    implements it for d = 1.  :meth:`_moments` is the one evaluation per
+    drives is :meth:`start`, :meth:`_moments`, :meth:`run_block` (the one
+    block loop), :meth:`energies`, :meth:`op_means` and
+    :meth:`edge_populations`; :class:`_ClassicalEngine` replaces
+    :meth:`start`, :meth:`_moments`, :meth:`_block_noise` and
+    :meth:`advance` for d = 1.  :meth:`_moments` is the one evaluation per
     state, read by its record and the next step; the feedback rule is
     ``trap`` (the :class:`ShiftedTrapFeedback`) or ``fb`` (a generic rule).
 
@@ -504,34 +490,74 @@ class _Engine:
     def _feedback_hamiltonians(self, G: np.ndarray) -> np.ndarray:
         return np.stack([np.asarray(self.fb(Gi), dtype=complex) for Gi in G])
 
-    def _filter_step(self, G, a, dW, dt):
-        """dG = M G dt + b z dt with z dt = <A> dt + dW / sqrt(4 lam)."""
-        if self.m and self.n_ch:
-            z_dt = a * dt + dW * self.noise_gain
-            G = G + dt * (G @ self.M_T) + self.b[None, None, :] * z_dt[:, :, None]
-        return G
+    def _filter_step(self, G, z_dt, dt, out=None, scratch=None):
+        """dG = M G dt + b z dt on the records z dt, shape (n, ch): writes
+        G + dt (G M^T) + b z dt to ``out`` (which may be G) with G M^T in
+        ``scratch``, both new when not given.  Returns the new signals, G
+        itself when no filter reads a record."""
+        if not (self.m and self.n_ch):
+            return G
+        if out is None:
+            out, scratch = np.empty_like(G), np.empty_like(G)
+        np.matmul(G, self.M_T, out=scratch)
+        scratch *= dt
+        scratch += G
+        np.multiply(self.b, z_dt[:, :, None], out=out)
+        out += scratch
+        return out
+
+    def _block_noise(self, dW, mom, dt):
+        """What the steps of a noise block read: the Wiener increments dW
+        themselves, since the state-vector engine's records move with psi."""
+        return dW
 
     def run_block(self, state, G, mom, dW, dt, first, stride, record, start):
         """Steps first + 1 .. first + rows of a batch on one noise block.
 
-        dW holds the steps' Wiener increments, shape (n, rows, ch).  After
-        each step s the batch is checked (see :func:`_check_finite`; row i
-        is trajectory start + i), its moments are taken, and
-        ``record(s, state, G, mom)`` runs when ``stride`` divides s.
-        Returns (state, G, mom) after the last step.
-        """
-        for j in range(dW.shape[1]):
-            s = first + j + 1  # steps taken, this one included
-            state, G = self.advance(state, G, dW[:, j], dt, mom)
-            _check_finite(state, G, s, start)
-            mom = self._moments(state, G)
-            if s % stride == 0:
-                record(s, state, G, mom)
-        return state, G, mom
+        dW holds the steps' Wiener increments, shape (n, rows, ch), which
+        :meth:`_block_noise` may rewrite.  Each step is one :meth:`advance`:
+        a new state, and G stepped in place with the block's one scratch
+        array.  Then the moments are taken (constant at d = 1 without a
+        generic rule) and ``record(s, state, G, mom)`` runs when ``stride``
+        divides step s.  Returns (state, G, mom) after the last step.
 
-    def advance(self, psi, G, dW, dt, mom):
+        Finiteness is checked after the last step only: psi is renormalized
+        by its own norm and G is added into its successor, so a non-finite
+        entry stays non-finite.  A block that fails is replayed from its
+        start with :func:`_check_finite` after every step, which names the
+        first trajectory (row i is trajectory start + i) and step.  A
+        generic rule sees only finite signals: under one, every step is
+        checked as it is taken.
+        """
+        noise = self._block_noise(dW, mom, dt)
+        scratch = np.empty_like(G)
+        rule = self.fb is not None
+        retake = rule or self.d > 1
+
+        def walk(state, mom, check):
+            for j in range(noise.shape[1]):
+                s = first + j + 1  # steps taken, this one included
+                state, _ = self.advance(state, G, noise[:, j], dt, mom, G, scratch)
+                if check:
+                    _check_finite(state, G, s, start)
+                if retake:
+                    mom = self._moments(state, G)
+                if s % stride == 0:
+                    record(s, state, G, mom)
+            return state, mom
+
+        state_start, G_start = state, G.copy()
+        state, mom_end = walk(state, mom, rule)
+        if not (np.isfinite(state).all() and np.isfinite(G).all()):
+            G[...] = G_start
+            walk(state_start, mom, True)
+        return state, G, mom_end
+
+    def advance(self, psi, G, dW, dt, mom, out=None, scratch=None):
         """One Euler-Maruyama SSE step of a batch on Wiener increments dW,
-        shape (n, ch), and its :meth:`_moments`.  Returns (psi, G).
+        shape (n, ch), and its :meth:`_moments`.  Returns (psi, G): psi is
+        a new array, and the signals step through :meth:`_filter_step` into
+        ``out`` with ``scratch``.
 
         With kick_k = sqrt(lam) dW_k + lam dt a_k, the SSE move expanded in
         powers of A_k (S carries sum_k A_k^2) is
@@ -563,7 +589,8 @@ class _Engine:
         psi = psi + (dpsi + c0[:, None] * psi)
         v = psi.view(float)
         psi /= np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
-        return psi, self._filter_step(G, a, dW, dt)
+        z_dt = a * dt + dW * self.noise_gain
+        return psi, self._filter_step(G, z_dt, dt, out, scratch)
 
     def edge_populations(self, state: np.ndarray) -> Optional[np.ndarray]:
         """Sum of the top two basis populations per trajectory, which the
@@ -582,8 +609,7 @@ class _ClassicalEngine(_Engine):
     is a constant: <H0> and the <A_k> are the operators' single entries,
     read once.  The batch state is the (n, 1 + ch) array of those moments,
     a step is the filter recursion alone, and the operator stack ``Wt`` is
-    never built.  :meth:`run_block` steps a whole noise block per call.
-    Under a generic feedback rule the energy is H(G)[0, 0].
+    never built.  Under a generic feedback rule the energy is H(G)[0, 0].
     """
 
     def start(self, psi):
@@ -595,48 +621,17 @@ class _ClassicalEngine(_Engine):
             state[:, 0] = self._feedback_hamiltonians(G)[:, 0, 0].real
         return None, state, None
 
-    def run_block(self, state, G, mom, dW, dt, first, stride, record, start):
-        """:meth:`_Engine.run_block` for d = 1, where a step is the filter
-        recursion alone and G advances in place.
-
-        dW becomes the block's z dt = <A> dt + dW / sqrt(4 lam) in one pass,
-        in :meth:`_filter_step`'s operations and order.  A non-finite entry
-        of the linear recursion stays non-finite, so one check at the end of
-        the block finds any; the block is then replayed from its start with
-        the per-step check, which names the trajectory and step.  A generic
-        rule sees only finite signals: under one, every step is checked.
-        """
-        M_T, b, rule = self.M_T, self.b, self.fb is not None
-        filtered = bool(self.m and self.n_ch)
-        if filtered:
+    def _block_noise(self, dW, mom, dt):
+        """The block's records z dt = <A> dt + dW / sqrt(4 lam), written
+        over dW in one pass: the <A_k> are constants."""
+        if self.m and self.n_ch:
             dW *= self.noise_gain
             dW += (self.op_means(mom) * dt)[:, None, :]
-        GM = np.empty_like(G)
+        return dW
 
-        def walk(mom, check):
-            for j in range(dW.shape[1]):
-                s = first + j + 1
-                if filtered:
-                    # G + dt (G M^T) + b z dt, rounded as _filter_step rounds it
-                    np.matmul(G, M_T, out=GM)
-                    np.multiply(GM, dt, out=GM)
-                    np.add(GM, G, out=GM)
-                    np.multiply(b, dW[:, j, :, None], out=G)
-                    np.add(G, GM, out=G)
-                if check:
-                    _check_finite(state, G, s, start)
-                if rule:
-                    mom = self._moments(state, G)
-                if s % stride == 0:
-                    record(s, state, G, mom)
-            return mom
-
-        G_start = G.copy()
-        mom_end = walk(mom, rule)
-        if not np.isfinite(G).all():
-            G[...] = G_start
-            walk(mom, True)
-        return state, G, mom_end
+    def advance(self, state, G, z_dt, dt, mom, out, scratch):
+        """The filter step alone, on one step of :meth:`_block_noise`."""
+        return state, self._filter_step(G, z_dt, dt, out, scratch)
 
 
 def _initial_state(model: SystemModel, config: TrajectoryConfig):

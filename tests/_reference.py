@@ -86,6 +86,11 @@ def _stack(model):
     return np.array(model.measured_ops, dtype=complex).reshape(-1, model.dim, model.dim)
 
 
+def _dagger(x):
+    """The adjoint of each matrix of a batch (n, d, d)."""
+    return x.conj().transpose(0, 2, 1)
+
+
 def sme_step(model, rho, G, dW, dt):
     """One Euler-Maruyama step of the diffusive stochastic master equation.
 
@@ -98,18 +103,24 @@ def sme_step(model, rho, G, dW, dt):
     after which rho is re-Hermitized and divided by its trace.  Each
     channel's filter reads its record z_k dt = <A_k> dt + dW_k / sqrt(4 lam),
     G <- G + dt G M^T + b z dt.  Returns (rho, G).
+
+    rho, H and the A_k are Hermitian, so X rho = (rho X)^dagger: each
+    product of rho from the right is the adjoint of one from the left,
+    which takes 1 + 3 ch batched products per step instead of 2 + 5 ch.
     """
     ops, lam = model.measured_ops, model.lam
     H = _hamiltonians(model, G)
     a = np.einsum("kij,nji->nk", _stack(model), rho).real
-    drho = (-1j * dt) * (H @ rho - rho @ H)
+    Hr = H @ rho
+    drho = (-1j * dt) * (Hr - _dagger(Hr))
     for k, A in enumerate(ops):
-        Ar, rA = A @ rho, rho @ A
-        drho += (lam * dt) * (Ar @ A - 0.5 * (A @ Ar + rA @ A))
+        Ar = A @ rho
+        AAr = A @ Ar
+        drho += (lam * dt) * (Ar @ A - 0.5 * (AAr + _dagger(AAr)))
         drho += (np.sqrt(lam) * dW[:, k])[:, None, None] * (
-            Ar + rA - 2.0 * a[:, k, None, None] * rho)
+            Ar + _dagger(Ar) - 2.0 * a[:, k, None, None] * rho)
     rho = rho + drho
-    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    rho = 0.5 * (rho + _dagger(rho))
     rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     if model.filter_model is not None and ops:
         M, b = model.filter_model.M, model.filter_model.b

@@ -53,6 +53,13 @@ class TestBandpass:
         with pytest.raises(ValueError):
             bandpass(-1.0, 2.0)
 
+    @pytest.mark.parametrize("Omega", [np.inf, np.nan, -1.0])
+    def test_bad_center_frequency_is_named(self, Omega):
+        # Omega = 0 is allowed, so it keeps its own rule
+        with pytest.raises(ValueError,
+                           match=f"^Omega must be nonnegative and finite, got {Omega}$"):
+            bandpass(1.0, Omega)
+
 
 class TestKernelFilter:
     def test_order_one_equals_lowpass(self):

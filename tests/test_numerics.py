@@ -1,7 +1,9 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from _reference import integrate_affine
 from filtercool.filters import bandpass, lowpass_cascade, stationary_statistics
@@ -18,8 +20,8 @@ from filtercool.numerics import (
     _cayley_matrix,
     eigenvalues,
     hurwitz_test,
-    mat_exp,
     propagate_affine,
+    require_positive,
     solve_linear,
 )
 from filtercool.phase_diagram import GridSpec
@@ -31,12 +33,21 @@ from filtercool.trajectory import (
 )
 
 
-class TestMatExp:
+def exp_step(A, t):
+    """exp(A t), column by column, from one exact step of propagate_affine."""
+    A = np.asarray(A, dtype=float)
+    return np.array([propagate_affine(A, np.zeros(len(A)), e, t, 1)[-1]
+                     for e in np.eye(len(A))]).T
+
+
+class TestExponentialStep:
+    """propagate_affine's one-step map is the matrix exponential."""
+
     def test_zero_matrix(self):
-        assert np.allclose(mat_exp(np.zeros((2, 2)), 7.0), np.eye(2), atol=1e-14)
+        assert np.allclose(exp_step(np.zeros((2, 2)), 7.0), np.eye(2), atol=1e-14)
 
     def test_scalar(self):
-        assert abs(mat_exp(np.array([[-1.0]]), 1.0)[0, 0] - np.exp(-1.0)) < 1e-13
+        assert abs(exp_step(np.array([[-1.0]]), 1.0)[0, 0] - np.exp(-1.0)) < 1e-13
 
     def test_damped_rotation_block(self):
         # exp of [[-g,-W],[W,-g]] has the closed form e^{-gt} R(Wt)
@@ -44,19 +55,19 @@ class TestMatExp:
         A = np.array([[-g, -W], [W, -g]])
         c, s = np.cos(W * t), np.sin(W * t)
         expected = np.exp(-g * t) * np.array([[c, -s], [s, c]])
-        assert np.abs(mat_exp(A, t) - expected).max() < 1e-13
+        assert np.abs(exp_step(A, t) - expected).max() < 1e-13
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            mat_exp(np.zeros((2, 3)), 1.0)
+            propagate_affine(np.zeros((2, 3)), np.zeros(2), np.zeros(2), 1.0, 1)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             A = rng.uniform(-1, 1, (4, 4)) - 3.0 * np.eye(4)
             s, t = rng.uniform(0.1, 2.0, 2)
-            lhs = mat_exp(A, s + t)
-            rhs = mat_exp(A, s) @ mat_exp(A, t)
+            lhs = exp_step(A, s + t)
+            rhs = exp_step(A, s) @ exp_step(A, t)
             assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -211,7 +222,7 @@ class TestIntegrateAffine:
 
         def endpoint_error(dt):
             n = int(round(T / dt))
-            exact = xinf + mat_exp(sys.A, T) @ (x0 - xinf)
+            exact = xinf + expm(sys.A * T) @ (x0 - xinf)
             return np.linalg.norm(integrate_affine(sys.A, sys.c, x0, dt, n)[-1] - exact)
 
         assert endpoint_error(0.02) / endpoint_error(0.01) >= 12.0
@@ -226,12 +237,13 @@ class TestIntegrateAffine:
 
 
 def step_loop(a, c, x0, dt, n_steps):
-    """x <- phi @ x + d, one new vector per step, from the propagator's map."""
+    """x <- phi @ x + d, one new vector per step, from the propagator's map
+    (the same ``expm`` call on the augmented matrix)."""
     dim = len(x0)
     augmented = np.zeros((dim + 1, dim + 1))
     augmented[:dim, :dim] = a
     augmented[:dim, dim] = c
-    hop = mat_exp(augmented, dt)
+    hop = expm(augmented * dt)
     phi, d = hop[:dim, :dim], hop[:dim, dim]
     x = np.asarray(x0, dtype=float)
     rows = [x]
@@ -327,6 +339,8 @@ class TestPropagateAffine:
         (np.zeros((2, 2)), np.zeros(1), [1.0, 0.0], 0.1, 5),
         (np.zeros((2, 2)), np.zeros(2), [1.0], 0.1, 5),
         (np.zeros((2, 3)), np.zeros(2), [1.0, 0.0], 0.1, 5),
+        (np.full((1, 1), np.nan), np.zeros(1), [1.0], 0.1, 5),
+        (np.zeros((1, 1)), np.full(1, np.inf), [1.0], 0.1, 5),
     ])
     def test_bad_input(self, args):
         with pytest.raises(ValueError):
@@ -335,13 +349,13 @@ class TestPropagateAffine:
 
 class TestNoiseStream:
     def test_determinism(self):
-        a = NoiseStream(123456789, 7).normal(100)
-        b = NoiseStream(123456789, 7).normal(100)
+        a = NoiseStream(123456789, 7).generator().standard_normal(100)
+        b = NoiseStream(123456789, 7).generator().standard_normal(100)
         assert np.array_equal(a, b)
 
     def test_substreams_differ(self):
-        a = NoiseStream(5, 0).normal(64)
-        b = NoiseStream(5, 1).normal(64)
+        a = NoiseStream(5, 0).generator().standard_normal(64)
+        b = NoiseStream(5, 1).generator().standard_normal(64)
         assert not np.allclose(a, b)
 
     def test_generator_restarts(self):
@@ -351,7 +365,7 @@ class TestNoiseStream:
         assert np.array_equal(first, stream.generator().standard_normal(10))
 
     def test_negative_seed_allowed(self):
-        assert NoiseStream(-3, 0).normal(4).shape == (4,)
+        assert NoiseStream(-3, 0).generator().standard_normal(4).shape == (4,)
 
 
 @pytest.mark.parametrize("call, field", [
@@ -379,3 +393,47 @@ def test_bool_rate_is_refused_naming_the_field(call, field):
     # True is the int 1 to Python; as a rate or a mean it is a mistake
     with pytest.raises(ValueError, match=f"^{field} must be a number, got (np.)?True_?$"):
         call()
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("call, field", [
+    pytest.param(lambda v: ProtocolParams(v, 1.0, 2.0), "lam", id="ProtocolParams-lam"),
+    pytest.param(lambda v: ProtocolParams(1.0, v, 2.0), "omega", id="ProtocolParams-omega"),
+    pytest.param(lambda v: ProtocolParams(1.0, 1.0, v), "gamma", id="ProtocolParams-gamma"),
+    pytest.param(lambda v: ProtocolParams(1.0, 1.0, 2.0, v, ProtocolKind.BANDPASS),
+                 "Omega", id="ProtocolParams-Omega"),
+    pytest.param(lambda v: TrajectoryConfig(dt=v, n_steps=2, n_traj=1, base_seed=0),
+                 "dt", id="TrajectoryConfig-dt"),
+    pytest.param(lambda v: GridSpec([1.0], [1.0], lam=v), "lam", id="GridSpec-lam"),
+    pytest.param(lambda v: GridSpec([1.0], [1.0], omega=v), "omega", id="GridSpec-omega"),
+    pytest.param(lambda v: GridSpec.log_spaced((1.0, v), (1.0, 2.0), 3, 3),
+                 r"gamma_range\[1\]", id="log_spaced-gamma"),
+    pytest.param(lambda v: GridSpec.log_spaced((1.0, 2.0), (v, 2.0), 3, 3),
+                 r"Omega_range\[0\]", id="log_spaced-Omega"),
+    pytest.param(lambda v: lowpass_cascade((2.0, v)), r"gammas\[1\]", id="lowpass_cascade"),
+    pytest.param(lambda v: bandpass(v, 2.0), "gamma", id="bandpass-gamma"),
+    pytest.param(lambda v: stationary_statistics(lowpass_cascade((1.0,)), v), "lam",
+                 id="stationary_statistics-lam"),
+    pytest.param(lambda v: build_truncated_oscillator(4, v), "omega", id="oscillator-omega"),
+    pytest.param(lambda v: propagate_affine([[-1.0]], [0.0], [1.0], v, 5), "dt",
+                 id="propagate_affine-dt"),
+])
+def test_rate_must_be_positive_and_finite(call, field, value):
+    # one check and one message at every boundary; nothing is built from
+    # the bad value first, so no numpy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be positive and finite, got {value}$"):
+            call(value)
+
+
+@pytest.mark.parametrize("value", [None, "1.0", 1j, np.array([1.0, 2.0])])
+def test_require_positive_refuses_what_is_not_a_real_number(value):
+    with pytest.raises(ValueError, match="^rate must be positive and finite, got "):
+        require_positive(value, "rate")
+
+
+def test_require_positive_returns_the_value():
+    for value in (1, 2.5, np.float32(0.5), np.int64(3)):
+        assert require_positive(value, "rate") is value
