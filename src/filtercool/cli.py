@@ -15,7 +15,9 @@ text and a file value get the same conversion, in :func:`_merge_options`
 alone (argparse passes no ``type=`` or ``choices=``; an option's help text
 lists its values), and no option takes a JSON boolean.  Every command writes
 its CSV through :func:`~filtercool.phase_diagram.write_csv`, where
-``--output -`` is stdout.
+``--output -`` is stdout: the type of each column sets its format (text as
+is, numbers as ``%.12g``), and rows go out in blocks, each run of repeated
+values in a column formatted once.
 All randomness is seeded explicitly, so identical configurations produce
 byte-identical output.  :func:`main` alone sets the exit code: 0 success,
 2 bad input (``ValueError``, ``ConfigError`` among them, or ``OSError``),
@@ -54,11 +56,6 @@ from .trajectory import TrajectoryConfig, oscillator_cooling_model, run_ensemble
 
 class ConfigError(ValueError):
     """Bad configuration file or inconsistent option values."""
-
-
-def _float_row(n: int) -> str:
-    """``write_rows`` format of n numbers, each with 12 significant digits."""
-    return ",".join(["%.12g"] * n) + "\r\n"
 
 
 def _int(value) -> int:
@@ -268,7 +265,7 @@ def _cmd_filter_response(cfg: dict) -> None:
     n = cfg["points"] - 1
     h = propagate_affine(model.M, np.zeros(model.n), model.b, cfg["t_max"] / n, n)
     write_csv(cfg["output"], ["t"] + [f"h_{k + 1}" for k in range(model.n)],
-              _float_row(1 + model.n), [np.linspace(0.0, cfg["t_max"], n + 1), *h.T])
+              [np.linspace(0.0, cfg["t_max"], n + 1), *h.T])
 
 
 def _cmd_steady_state(cfg: dict) -> None:
@@ -276,7 +273,7 @@ def _cmd_steady_state(cfg: dict) -> None:
     ss = steady_state(build_moment_system(params))
     Omega = params.Omega if params.Omega is not None else np.nan
     write_csv(cfg["output"], ["protocol", "lambda", "omega", "gamma", "Omega", "energy",
-                              "stable", "physical"], "%s," + "%.12g," * 5 + "%s,%s\r\n",
+                              "stable", "physical"],
               [[params.kind.value], [params.lam], [params.omega], [params.gamma], [Omega],
                [ss.energy_over_hw], [str(ss.stable).lower()], [str(ss.physical).lower()]])
 
@@ -292,13 +289,14 @@ def _cmd_evolve(cfg: dict) -> None:
     # writes each row in place, checks finiteness at power-of-two rows and
     # the last (naming the first non-finite row), and stops stepping once a
     # row repeats the one before it bit for bit, filling the rest with it.
+    # The writer formats each run of repeated values once, so past that row
+    # only the time column is formatted row by row.
     stride = cfg["stride"]
     if not np.isfinite(cfg["dt"] * stride):
         raise NumericalError(f"dt * stride overflows: {cfg['dt']:g} * {stride}")
     path = evolve(system, x0, cfg["dt"] * stride, cfg["steps"] // stride)
     times = [j * stride * cfg["dt"] for j in range(len(path))]
-    write_csv(cfg["output"], ["t"] + list(system.labels),
-              _float_row(1 + system.dim), [times, *path.T])
+    write_csv(cfg["output"], ["t"] + list(system.labels), [times, *path.T])
 
 
 def _cmd_trajectory(cfg: dict) -> None:
@@ -309,7 +307,7 @@ def _cmd_trajectory(cfg: dict) -> None:
     record = run_ensemble(model, run_cfg)
     tap = model.feedback.tap_index
     write_csv(cfg["output"], ["t", "mean_energy", "stderr_energy", "mean_Dx", "var_Dx",
-                              "mean_Dp", "var_Dp"], _float_row(7),
+                              "mean_Dp", "var_Dp"],
               [record.times, record.energy_mean, record.energy_stderr,
                record.signal_mean[0, tap], record.signal_var[0, tap],
                record.signal_mean[1, tap], record.signal_var[1, tap]])

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import sys
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -72,6 +73,12 @@ FLAG_NA = "na"
 
 CSV_HEADER = ("gamma", "Omega", "E1", "E2", "E3", "Ebp", "winner", "flags")
 
+#: A protocol's 2-bit flag code, and the phase CSV's flags field for each
+#: 8-bit code of the four protocols, E1's code in the top bits.
+_FLAG_CODES = {FLAG_OK: 0, FLAG_UNSTABLE: 1, FLAG_UNPHYSICAL: 2, FLAG_NA: 3}
+_FLAG_FIELDS = np.array([";".join(f) for f in itertools.product(_FLAG_CODES, repeat=4)],
+                        dtype=object)
+
 _ENERGY_FN = {
     ProtocolKind.LOWPASS1: lambda lam, g, Om, w: analytics.energy_1layer(lam, g),
     ProtocolKind.LOWPASS2: analytics.energy_2layer,
@@ -93,10 +100,8 @@ _BLOCK_CELLS = 4096
 #: (gamma, Omega) of the three builds that fix a matrix affine in them.
 _AFFINE_POINTS = ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
 
-#: One row of the phase CSV: gamma and Omega (formatted once per axis value),
-#: E1, E2, E3, Ebp, winner and the four flags, ending in the line terminator
-#: ``csv.writer`` writes.
-_PHASE_ROW = "%s,%s," + "%.12g," * 4 + "%s,%s;%s;%s;%s\r\n"
+#: Rows per block of :func:`write_csv`.
+_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -325,26 +330,48 @@ def _crosscheck(spec: GridSpec, energies, n_cells: int) -> Tuple[int, int, float
     return checked, skipped, float(worst)
 
 
-def write_rows(fh, fmt: str, columns) -> None:
-    """Write the line ``fmt % row`` for each row of the zipped ``columns``.
+def _format_runs(values: np.ndarray) -> np.ndarray:
+    """The ``%.12g`` text of each value, formatted once per run.
 
-    The CSV writers of the package share this loop: one ``%``-format per row
-    in place of a ``csv.writer`` row of separately formatted fields.  ``fmt``
-    ends in ``"\\r\\n"``, the line ending ``csv.writer`` writes, and its
-    fields must need no quoting.  Array columns are turned into lists first,
-    so ``%`` formats Python numbers.
+    A run starts where the float64 bits differ from the value before, so
+    0.0 and -0.0 are told apart, and NaNs of different payloads, each
+    printed ``nan``, are too.  The run values are formatted in one ``%``
+    call and repeated over their runs.
     """
-    fh.writelines(map(fmt.__mod__, zip(*(
-        c.tolist() if isinstance(c, np.ndarray) else c for c in columns))))
+    bits = values.view(np.uint64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    text = ("%.12g," * starts.size % tuple(values[starts].tolist())).split(",")[:-1]
+    return np.repeat(np.array(text, dtype=object), np.diff(starts, append=values.size))
 
 
-def write_csv(path, header, fmt: str, columns) -> None:
-    """Write ``header`` as a ``csv.writer`` row, then ``write_rows(fh, fmt, columns)``.
-    ``path`` ``"-"`` is standard output, which stays open."""
+def write_csv(path, header, columns) -> None:
+    """Write ``header`` as a ``csv.writer`` row, then the rows of ``columns``.
+
+    The column types set the format: a column of ``str`` is written as is
+    (its fields must need no quoting), any other column is read once as
+    float64 and written as ``%.12g``.  Rows go out ``_CSV_BLOCK_ROWS`` at a
+    time, so the text held does not grow with the row count; within a
+    block each run of equal values of a float column is formatted once.
+    Fields are joined with ``,`` and rows end in ``\\r\\n``, as ``csv.writer``
+    writes them.  ``path`` ``"-"`` is standard output, which stays open.
+    """
+    is_text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
+    columns = [c if t else np.asarray(c, dtype=float) for c, t in zip(columns, is_text)]
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError("CSV columns differ in length: " + ",".join(str(len(c)) for c in columns))
+    fields = np.empty((min(n_rows, _CSV_BLOCK_ROWS), 2 * len(columns)), dtype=object)
+    fields[:, 1::2] = ","
+    fields[:, -1:] = "\r\n"
     with (contextlib.nullcontext(sys.stdout) if path == "-"
           else open(path, "w", newline="")) as fh:
         csv.writer(fh).writerow(header)
-        write_rows(fh, fmt, columns)
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = fields[:min(_CSV_BLOCK_ROWS, n_rows - start)]
+            for k, (column, text) in enumerate(zip(columns, is_text)):
+                part = column[start:start + len(block)]
+                block[:, 2 * k] = part if text else _format_runs(part)
+            fh.write("".join(block.ravel().tolist()))
 
 
 def export_phase_csv(result: PhaseGridResult, path) -> None:
@@ -353,23 +380,29 @@ def export_phase_csv(result: PhaseGridResult, path) -> None:
     Energies are in units of hbar*omega with 12 significant digits (``nan``
     for protocols that are not applicable or not requested); ``flags`` joins
     the four per-protocol flags with semicolons in the order E1;E2;E3;Ebp.
-    Rows run over Omega fastest.  Each axis value is formatted once.
+    Rows run over Omega fastest.  The columns go through :func:`write_csv`:
+    gamma as a float column, whose runs of n_Omega rows are formatted once
+    per value, Omega as its axis formatted once and tiled, and the flags as
+    one text column picked from ``_FLAG_FIELDS`` by a 2-bit code per protocol
+    (a flag that is not one of the four names raises ``KeyError``).
     ``path`` ``"-"`` writes to standard output.
     """
     spec = result.spec
     ng, nO = spec.gamma_values.size, spec.Omega_values.size
-    energies, flags = [], []
+    energies = []
+    code = np.zeros(ng * nO, dtype=np.intp)
     for kind in ALL_PROTOCOLS:
+        code <<= 2
         if kind in result.energies:
             energies.append(result.energies[kind].ravel())
-            flags.append(result.flags[kind].ravel())
+            code += np.fromiter(map(_FLAG_CODES.__getitem__, result.flags[kind].ravel().tolist()),
+                                dtype=np.intp, count=code.size)
         else:
             energies.append(np.full(ng * nO, np.nan))
-            flags.append(np.full(ng * nO, FLAG_NA, dtype=object))
-    gamma = np.array(["%.12g" % v for v in spec.gamma_values.tolist()], dtype=object)
-    Omega = ["%.12g" % v for v in spec.Omega_values.tolist()]
-    write_csv(path, CSV_HEADER, _PHASE_ROW, [np.repeat(gamma, nO), Omega * ng, *energies,
-                                             result.winner.ravel(), *flags])
+            code += _FLAG_CODES[FLAG_NA]
+    Omega = np.array(["%.12g" % v for v in spec.Omega_values.tolist()], dtype=object)
+    write_csv(path, CSV_HEADER, [np.repeat(spec.gamma_values, nO), np.tile(Omega, ng),
+                                 *energies, result.winner.ravel(), _FLAG_FIELDS[code]])
 
 
 def load_phase_csv(path):

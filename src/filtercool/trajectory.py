@@ -785,10 +785,10 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
             if pops is not None:
                 np.maximum(edge, pops, out=edge)
 
-        # The moments of each state serve its record and the next step.
-        mom = engine._moments(state, G)
-        record(0, state, G, mom)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # The moments of each state serve its record and the next step.
+            mom = engine._moments(state, G)
+            record(0, state, G, mom)
             for first in range(0, config.n_steps, NOISE_BLOCK):
                 rows = min(NOISE_BLOCK, config.n_steps - first)
                 for i, gen in enumerate(gens):

@@ -192,6 +192,36 @@ class TestEvolve:
         assert digest == "5f5d05572a71c07b0d0f99b697503959839c836878262a5a4b61d6d4f8263e4a"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["filter-response", "--filter", "lowpass", "--gammas", "1,2,3", "--t-max", "5",
+      "--points", "60"], "de4329717c5e12124bf52ba00a9bb13e2fa9d85530b875f9fdc40f797df99c2c"),
+    (["filter-response", "--filter", "bandpass", "--gamma", "1", "--Omega", "3",
+      "--t-max", "8", "--points", "80"],
+     "a9e25a0e4b76c7be3b302d9bdcb4c8a771112d963f6b31c3e7261c4f3303180f"),
+    (["filter-response", "--filter", "kernel", "--kernel-coeffs", "2,3",
+      "--kernel-init", "1,0", "--points", "40"],
+     "5f322a7a68041b7c66112e06c45106e3390b27b50e1ba37f6922c476b37d938f"),
+    (["steady-state", "--protocol", "lowpass1", "--gamma", "2"],
+     "c9d3cc9d3d2eed11a73e1ae18198570b00db21386fe9d6991c725cc9f606d96f"),
+    (["steady-state", "--protocol", "bandpass", "--gamma", "1", "--Omega", "2"],
+     "ea0be09d133278b4d523f15baa085dbe380050a500d304754e6d6ff92e759993"),
+    (["steady-state", "--protocol", "lowpass3", "--gamma", "5", "--Omega", "20",
+      "--lambda", "0.5"], "b274b5098d3612e67668aa2145a1348846adfb2a0425ed8b813c61fa8f879fb8"),
+    (["trajectory", "--protocol", "lowpass1", "--gamma", "2", "--dt", "0.001",
+      "--steps", "60", "--ntraj", "6", "--seed", "3", "--fock", "8", "--stride", "5"],
+     "0c83ed1ab0a9951369f75ae210d56289435f960b7c96be08cfab60ad2561041a"),
+    (["trajectory", "--protocol", "lowpass2", "--gamma", "2", "--Omega", "2",
+      "--dt", "0.001", "--steps", "40", "--ntraj", "4", "--seed", "11", "--fock", "10",
+      "--stride", "4"], "5bba8ce567b7ae7a7966f8d4db4abbf250d31cb43855bdf1d5ebfbce6ddac540"),
+])
+def test_csv_digest_pinned(argv, digest, tmp_path):
+    # small seeded runs of the other commands, as csv.writer wrote them from
+    # fields formatted one at a time
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestTrajectory:
     def test_schema_and_determinism(self, tmp_path):
         args = ["trajectory", "--protocol", "lowpass1", "--lambda", "1",

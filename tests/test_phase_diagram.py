@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import hashlib
 import io
 import math
+import struct
 import tracemalloc
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,14 +35,22 @@ from filtercool.phase_diagram import (
     STABILITY_MARGIN,
     GridSpec,
     PhaseGridResult,
+    _CSV_BLOCK_ROWS,
     _moment_parts,
     _on_grid,
     _stability,
     export_phase_csv,
     load_phase_csv,
     sweep,
-    write_rows,
+    write_csv,
 )
+
+#: Floats whose bits differ while their texts agree (0.0 and -0.0, NaN
+#: payloads, 0.1 + 0.2 and 0.3), extremes, and values near a 12-digit tie.
+_TRICKY_FLOATS = [0.0, -0.0, math.nan,
+                  struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0],
+                  math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 0.3,
+                  1.0000000000005, 9.9999999999995, 0.1234567890125, 999999999999.5]
 
 _DRIFT_PROTOCOLS = (ProtocolKind.LOWPASS2, ProtocolKind.LOWPASS3, ProtocolKind.BANDPASS)
 _RATE = st.floats(min_value=0.01, max_value=100.0)
@@ -486,16 +497,77 @@ class TestCsv:
             assert [row[col] for row in f] == expect_flags, kind
         assert w == list(winner.ravel())
 
-    def test_write_rows_matches_csv_writer(self):
-        # the reference: csv.writer over fields formatted one at a time
-        values = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308,
-                  123456789012345.0, 0.1 + 0.2, np.nan, np.inf, -np.inf]
-        cols = [np.array(values), np.array(values[::-1]), np.roll(values, 5)]
-        text = ["lowpass2", "none", "ok;na;unstable;unphysical"] * 4 + ["bandpass"]
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_write_csv_matches_csv_writer(self, tmp_path_factory, data):
+        # the reference: csv.writer over fields formatted one at a time; the
+        # float columns are runs of values whose bits or 12-digit texts are
+        # easy to confuse, over row counts of 0 to 2 and within 2 of one and
+        # two blocks, so runs cross block boundaries.  Small blocks keep a
+        # failure quick to shrink; the memory test and the 200 x 200 digest
+        # run the module's own block size.
+        block = data.draw(st.sampled_from([1, 5, 64]), label="block")
+        n_rows = max(0, data.draw(st.sampled_from([0, block, 2 * block]), label="rows near")
+                     + data.draw(st.integers(-2, 2), label="offset"))
+        value = st.sampled_from(_TRICKY_FLOATS) | st.floats()
+
+        def runs(values):  # values[k] repeated over the k-th of len(values) runs
+            cuts = sorted(data.draw(st.lists(st.integers(0, n_rows), min_size=len(values) - 1,
+                                             max_size=len(values) - 1)))
+            return np.repeat(np.array(values), np.diff([0, *cuts, n_rows]))
+
+        columns = []
+        for k in range(data.draw(st.integers(1, 3), label="float columns")):
+            # the first column keeps the neighbours of _TRICKY_FLOATS adjacent
+            column = runs(_TRICKY_FLOATS if k == 0 else
+                          data.draw(st.lists(value, min_size=1, max_size=8)))
+            columns.append(column.tolist() if data.draw(st.booleans()) else column)
+        words = data.draw(st.lists(st.text("abz;_-0.9", min_size=1), min_size=1, max_size=4))
+        columns.insert(data.draw(st.integers(0, len(columns))),
+                       np.resize(np.array(words, dtype=object), n_rows))
+        header = [f"c{k}" for k in range(len(columns))]
+
         ref = io.StringIO()
         writer = csv.writer(ref)
-        for row in zip(*cols, text):
-            writer.writerow([f"{float(x):.12g}" for x in row[:3]] + [row[3]])
-        out = io.StringIO()
-        write_rows(out, "%.12g,%.12g,%.12g,%s\r\n", [*cols, text])
-        assert out.getvalue() == ref.getvalue()
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([x if isinstance(x, str) else f"{float(x):.12g}" for x in row])
+        with mock.patch.object(phase_diagram, "_CSV_BLOCK_ROWS", block):
+            if data.draw(st.booleans(), label="stdout"):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    write_csv("-", header, columns)
+                written = out.getvalue()
+            else:
+                path = tmp_path_factory.mktemp("write_csv") / "out.csv"
+                write_csv(path, header, columns)
+                with open(path, newline="") as fh:
+                    written = fh.read()
+        assert written == ref.getvalue()
+
+    def test_unknown_flag_rejected(self, tmp_path):
+        result = sweep(GridSpec(np.array([2.0]), np.array([3.0])), n_crosscheck=0)
+        result.flags[ProtocolKind.LOWPASS2][0, 0] = "stable"
+        with pytest.raises(KeyError, match="stable"):
+            export_phase_csv(result, tmp_path / "grid.csv")
+
+    def test_columns_of_different_lengths_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length: 2,1"):
+            write_csv(tmp_path / "out.csv", ["a", "b"], [[1.0, 2.0], ["x"]])
+
+    def test_write_csv_memory_is_bounded_by_a_block(self, tmp_path):
+        # one block of text is held at a time: ten blocks of rows peak within
+        # 1.5x of what one block does (the columns themselves are not counted)
+        rng = np.random.default_rng(0)
+
+        def peak(n_rows):
+            columns = [rng.standard_normal(n_rows) for _ in range(3)]
+            columns.append(np.full(n_rows, "ok;na;unstable;unphysical", dtype=object))
+            tracemalloc.start()
+            try:
+                write_csv(tmp_path / "out.csv", ["a", "b", "c", "flags"], columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(_CSV_BLOCK_ROWS)
+        assert peak(10 * _CSV_BLOCK_ROWS) < 1.5 * one

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +350,19 @@ def test_state_vector_divergence_names_the_first_trajectory_and_step(
                            record_stride=n_steps, chunk_size=chunk_size)
     with pytest.raises(TrajectoryError, match=f"^{message}$"):
         run_ensemble(oscillator_cooling_model(p, 6), cfg)
+
+
+def test_overflowing_start_raises_trajectory_error_with_warnings_as_errors():
+    # the t = 0 record squares the trap shift of 1e300 signals; that overflow
+    # is the run's to report, as the step check's TrajectoryError, not as a
+    # RuntimeWarning that escapes first
+    p = ProtocolParams(1.0, 1.0, 2.0, None, ProtocolKind.LOWPASS1)
+    cfg = TrajectoryConfig(dt=1e-3, n_steps=10, n_traj=2, base_seed=0, record_stride=5,
+                           initial_signals=np.full((2, 1), 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrajectoryError, match="^trajectory 0 became non-finite at step 2$"):
+            run_ensemble(oscillator_cooling_model(p, 6), cfg)
 
 
 class TestMixedStart:
