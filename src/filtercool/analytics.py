@@ -39,16 +39,23 @@ _DENOM_REL_TOL = 1e-12
 class EnergyResult:
     """An asymptotic energy with its physicality classification.
 
-    ``note`` is one of PHYSICAL, UNPHYSICAL or NOT_APPLICABLE; the energy is
-    NaN in the NOT_APPLICABLE case (vanishing denominator or a value that
-    overflows float64: no meaningful closed-form value, and no exception or
-    warning).  Scalar inputs give a float, a bool and a str; array inputs
-    give arrays of the broadcast shape in all three fields.
+    The energy is NaN where the closed form is NOT_APPLICABLE (vanishing
+    denominator or a value that overflows float64: no meaningful
+    closed-form value, and no exception or warning).  Scalar inputs give a
+    float and a bool; array inputs give arrays of the broadcast shape in
+    both fields.
     """
 
     energy_over_hw: float
     physical: bool
-    note: str
+
+    @property
+    def note(self):
+        """PHYSICAL, UNPHYSICAL or NOT_APPLICABLE (where the energy is NaN),
+        derived on access: a str for a scalar call, else an array of them."""
+        note = np.where(np.isnan(self.energy_over_hw), NOT_APPLICABLE,
+                        np.where(self.physical, PHYSICAL, UNPHYSICAL))
+        return str(note) if note.ndim == 0 else note
 
 
 def _closed_form(fn):
@@ -69,10 +76,9 @@ def _classify(energy, na=False) -> EnergyResult:
     na = na | ~np.isfinite(energy)
     energy = np.where(na, np.nan, energy)
     physical = energy >= PHYSICAL_MIN - STABILITY_TOL
-    note = np.where(na, NOT_APPLICABLE, np.where(physical, PHYSICAL, UNPHYSICAL))
     if energy.ndim == 0:
-        return EnergyResult(float(energy), bool(physical), str(note))
-    return EnergyResult(energy, physical, note)
+        return EnergyResult(float(energy), bool(physical))
+    return EnergyResult(energy, physical)
 
 
 def _require_positive(**kwargs):

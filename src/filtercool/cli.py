@@ -17,7 +17,8 @@ lists its values), and no option takes a JSON boolean.  Every command writes
 its CSV through :func:`~filtercool.phase_diagram.write_csv`, where
 ``--output -`` is stdout: the type of each column sets its format (text as
 is, numbers as ``%.12g``), and rows go out in blocks, each run of repeated
-values in a column formatted once.
+values in a column formatted once.  ``phase-diagram`` writes each block of
+gamma rows as the sweep makes it (:func:`~filtercool.phase_diagram.write_phase_csv`).
 All randomness is seeded explicitly, so identical configurations produce
 byte-identical output.  :func:`main` alone sets the exit code: 0 success,
 2 bad input (``ValueError``, ``ConfigError`` among them, or ``OSError``),
@@ -50,7 +51,7 @@ from .moment_systems import (
     steady_state,
 )
 from .numerics import NumericalError, propagate_affine
-from .phase_diagram import ALL_PROTOCOLS, GridSpec, export_phase_csv, sweep, write_csv
+from .phase_diagram import ALL_PROTOCOLS, GridSpec, write_csv, write_phase_csv
 from .trajectory import TrajectoryConfig, oscillator_cooling_model, run_ensemble
 
 
@@ -162,13 +163,18 @@ _DESCRIPTIONS = {"trajectory": (
     "gamma = Omega = 2 is clean at --steps 1000 and flagged at 2000.")}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given a subcommand name, one in
+    which only that subcommand has its arguments: every name is registered,
+    so usage lines and errors read the same."""
     parser = argparse.ArgumentParser(
         prog="filtercool",
         description="Cooling a monitored oscillator with filtered feedback.")
     subs = parser.add_subparsers(dest="command")
     for name, opts in _SUBCOMMANDS.items():
         sp = subs.add_parser(name, description=_DESCRIPTIONS.get(name))
+        if command not in (None, name):
+            continue
         sp.add_argument("--config", default=None,
                         help="JSON file with flag-name keys; flags override it")
         for opt in opts:  # text only: _merge_options converts it, naming the option
@@ -265,7 +271,7 @@ def _cmd_filter_response(cfg: dict) -> None:
     n = cfg["points"] - 1
     h = propagate_affine(model.M, np.zeros(model.n), model.b, cfg["t_max"] / n, n)
     write_csv(cfg["output"], ["t"] + [f"h_{k + 1}" for k in range(model.n)],
-              [np.linspace(0.0, cfg["t_max"], n + 1), *h.T])
+              [[np.linspace(0.0, cfg["t_max"], n + 1), *h.T]])
 
 
 def _cmd_steady_state(cfg: dict) -> None:
@@ -274,8 +280,8 @@ def _cmd_steady_state(cfg: dict) -> None:
     Omega = params.Omega if params.Omega is not None else np.nan
     write_csv(cfg["output"], ["protocol", "lambda", "omega", "gamma", "Omega", "energy",
                               "stable", "physical"],
-              [[params.kind.value], [params.lam], [params.omega], [params.gamma], [Omega],
-               [ss.energy_over_hw], [str(ss.stable).lower()], [str(ss.physical).lower()]])
+              [[[params.kind.value], [params.lam], [params.omega], [params.gamma], [Omega],
+                [ss.energy_over_hw], [str(ss.stable).lower()], [str(ss.physical).lower()]]])
 
 
 def _cmd_evolve(cfg: dict) -> None:
@@ -296,7 +302,7 @@ def _cmd_evolve(cfg: dict) -> None:
         raise NumericalError(f"dt * stride overflows: {cfg['dt']:g} * {stride}")
     path = evolve(system, x0, cfg["dt"] * stride, cfg["steps"] // stride)
     times = [j * stride * cfg["dt"] for j in range(len(path))]
-    write_csv(cfg["output"], ["t"] + list(system.labels), [times, *path.T])
+    write_csv(cfg["output"], ["t"] + list(system.labels), [[times, *path.T]])
 
 
 def _cmd_trajectory(cfg: dict) -> None:
@@ -308,9 +314,9 @@ def _cmd_trajectory(cfg: dict) -> None:
     tap = model.feedback.tap_index
     write_csv(cfg["output"], ["t", "mean_energy", "stderr_energy", "mean_Dx", "var_Dx",
                               "mean_Dp", "var_Dp"],
-              [record.times, record.energy_mean, record.energy_stderr,
-               record.signal_mean[0, tap], record.signal_var[0, tap],
-               record.signal_mean[1, tap], record.signal_var[1, tap]])
+              [[record.times, record.energy_mean, record.energy_stderr,
+                record.signal_mean[0, tap], record.signal_var[0, tap],
+                record.signal_mean[1, tap], record.signal_var[1, tap]]])
 
 
 def _cmd_phase_diagram(cfg: dict) -> None:
@@ -319,7 +325,7 @@ def _cmd_phase_diagram(cfg: dict) -> None:
         (cfg["Omega_min"], cfg["Omega_max"]),
         cfg["gamma_points"], cfg["Omega_points"],
         cfg["lambda"], cfg["omega"], cfg["protocols"])
-    export_phase_csv(sweep(spec), cfg["output"])
+    write_phase_csv(spec, cfg["output"])
 
 
 _DISPATCH = {
@@ -333,7 +339,10 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     """Entry point; returns the process exit code instead of raising."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named subcommand's arguments are added; no argument, --help
+    # or an unknown name gets the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage to stderr

@@ -9,10 +9,20 @@ read from the moment-system eigenvalues because the closed form alone
 cannot distinguish a stable fixed point from the formal solution of a
 runaway system.
 
-The sweep is one array pass per protocol over the whole mesh.  Each
-hand-typed moment matrix is affine in (gamma, Omega) at fixed (lam, omega)
-with small-integer coefficients, so three builds assemble every cell's
-A = A0 + gamma dA_gamma + Omega dA_Omega, bit-equal to a per-cell build.
+The sweep is one pass over blocks of gamma rows of about _BLOCK_CELLS
+cells, so its working arrays do not grow with the grid.  Each block
+evaluates the closed forms and the stability map of every protocol and
+gives each cell a small-int decision: per protocol a uint8 flag code (ok 0,
+unstable 1, unphysical 2, na 3: the index into _FLAG_NAMES) and a winner
+code, the winner's index in the tie-break order _TIE_ORDER or 4 for none.
+Text is made only when a block is written.  :func:`sweep` gathers the
+blocks into a :class:`PhaseGridResult`; :func:`write_phase_csv` writes each
+block as it comes, so it holds one block at a time at any grid size.
+
+Each hand-typed moment matrix is affine in (gamma, Omega) at fixed (lam,
+omega) with small-integer coefficients, so three builds per protocol
+assemble every cell's A = A0 + gamma dA_gamma + Omega dA_Omega, bit-equal to
+a per-cell build.
 
 The eigenvalues are not taken from A itself.  Every filtered-feedback
 moment system is one complex Lyapunov equation dX/dt = K X + X K^dagger + Q
@@ -73,11 +83,17 @@ FLAG_NA = "na"
 
 CSV_HEADER = ("gamma", "Omega", "E1", "E2", "E3", "Ebp", "winner", "flags")
 
-#: A protocol's 2-bit flag code, and the phase CSV's flags field for each
-#: 8-bit code of the four protocols, E1's code in the top bits.
-_FLAG_CODES = {FLAG_OK: 0, FLAG_UNSTABLE: 1, FLAG_UNPHYSICAL: 2, FLAG_NA: 3}
-_FLAG_FIELDS = np.array([";".join(f) for f in itertools.product(_FLAG_CODES, repeat=4)],
+#: A protocol's flag name for each 2-bit flag code, and the phase CSV's
+#: flags field for each 8-bit code of the four protocols, E1's in the top bits.
+_FLAG_NAMES = np.array([FLAG_OK, FLAG_UNSTABLE, FLAG_UNPHYSICAL, FLAG_NA], dtype=object)
+_FLAG_FIELDS = np.array([";".join(f) for f in itertools.product(_FLAG_NAMES, repeat=4)],
                         dtype=object)
+
+#: Ties go to fewer filter stages, then to the earlier protocol.  A winner
+#: code is an index into this order, or 4 when no protocol qualifies; the
+#: winner column's text for each code.
+_TIE_ORDER = tuple(sorted(ALL_PROTOCOLS, key=lambda k: (k.n_layers, ALL_PROTOCOLS.index(k))))
+_WINNER_NAMES = np.array([k.value for k in _TIE_ORDER] + ["none"], dtype=object)
 
 _ENERGY_FN = {
     ProtocolKind.LOWPASS1: lambda lam, g, Om, w: analytics.energy_1layer(lam, g),
@@ -93,8 +109,8 @@ _CROSSCHECK_RTOL = 1e-9
 #: within about 1e-8 ||A||_inf of the threshold, are decided by ``eigvals``.
 STABILITY_MARGIN = 1e-8
 
-#: Cells per block of the stability map: its working arrays take about
-#: 0.4 KB per cell of a 3 x 3 drift, whatever the grid size.
+#: Cells per block of the sweep: the stability map's working arrays take
+#: about 0.4 KB per cell of a 3 x 3 drift, whatever the grid size.
 _BLOCK_CELLS = 4096
 
 #: (gamma, Omega) of the three builds that fix a matrix affine in them.
@@ -146,10 +162,13 @@ class GridSpec:
                    protocols: Tuple[ProtocolKind, ...] = ALL_PROTOCOLS) -> "GridSpec":
         """Geometrically spaced grid; defaults bracket both decision
         thresholds and the band-pass resonance.  Both ends of each range
-        must be positive and finite."""
+        must be positive and finite, and the first must not exceed the
+        second (equal ends only for one point)."""
         for name, ends in (("gamma_range", gamma_range), ("Omega_range", Omega_range)):
             for k, v in enumerate(ends):
                 require_positive(v, f"{name}[{k}]")
+            if ends[0] > ends[1]:
+                raise ValueError(f"{name} must be increasing, got {ends[0]} > {ends[1]}")
         return cls(np.geomspace(*gamma_range, n_gamma),
                    np.geomspace(*Omega_range, n_Omega),
                    lam, omega, protocols)
@@ -157,11 +176,16 @@ class GridSpec:
 
 @dataclass
 class PhaseGridResult:
-    """Per-cell energies, qualification flags and the winner map.
+    """Per-cell energies, flag codes and winner codes.
 
-    All cell arrays are indexed ``[i_gamma, j_Omega]``.  ``winner`` holds
-    protocol names (``ProtocolKind.value``) or ``"none"`` when no protocol
-    qualifies in a cell.
+    All cell arrays are indexed ``[i_gamma, j_Omega]``.  ``energies`` and
+    ``flag_codes`` hold one array per protocol of the spec; a flag code is a
+    uint8 index into the flag names (0 ok, 1 unstable, 2 unphysical, 3 na).
+    ``winner_codes`` holds the uint8 index of each cell's winner in the
+    tie-break order (fewer filter stages first, then ``ALL_PROTOCOLS``
+    order), or 4 when no protocol qualifies.  ``flags`` and ``winner`` give
+    the same as names, built on each access: object arrays of the FLAG_*
+    strings, and of ``ProtocolKind.value`` or ``"none"``.
 
     The cross-check fields count the sampled cells re-solved through the
     moment systems (``crosscheck_cells``), the sampled cells it could not
@@ -178,12 +202,20 @@ class PhaseGridResult:
 
     spec: GridSpec
     energies: Dict[ProtocolKind, np.ndarray]
-    flags: Dict[ProtocolKind, np.ndarray]
-    winner: np.ndarray
+    flag_codes: Dict[ProtocolKind, np.ndarray]
+    winner_codes: np.ndarray
     crosscheck_cells: int = 0
     crosscheck_skipped: int = 0
     crosscheck_max_residual: float = 0.0
     stability_fallback_cells: int = 0
+
+    @property
+    def flags(self) -> Dict[ProtocolKind, np.ndarray]:
+        return {kind: _FLAG_NAMES[code] for kind, code in self.flag_codes.items()}
+
+    @property
+    def winner(self) -> np.ndarray:
+        return _WINNER_NAMES[self.winner_codes]
 
 
 def _affine_parts(build, kind: ProtocolKind, spec: GridSpec):
@@ -205,55 +237,94 @@ def _moment_parts(kind: ProtocolKind, spec: GridSpec):
     return _affine_parts(lambda p: build_moment_system(p).A, kind, spec)
 
 
-def _inf_norms(parts, spec: GridSpec) -> np.ndarray:
-    """||A||_inf per cell, summed one nonzero entry of A at a time over the grid."""
-    a0, d_gamma, d_Omega = parts
-    gamma = spec.gamma_values[:, None]
-    norms = np.zeros((spec.gamma_values.size, spec.Omega_values.size))
+def _stability_parts(kind: ProtocolKind, spec: GridSpec):
+    """The affine parts of A and of K that :func:`_stability` reads; None for
+    the single stage, whose A has the single eigenvalue -2 gamma."""
+    if kind is ProtocolKind.LOWPASS1:
+        return None
+    return _moment_parts(kind, spec), _affine_parts(filter_drift, kind, spec)
+
+
+def _inf_norms(parts, gamma: np.ndarray, Omega: np.ndarray) -> np.ndarray:
+    """||A||_inf per cell of gamma x Omega: each row's nonzero entries of A,
+    added in column order over the leading axis, so no per-cell A is held."""
+    a0, d_gamma, d_Omega = (p[..., None, None] for p in parts)
+    gamma = gamma[:, None]
+    norms = np.zeros((gamma.size, Omega.size))
     for i in range(a0.shape[0]):
-        row = np.zeros_like(norms)
-        for j in np.flatnonzero((a0[i] != 0) | (d_gamma[i] != 0) | (d_Omega[i] != 0)):
-            row += np.abs((a0[i, j] + gamma * d_gamma[i, j]) + spec.Omega_values * d_Omega[i, j])
-        np.maximum(norms, row, out=norms)
+        j = np.flatnonzero((a0[i] != 0) | (d_gamma[i] != 0) | (d_Omega[i] != 0))
+        row = np.abs((a0[i, j] + gamma * d_gamma[i, j]) + Omega * d_Omega[i, j])
+        np.maximum(norms, row.sum(axis=0), out=norms)
     return norms
 
 
-def _stability(kind: ProtocolKind, spec: GridSpec) -> Tuple[np.ndarray, int]:
-    """Stability per cell, and how many cells fell back to ``eigvals``.
+def _stability(parts, gamma: np.ndarray, Omega: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Stability per cell of gamma x Omega, and how many cells fell back to ``eigvals``.
 
-    The threshold 2 max Re lambda(K) < -STABILITY_TOL ||A||_inf says that
+    ``parts`` come from :func:`_stability_parts`.  The threshold
+    2 max Re lambda(K) < -STABILITY_TOL ||A||_inf says that
     (K + delta I)/||A||_inf with delta = STABILITY_TOL ||A||_inf / 2 is
     Hurwitz, which :func:`hurwitz_test` decides.  A cell whose margin is
     below STABILITY_MARGIN (or nan) is decided as before, from the
-    eigenvalues of its K.  The grid is taken in blocks of gamma rows of
-    about _BLOCK_CELLS cells, so the working arrays do not grow with it.
+    eigenvalues of its K.
     """
-    shape = (spec.gamma_values.size, spec.Omega_values.size)
-    if kind is ProtocolKind.LOWPASS1:  # single eigenvalue -2*gamma
-        return np.ones(shape, dtype=bool), 0
-    norms = _inf_norms(_moment_parts(kind, spec), spec)
-    parts = _affine_parts(filter_drift, kind, spec)
-    stable = np.empty(shape, dtype=bool)
-    n_fallback = 0
-    step = max(1, _BLOCK_CELLS // shape[1])
-    for start in range(0, shape[0], step):
-        rows = slice(start, start + step)
+    if parts is None:
+        return np.ones((gamma.size, Omega.size), dtype=bool), 0
+    moment, drift = parts
+    scale = _inf_norms(moment, gamma, Omega)
+    shifted = _on_grid(drift, gamma[:, None], Omega)
+    shifted /= scale[..., None, None]
+    for i in range(shifted.shape[-1]):
+        shifted[..., i, i] += STABILITY_TOL / 2
+    stable, margin = hurwitz_test(shifted)
+    uncertain = ~(margin >= STABILITY_MARGIN)
+    if uncertain.any():
+        i_gamma, j_Omega = np.nonzero(uncertain)
+        drifts = _on_grid(drift, gamma[i_gamma], Omega[j_Omega])
+        rate = np.linalg.eigvals(drifts).real.max(axis=-1)
+        stable[uncertain] = 2.0 * rate < -STABILITY_TOL * scale[uncertain]
+    return stable, int(uncertain.sum())
+
+
+def _row_blocks(spec: GridSpec):
+    """Slices of the gamma rows, each of about _BLOCK_CELLS cells (one row at least)."""
+    step = max(1, _BLOCK_CELLS // spec.Omega_values.size)
+    return [slice(start, start + step) for start in range(0, spec.gamma_values.size, step)]
+
+
+def _blocks(spec: GridSpec):
+    """Evaluate and classify the grid one block of gamma rows at a time.
+
+    Yields ``(rows, energies, flag_codes, winner_codes, n_fallback)`` per
+    block of :func:`_row_blocks`: the energies and flag codes by protocol of
+    the spec, shape ``(rows, n_Omega)``, and the block's winner codes and
+    count of ``eigvals`` fallbacks (see :class:`PhaseGridResult`).
+    """
+    parts = {kind: _stability_parts(kind, spec) for kind in spec.protocols}
+    Omega = spec.Omega_values
+    for rows in _row_blocks(spec):
         gamma = spec.gamma_values[rows]
-        scale = norms[rows]
-        shifted = _on_grid(parts, gamma[:, None], spec.Omega_values)
-        shifted /= scale[..., None, None]
-        for i in range(shifted.shape[-1]):
-            shifted[..., i, i] += STABILITY_TOL / 2
-        block, margin = hurwitz_test(shifted)
-        uncertain = ~(margin >= STABILITY_MARGIN)
-        if uncertain.any():
-            i_gamma, j_Omega = np.nonzero(uncertain)
-            drifts = _on_grid(parts, gamma[i_gamma], spec.Omega_values[j_Omega])
-            rate = np.linalg.eigvals(drifts).real.max(axis=-1)
-            block[uncertain] = 2.0 * rate < -STABILITY_TOL * scale[uncertain]
-        stable[rows] = block
-        n_fallback += int(uncertain.sum())
-    return stable, n_fallback
+        shape = (gamma.size, Omega.size)
+        energies, codes, n_fallback = {}, {}, 0
+        for kind in spec.protocols:
+            stable, n = _stability(parts[kind], gamma, Omega)
+            res = _ENERGY_FN[kind](spec.lam, gamma[:, None], Omega, spec.omega)
+            energy, physical = (np.broadcast_to(v, shape)  # the single stage's are (rows, 1)
+                                for v in (res.energy_over_hw, res.physical))
+            code = np.zeros(shape, dtype=np.uint8)  # ok, unless
+            code[~physical] = 2  # unphysical, unless
+            code[~stable] = 1  # unstable, unless
+            code[np.isnan(energy)] = 3  # na: the closed form is NaN where not applicable
+            energies[kind], codes[kind] = energy, code
+            n_fallback += n
+        winner = np.full(shape, len(_TIE_ORDER), dtype=np.uint8)
+        best = np.full(shape, np.inf)
+        for w, kind in enumerate(_TIE_ORDER):  # a tie keeps the earlier protocol
+            if kind in codes:
+                better = (codes[kind] == 0) & (energies[kind] < best)
+                winner[better] = w
+                np.copyto(best, energies[kind], where=better)
+        yield rows, energies, codes, winner, n_fallback
 
 
 def sweep(spec: GridSpec, n_crosscheck: int = 50) -> PhaseGridResult:
@@ -262,51 +333,47 @@ def sweep(spec: GridSpec, n_crosscheck: int = 50) -> PhaseGridResult:
     ``n_crosscheck`` randomly sampled cells (deterministic choice) are
     re-solved through the moment systems and compared with the closed forms
     at relative 1e-9; a mismatch raises, since it would mean the two
-    implementations have diverged.
+    implementations have diverged.  The blocks of the sweep are gathered
+    into whole-grid arrays.
     """
-    gamma, Omega = np.meshgrid(spec.gamma_values, spec.Omega_values, indexing="ij")
-    energies: Dict[ProtocolKind, np.ndarray] = {}
-    flags: Dict[ProtocolKind, np.ndarray] = {}
+    checked, skipped, worst = _crosscheck(spec, n_crosscheck)
+    shape = (spec.gamma_values.size, spec.Omega_values.size)
+    energies = {kind: np.empty(shape) for kind in spec.protocols}
+    codes = {kind: np.empty(shape, dtype=np.uint8) for kind in spec.protocols}
+    winner = np.empty(shape, dtype=np.uint8)
     n_fallback = 0
-    for kind in spec.protocols:
-        stable, n = _stability(kind, spec)
+    for rows, block_energies, block_codes, block_winner, n in _blocks(spec):
+        for kind in spec.protocols:
+            energies[kind][rows] = block_energies[kind]
+            codes[kind][rows] = block_codes[kind]
+        winner[rows] = block_winner
         n_fallback += n
-        res = _ENERGY_FN[kind](spec.lam, gamma, Omega, spec.omega)
-        f = np.full(gamma.shape, FLAG_OK, dtype=object)
-        f[~res.physical] = FLAG_UNPHYSICAL
-        f[~stable] = FLAG_UNSTABLE
-        f[res.note == analytics.NOT_APPLICABLE] = FLAG_NA
-        energies[kind] = res.energy_over_hw
-        flags[kind] = f
-
-    # Ties go to fewer filter stages, then to the earlier protocol.
-    kinds = sorted(spec.protocols, key=lambda k: (k.n_layers, ALL_PROTOCOLS.index(k)))
-    ok = np.stack([flags[k] == FLAG_OK for k in kinds])
-    e = np.stack([energies[k] for k in kinds])
-    e_min = np.where(ok, e, np.inf).min(axis=0)
-    first_best = (ok & (e == e_min)).argmax(axis=0)
-    winner = np.array([k.value for k in kinds], dtype=object)[first_best]
-    winner[~ok.any(axis=0)] = "none"
-
-    checked, skipped, worst = _crosscheck(spec, energies, n_crosscheck)
-    return PhaseGridResult(spec, energies, flags, winner, checked, skipped, worst,
-                           n_fallback)
+    return PhaseGridResult(spec, energies, codes, winner, checked, skipped, worst, n_fallback)
 
 
-def _crosscheck(spec: GridSpec, energies, n_cells: int) -> Tuple[int, int, float]:
+def _crosscheck(spec: GridSpec, n_cells: int) -> Tuple[int, int, float]:
     """Spot-check the closed forms against moment-system steady states.
 
-    Returns the cells checked, the cells skipped and the worst relative
-    residual (see :class:`PhaseGridResult`).
+    The sampled cells' closed forms are evaluated as one array per
+    protocol, and each cell is solved by ``steady_state``.  Returns the
+    cells checked, the cells skipped and the worst relative residual (see
+    :class:`PhaseGridResult`).
     """
-    checked, skipped, worst = 0, 0, 0.0
     rng = np.random.default_rng(1234)
-    ng, nO = spec.gamma_values.size, spec.Omega_values.size
-    for _ in range(n_cells):
-        i = int(rng.integers(ng))
-        j = int(rng.integers(nO))
-        kind = spec.protocols[int(rng.integers(len(spec.protocols)))]
-        exact = energies[kind][i, j]
+    ng, nO, nk = spec.gamma_values.size, spec.Omega_values.size, len(spec.protocols)
+    draws = np.array([[rng.integers(ng), rng.integers(nO), rng.integers(nk)]
+                      for _ in range(n_cells)], dtype=np.intp).reshape(n_cells, 3)
+    i_gamma, j_Omega, which = draws.T
+    closed = np.empty(n_cells)
+    for n, kind in enumerate(spec.protocols):
+        pick = which == n
+        closed[pick] = _ENERGY_FN[kind](spec.lam, spec.gamma_values[i_gamma[pick]],
+                                        spec.Omega_values[j_Omega[pick]],
+                                        spec.omega).energy_over_hw
+    checked, skipped, worst = 0, 0, 0.0
+    for i, j, n, exact in zip(i_gamma.tolist(), j_Omega.tolist(), which.tolist(),
+                              closed.tolist()):
+        kind = spec.protocols[n]
         if not np.isfinite(exact):
             skipped += 1
             continue
@@ -344,34 +411,65 @@ def _format_runs(values: np.ndarray) -> np.ndarray:
     return np.repeat(np.array(text, dtype=object), np.diff(starts, append=values.size))
 
 
-def write_csv(path, header, columns) -> None:
-    """Write ``header`` as a ``csv.writer`` row, then the rows of ``columns``.
+def write_csv(path, header, blocks) -> None:
+    """Write ``header`` as a ``csv.writer`` row, then the rows of ``blocks``.
 
-    The column types set the format: a column of ``str`` is written as is
-    (its fields must need no quoting), any other column is read once as
-    float64 and written as ``%.12g``.  Rows go out ``_CSV_BLOCK_ROWS`` at a
-    time, so the text held does not grow with the row count; within a
-    block each run of equal values of a float column is formatted once.
-    Fields are joined with ``,`` and rows end in ``\\r\\n``, as ``csv.writer``
-    writes them.  ``path`` ``"-"`` is standard output, which stays open.
+    ``blocks`` is an iterable of column lists, all with the same columns;
+    each is taken only once the rows before it are written, so a generator
+    of blocks is written as it comes.  The column types set the format: a
+    column of ``str`` is written as is (its fields must need no quoting),
+    any other column is read once as float64 and written as ``%.12g``.  The
+    rows of a block go out ``_CSV_BLOCK_ROWS`` at a time, so the text held
+    does not grow with the row count; within those rows each run of equal
+    values of a float column is formatted once.  Fields are joined with
+    ``,`` and rows end in ``\\r\\n``, as ``csv.writer`` writes them.
+    ``path`` ``"-"`` is standard output, which stays open.
     """
-    is_text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
-    columns = [c if t else np.asarray(c, dtype=float) for c, t in zip(columns, is_text)]
-    n_rows = len(columns[0]) if columns else 0
-    if any(len(c) != n_rows for c in columns):
-        raise ValueError("CSV columns differ in length: " + ",".join(str(len(c)) for c in columns))
-    fields = np.empty((min(n_rows, _CSV_BLOCK_ROWS), 2 * len(columns)), dtype=object)
-    fields[:, 1::2] = ","
-    fields[:, -1:] = "\r\n"
     with (contextlib.nullcontext(sys.stdout) if path == "-"
           else open(path, "w", newline="")) as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = fields[:min(_CSV_BLOCK_ROWS, n_rows - start)]
-            for k, (column, text) in enumerate(zip(columns, is_text)):
-                part = column[start:start + len(block)]
-                block[:, 2 * k] = part if text else _format_runs(part)
-            fh.write("".join(block.ravel().tolist()))
+        for columns in blocks:
+            is_text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
+            columns = [c if t else np.asarray(c, dtype=float) for c, t in zip(columns, is_text)]
+            n_rows = len(columns[0]) if columns else 0
+            if any(len(c) != n_rows for c in columns):
+                raise ValueError("CSV columns differ in length: "
+                                 + ",".join(str(len(c)) for c in columns))
+            for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+                fields = np.empty((min(_CSV_BLOCK_ROWS, n_rows - start), 2 * len(columns)),
+                                  dtype=object)
+                fields[:, 1::2] = ","
+                fields[:, -1] = "\r\n"
+                for k, (column, text) in enumerate(zip(columns, is_text)):
+                    part = column[start:start + len(fields)]
+                    fields[:, 2 * k] = part if text else _format_runs(part)
+                fh.write("".join(fields.ravel().tolist()))
+
+
+def _csv_blocks(spec: GridSpec, blocks):
+    """The phase CSV's columns for each ``(rows, energies, flag_codes,
+    winner_codes, ...)`` block of gamma rows.
+
+    Gamma is a float column, whose runs of n_Omega rows are formatted once
+    per value, and Omega its axis formatted once and tiled.  The flags are
+    one text column picked from ``_FLAG_FIELDS`` by the four 2-bit codes,
+    and a protocol the spec does not request is a ``nan`` energy and ``na``.
+    """
+    n_Omega = spec.Omega_values.size
+    Omega = np.array(["%.12g" % v for v in spec.Omega_values.tolist()], dtype=object)
+    for rows, energies, codes, winner, *_ in blocks:
+        gamma = spec.gamma_values[rows]
+        flags = np.zeros(gamma.size * n_Omega, dtype=np.uint8)
+        columns = [np.repeat(gamma, n_Omega), np.tile(Omega, gamma.size)]
+        for kind in ALL_PROTOCOLS:
+            flags <<= 2
+            if kind in energies:
+                columns.append(energies[kind].ravel())
+                flags += codes[kind].ravel()
+            else:
+                columns.append(np.full(flags.size, np.nan))
+                flags += 3  # na
+        yield columns + [_WINNER_NAMES[winner.ravel()], _FLAG_FIELDS[flags]]
 
 
 def export_phase_csv(result: PhaseGridResult, path) -> None:
@@ -380,29 +478,31 @@ def export_phase_csv(result: PhaseGridResult, path) -> None:
     Energies are in units of hbar*omega with 12 significant digits (``nan``
     for protocols that are not applicable or not requested); ``flags`` joins
     the four per-protocol flags with semicolons in the order E1;E2;E3;Ebp.
-    Rows run over Omega fastest.  The columns go through :func:`write_csv`:
-    gamma as a float column, whose runs of n_Omega rows are formatted once
-    per value, Omega as its axis formatted once and tiled, and the flags as
-    one text column picked from ``_FLAG_FIELDS`` by a 2-bit code per protocol
-    (a flag that is not one of the four names raises ``KeyError``).
-    ``path`` ``"-"`` writes to standard output.
+    Rows run over Omega fastest.  The names come from the result's codes in
+    blocks of gamma rows through :func:`write_csv`; a flag code outside
+    0..3 or a winner code outside 0..4 raises ``ValueError`` before
+    ``path`` is opened.  ``path`` ``"-"`` writes to standard output.
     """
-    spec = result.spec
-    ng, nO = spec.gamma_values.size, spec.Omega_values.size
-    energies = []
-    code = np.zeros(ng * nO, dtype=np.intp)
-    for kind in ALL_PROTOCOLS:
-        code <<= 2
-        if kind in result.energies:
-            energies.append(result.energies[kind].ravel())
-            code += np.fromiter(map(_FLAG_CODES.__getitem__, result.flags[kind].ravel().tolist()),
-                                dtype=np.intp, count=code.size)
-        else:
-            energies.append(np.full(ng * nO, np.nan))
-            code += _FLAG_CODES[FLAG_NA]
-    Omega = np.array(["%.12g" % v for v in spec.Omega_values.tolist()], dtype=object)
-    write_csv(path, CSV_HEADER, [np.repeat(spec.gamma_values, nO), np.tile(Omega, ng),
-                                 *energies, result.winner.ravel(), _FLAG_FIELDS[code]])
+    checks = [(f"{kind.value} flag", code, 3) for kind, code in result.flag_codes.items()]
+    for name, code, top in checks + [("winner", result.winner_codes, len(_TIE_ORDER))]:
+        if ((code < 0) | (code > top)).any():
+            raise ValueError(f"{name} codes must lie in 0..{top}, got {code.min()}..{code.max()}")
+    blocks = ((rows, {k: e[rows] for k, e in result.energies.items()},
+               {k: c[rows] for k, c in result.flag_codes.items()}, result.winner_codes[rows])
+              for rows in _row_blocks(result.spec))
+    write_csv(path, CSV_HEADER, _csv_blocks(result.spec, blocks))
+
+
+def write_phase_csv(spec: GridSpec, path, n_crosscheck: int = 50) -> None:
+    """Sweep ``spec`` and write its phase CSV one block of gamma rows at a time.
+
+    The cross-check of :func:`sweep` runs first, so a mismatch raises before
+    ``path`` is opened; then each block is written as the sweep makes it, and
+    only one is held.  The bytes are those of
+    ``export_phase_csv(sweep(spec, n_crosscheck), path)``.
+    """
+    _crosscheck(spec, n_crosscheck)
+    write_csv(path, CSV_HEADER, _csv_blocks(spec, _blocks(spec)))
 
 
 def load_phase_csv(path):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filtercool import cli, phase_diagram
 from filtercool.cli import load_config, main
 from filtercool.cli import ConfigError
 from filtercool.filters import impulse_response, lowpass_cascade
@@ -298,6 +299,111 @@ class TestPhaseDiagram:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("filtercool: error:"), proc.stderr
         assert "positive and finite" in lines[0]
+
+    @pytest.mark.parametrize("axis", ["gamma", "Omega"])
+    def test_reversed_range_exits_2_at_one_point(self, axis, tmp_path, capsys):
+        out = tmp_path / "phase.csv"
+        assert main(["phase-diagram", f"--{axis}-min", "5", f"--{axis}-max", "1",
+                     f"--{axis}-points", "1", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"filtercool: error: {axis}_range must be increasing, got 5.0 > 1.0\n")
+        assert not out.exists()
+        # equal ends still give the one point
+        assert main(["phase-diagram", f"--{axis}-min", "5", f"--{axis}-max", "5",
+                     f"--{axis}-points", "1", "--output", str(out)]) == 0
+
+    def test_default_grid_digest_pinned(self, tmp_path):
+        # the streamed command writes the bytes of the whole-grid export
+        out = tmp_path / "phase.csv"
+        assert main(["phase-diagram", "--output", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "162403b11e2368f87dc76aeba3967b74a05d197379ad52d2c12591dc63638f07"
+
+    def test_partial_last_block_equals_whole_grid_export(self, tmp_path, monkeypatch):
+        args = ["--gamma-min", "0.2", "--gamma-max", "50", "--gamma-points", "23",
+                "--Omega-min", "0.3", "--Omega-max", "80", "--Omega-points", "31",
+                "--lambda", "0.37", "--omega", "2.9"]
+        whole = tmp_path / "whole.csv"
+        spec = phase_diagram.GridSpec.log_spaced((0.2, 50.0), (0.3, 80.0), 23, 31, 0.37, 2.9)
+        phase_diagram.export_phase_csv(phase_diagram.sweep(spec), whole)
+        # blocks of two gamma rows and a last one of one, each written as a
+        # 45-row and a 17-row piece
+        monkeypatch.setattr(phase_diagram, "_BLOCK_CELLS", 70)
+        monkeypatch.setattr(phase_diagram, "_CSV_BLOCK_ROWS", 45)
+        streamed = tmp_path / "streamed.csv"
+        assert main(["phase-diagram", *args, "--output", str(streamed)]) == 0
+        assert streamed.read_bytes() == whole.read_bytes()
+
+    def test_crosscheck_mismatch_exits_3_before_the_output_is_opened(
+            self, tmp_path, monkeypatch, capsys):
+        real = phase_diagram.steady_state
+
+        def shifted(system):
+            ss = real(system)
+            ss.energy_over_hw += 1e-6
+            return ss
+
+        monkeypatch.setattr(phase_diagram, "steady_state", shifted)
+        out = tmp_path / "phase.csv"
+        assert main(["phase-diagram", "--gamma-points", "5", "--Omega-points", "5",
+                     "--output", str(out)]) == 3
+        assert "disagree" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_streamed_memory_is_bounded_by_a_block(self, tmp_path):
+        # one 40-row block of 100 cells per row, then four: the peak stays
+        # within 1.5x (a sweep held whole would take four times the arrays)
+        def peak(n_gamma):
+            tracemalloc.start()
+            try:
+                assert main(["phase-diagram", "--gamma-points", str(n_gamma),
+                             "--Omega-points", "100", "--output", str(tmp_path / "p.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * 40) < 1.5 * peak(40)
+
+    @pytest.mark.slow
+    def test_million_cell_grid_peaks_under_200_mb(self):
+        # a fresh process: its ru_maxrss is the whole run's peak resident set
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = ("import resource, sys; from filtercool.cli import main; "
+                  "code = main(['phase-diagram', '--gamma-points', '1000', "
+                  "'--Omega-points', '1000', '--output', sys.argv[1]]); "
+                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        proc = subprocess.run([sys.executable, "-c", script, os.devnull],
+                              capture_output=True, text=True, env=env, timeout=300)
+        code, max_rss_kb = map(int, proc.stdout.split())
+        assert code == 0, proc.stderr
+        assert max_rss_kb < 200 * 1024
+
+
+#: The argument lists whose output the parser of one subcommand must leave
+#: as the full parser writes it: no subcommand, --help, each subcommand's
+#: --help, an unknown subcommand and unknown or incomplete options.
+_PARSER_ARGVS = [[], ["--help"], ["-h"], ["bogus"], ["bogus", "--x"], ["--bogus"],
+                 ["evolve", "--bogus", "1"], ["phase-diagram", "--gamma-points"],
+                 *([name, "--help"] for name in cli._SUBCOMMANDS)]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
+def test_parser_of_one_subcommand_prints_what_the_full_parser_does(argv, monkeypatch, capsys):
+    code = main(list(argv))
+    lazy = capsys.readouterr()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert main(list(argv)) == code
+    assert capsys.readouterr() == lazy
+
+
+def test_parser_adds_only_the_named_subcommand_arguments():
+    subs = cli.build_parser("evolve")._subparsers._group_actions[0].choices
+    assert list(subs) == list(cli._SUBCOMMANDS)
+    sizes = {name: len(sp._actions) for name, sp in subs.items()}
+    assert sizes == {name: 1 for name in cli._SUBCOMMANDS} | {"evolve": 2 + 10}
 
 
 class TestConfigFile:

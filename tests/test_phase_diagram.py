@@ -36,9 +36,13 @@ from filtercool.phase_diagram import (
     GridSpec,
     PhaseGridResult,
     _CSV_BLOCK_ROWS,
+    _FLAG_NAMES,
+    _TIE_ORDER,
+    _WINNER_NAMES,
     _moment_parts,
     _on_grid,
     _stability,
+    _stability_parts,
     export_phase_csv,
     load_phase_csv,
     sweep,
@@ -247,20 +251,11 @@ class TestDriftStability:
                             spec.Omega_values)
             scale = np.abs(mats).sum(axis=-1).max(axis=-1)
             direct = np.linalg.eigvals(mats).real.max(axis=-1) < -STABILITY_TOL * scale
-            assert np.array_equal(_stability(kind, spec)[0], direct), kind
+            stable = _stability(_stability_parts(kind, spec), spec.gamma_values,
+                                spec.Omega_values)[0]
+            assert np.array_equal(stable, direct), kind
             n_unstable += (~direct).sum()
         assert n_unstable > 0  # the grid crosses a stability boundary
-
-    def test_map_memory_bounded(self):
-        # a (cells, 9, 9) batch plus its |A| copy would take 15 MB here
-        spec = GridSpec.log_spaced(n_gamma=100, n_Omega=100)
-        tracemalloc.start()
-        try:
-            _stability(ProtocolKind.LOWPASS3, spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5_000_000
 
 
 def _cell_decisions(kind, lam, omega, gamma, Omega):
@@ -317,11 +312,14 @@ class TestPolynomialStability:
 
     def test_blocks_do_not_change_the_map(self, monkeypatch):
         spec = GridSpec.log_spaced(n_gamma=23, n_Omega=31, lam=0.37, omega=2.9)
-        whole = {k: phase_diagram._stability(k, spec) for k in _DRIFT_PROTOCOLS}
+        whole = sweep(spec, n_crosscheck=0)
         monkeypatch.setattr(phase_diagram, "_BLOCK_CELLS", 70)  # two rows, then one
-        for kind in _DRIFT_PROTOCOLS:
-            stable, n = phase_diagram._stability(kind, spec)
-            assert np.array_equal(stable, whole[kind][0]) and n == whole[kind][1]
+        blocked = sweep(spec, n_crosscheck=0)
+        assert blocked.stability_fallback_cells == whole.stability_fallback_cells
+        assert np.array_equal(blocked.winner_codes, whole.winner_codes)
+        for kind in ALL_PROTOCOLS:
+            assert np.array_equal(blocked.energies[kind], whole.energies[kind], equal_nan=True)
+            assert np.array_equal(blocked.flag_codes[kind], whole.flag_codes[kind]), kind
 
     def test_rounding_bound_certifies_wide_scales(self):
         # rates over twelve decades: here the polynomial's rounding errors
@@ -418,6 +416,11 @@ class TestCsv:
         assert winner[0] == result.winner[0, 0]
         assert flags[0] == tuple(result.flags[k][0, 0] for k in ALL_PROTOCOLS)
 
+    def test_code_tables(self):
+        # the code order the CSV and the flags/winner views read
+        assert list(_FLAG_NAMES) == [FLAG_OK, FLAG_UNSTABLE, FLAG_UNPHYSICAL, FLAG_NA]
+        assert list(_WINNER_NAMES) == ["lowpass1", "lowpass2", "bandpass", "lowpass3", "none"]
+
     def test_header_exact(self, tmp_path):
         spec = GridSpec(np.array([1.0]), np.array([1.0]))
         path = tmp_path / "grid.csv"
@@ -465,16 +468,18 @@ class TestCsv:
         spec = GridSpec(np.array(gamma), np.array(Omega), protocols=kinds)
         shape = (len(gamma), len(Omega))
         cells = shape[0] * shape[1]
-        flag = st.sampled_from([FLAG_OK, FLAG_UNSTABLE, FLAG_UNPHYSICAL, FLAG_NA])
         energies = {k: np.array(data.draw(st.lists(st.floats(), min_size=cells,
                                                    max_size=cells))).reshape(shape)
                     for k in kinds}
-        flags = {k: np.array(data.draw(st.lists(flag, min_size=cells, max_size=cells)),
-                             dtype=object).reshape(shape) for k in kinds}
-        winner = np.array(data.draw(st.lists(
-            st.sampled_from([k.value for k in kinds] + ["none"]),
-            min_size=cells, max_size=cells)), dtype=object).reshape(shape)
-        result = PhaseGridResult(spec, energies, flags, winner)
+        codes = {k: np.array(data.draw(st.lists(st.integers(0, 3), min_size=cells,
+                                                max_size=cells)), dtype=np.uint8).reshape(shape)
+                 for k in kinds}
+        winner_codes = np.array(data.draw(st.lists(
+            st.sampled_from([_TIE_ORDER.index(k) for k in kinds] + [len(_TIE_ORDER)]),
+            min_size=cells, max_size=cells)), dtype=np.uint8).reshape(shape)
+        result = PhaseGridResult(spec, energies, codes, winner_codes)
+        flags, winner = result.flags, result.winner
+        assert set(np.unique(winner)) <= {k.value for k in kinds} | {"none"}
 
         path = tmp_path_factory.mktemp("round_trip") / "grid.csv"
         export_phase_csv(result, path)
@@ -503,9 +508,10 @@ class TestCsv:
         # the reference: csv.writer over fields formatted one at a time; the
         # float columns are runs of values whose bits or 12-digit texts are
         # easy to confuse, over row counts of 0 to 2 and within 2 of one and
-        # two blocks, so runs cross block boundaries.  Small blocks keep a
-        # failure quick to shrink; the memory test and the 200 x 200 digest
-        # run the module's own block size.
+        # two blocks, so runs cross block boundaries.  The rows reach the
+        # writer as a generator of up to four blocks cut at random rows, some
+        # of them empty.  Small blocks keep a failure quick to shrink; the
+        # memory test and the 200 x 200 digest run the module's own block size.
         block = data.draw(st.sampled_from([1, 5, 64]), label="block")
         n_rows = max(0, data.draw(st.sampled_from([0, block, 2 * block]), label="rows near")
                      + data.draw(st.integers(-2, 2), label="offset"))
@@ -527,6 +533,9 @@ class TestCsv:
                        np.resize(np.array(words, dtype=object), n_rows))
         header = [f"c{k}" for k in range(len(columns))]
 
+        cuts = sorted(data.draw(st.lists(st.integers(0, n_rows), max_size=3), label="cuts"))
+        blocks = [[c[a:b] for c in columns] for a, b in zip([0, *cuts], [*cuts, n_rows])]
+
         ref = io.StringIO()
         writer = csv.writer(ref)
         writer.writerow(header)
@@ -535,24 +544,35 @@ class TestCsv:
         with mock.patch.object(phase_diagram, "_CSV_BLOCK_ROWS", block):
             if data.draw(st.booleans(), label="stdout"):
                 with contextlib.redirect_stdout(io.StringIO()) as out:
-                    write_csv("-", header, columns)
+                    write_csv("-", header, iter(blocks))
                 written = out.getvalue()
             else:
                 path = tmp_path_factory.mktemp("write_csv") / "out.csv"
-                write_csv(path, header, columns)
+                write_csv(path, header, iter(blocks))
                 with open(path, newline="") as fh:
                     written = fh.read()
         assert written == ref.getvalue()
 
-    def test_unknown_flag_rejected(self, tmp_path):
-        result = sweep(GridSpec(np.array([2.0]), np.array([3.0])), n_crosscheck=0)
-        result.flags[ProtocolKind.LOWPASS2][0, 0] = "stable"
-        with pytest.raises(KeyError, match="stable"):
-            export_phase_csv(result, tmp_path / "grid.csv")
+    @pytest.mark.parametrize("field, code, message", [
+        ("flag", 4, "lowpass2 flag codes must lie in 0..3, got 0..4"),
+        ("flag", 255, "lowpass2 flag codes must lie in 0..3, got 0..255"),
+        ("winner", 5, "winner codes must lie in 0..4, got 5..5"),
+    ], ids=["flag-4", "flag-255", "winner-5"])
+    def test_code_out_of_range_rejected(self, field, code, message, tmp_path):
+        spec = GridSpec(np.array([2.0]), np.array([3.0, 4.0]))
+        result = sweep(spec, n_crosscheck=0)
+        if field == "flag":
+            result.flag_codes[ProtocolKind.LOWPASS2][0, 1] = code
+        else:
+            result.winner_codes[:] = code
+        path = tmp_path / "grid.csv"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            export_phase_csv(result, path)
+        assert not path.exists()
 
     def test_columns_of_different_lengths_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="differ in length: 2,1"):
-            write_csv(tmp_path / "out.csv", ["a", "b"], [[1.0, 2.0], ["x"]])
+            write_csv(tmp_path / "out.csv", ["a", "b"], [[[1.0, 2.0], ["x"]]])
 
     def test_write_csv_memory_is_bounded_by_a_block(self, tmp_path):
         # one block of text is held at a time: ten blocks of rows peak within
@@ -564,7 +584,7 @@ class TestCsv:
             columns.append(np.full(n_rows, "ok;na;unstable;unphysical", dtype=object))
             tracemalloc.start()
             try:
-                write_csv(tmp_path / "out.csv", ["a", "b", "c", "flags"], columns)
+                write_csv(tmp_path / "out.csv", ["a", "b", "c", "flags"], [columns])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
