@@ -246,15 +246,15 @@ def _stability_parts(kind: ProtocolKind, spec: GridSpec):
 
 
 def _inf_norms(parts, gamma: np.ndarray, Omega: np.ndarray) -> np.ndarray:
-    """||A||_inf per cell of gamma x Omega: each row's nonzero entries of A,
-    added in column order over the leading axis, so no per-cell A is held."""
-    a0, d_gamma, d_Omega = (p[..., None, None] for p in parts)
+    """||A||_inf per cell of gamma x Omega, summed one nonzero entry of A at a time."""
+    a0, d_gamma, d_Omega = parts
     gamma = gamma[:, None]
     norms = np.zeros((gamma.size, Omega.size))
     for i in range(a0.shape[0]):
-        j = np.flatnonzero((a0[i] != 0) | (d_gamma[i] != 0) | (d_Omega[i] != 0))
-        row = np.abs((a0[i, j] + gamma * d_gamma[i, j]) + Omega * d_Omega[i, j])
-        np.maximum(norms, row.sum(axis=0), out=norms)
+        row = np.zeros_like(norms)
+        for j in np.flatnonzero((a0[i] != 0) | (d_gamma[i] != 0) | (d_Omega[i] != 0)):
+            row += np.abs((a0[i, j] + gamma * d_gamma[i, j]) + Omega * d_Omega[i, j])
+        np.maximum(norms, row, out=norms)
     return norms
 
 
@@ -411,6 +411,16 @@ def _format_runs(values: np.ndarray) -> np.ndarray:
     return np.repeat(np.array(text, dtype=object), np.diff(starts, append=values.size))
 
 
+def _checked_columns(columns):
+    """``(columns, is_text)`` of one block of :func:`write_csv`: its float
+    columns read as float64, and whether each column is text."""
+    is_text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
+    columns = [c if t else np.asarray(c, dtype=float) for c, t in zip(columns, is_text)]
+    if any(len(c) != len(columns[0]) for c in columns):
+        raise ValueError("CSV columns differ in length: " + ",".join(str(len(c)) for c in columns))
+    return columns, is_text
+
+
 def write_csv(path, header, blocks) -> None:
     """Write ``header`` as a ``csv.writer`` row, then the rows of ``blocks``.
 
@@ -424,17 +434,18 @@ def write_csv(path, header, blocks) -> None:
     values of a float column is formatted once.  Fields are joined with
     ``,`` and rows end in ``\\r\\n``, as ``csv.writer`` writes them.
     ``path`` ``"-"`` is standard output, which stays open.
+
+    A block whose columns differ in length raises ``ValueError`` before any
+    of its rows is written; the first block is taken and checked before
+    ``path`` is opened, so a bad first block leaves ``path`` untouched.
     """
+    blocks = iter(blocks)
+    first = [_checked_columns(columns) for columns in itertools.islice(blocks, 1)]
     with (contextlib.nullcontext(sys.stdout) if path == "-"
           else open(path, "w", newline="")) as fh:
         csv.writer(fh).writerow(header)
-        for columns in blocks:
-            is_text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
-            columns = [c if t else np.asarray(c, dtype=float) for c, t in zip(columns, is_text)]
+        for columns, is_text in itertools.chain(first, map(_checked_columns, blocks)):
             n_rows = len(columns[0]) if columns else 0
-            if any(len(c) != n_rows for c in columns):
-                raise ValueError("CSV columns differ in length: "
-                                 + ",".join(str(len(c)) for c in columns))
             for start in range(0, n_rows, _CSV_BLOCK_ROWS):
                 fields = np.empty((min(_CSV_BLOCK_ROWS, n_rows - start), 2 * len(columns)),
                                   dtype=object)
@@ -493,15 +504,15 @@ def export_phase_csv(result: PhaseGridResult, path) -> None:
     write_csv(path, CSV_HEADER, _csv_blocks(result.spec, blocks))
 
 
-def write_phase_csv(spec: GridSpec, path, n_crosscheck: int = 50) -> None:
+def write_phase_csv(spec: GridSpec, path) -> None:
     """Sweep ``spec`` and write its phase CSV one block of gamma rows at a time.
 
-    The cross-check of :func:`sweep` runs first, so a mismatch raises before
-    ``path`` is opened; then each block is written as the sweep makes it, and
-    only one is held.  The bytes are those of
-    ``export_phase_csv(sweep(spec, n_crosscheck), path)``.
+    The 50-cell cross-check of :func:`sweep` runs first, so a mismatch
+    raises before ``path`` is opened; then each block is written as the
+    sweep makes it, and only one is held.  The bytes are those of
+    ``export_phase_csv(sweep(spec), path)``.
     """
-    _crosscheck(spec, n_crosscheck)
+    _crosscheck(spec, 50)
     write_csv(path, CSV_HEADER, _csv_blocks(spec, _blocks(spec)))
 
 

@@ -39,6 +39,7 @@ from filtercool.phase_diagram import (
     _FLAG_NAMES,
     _TIE_ORDER,
     _WINNER_NAMES,
+    _blocks,
     _moment_parts,
     _on_grid,
     _stability,
@@ -256,6 +257,19 @@ class TestDriftStability:
             assert np.array_equal(stable, direct), kind
             n_unstable += (~direct).sum()
         assert n_unstable > 0  # the grid crosses a stability boundary
+
+    def test_map_memory_bounded(self):
+        # a (cells, 9, 9) batch plus its |A| copy would take 5 MB in one
+        # 40-row block here, and 15 MB over the whole grid
+        spec = GridSpec.log_spaced(n_gamma=100, n_Omega=100, protocols=(ProtocolKind.LOWPASS3,))
+        tracemalloc.start()
+        try:
+            for _ in _blocks(spec):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
 
 def _cell_decisions(kind, lam, omega, gamma, Omega):
@@ -571,8 +585,13 @@ class TestCsv:
         assert not path.exists()
 
     def test_columns_of_different_lengths_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
         with pytest.raises(ValueError, match="differ in length: 2,1"):
-            write_csv(tmp_path / "out.csv", ["a", "b"], [[[1.0, 2.0], ["x"]]])
+            write_csv(path, ["a", "b"], [[[1.0, 2.0], ["x"]]])
+        assert not path.exists()  # a bad first block opens nothing
+        with pytest.raises(ValueError, match="differ in length: 1,2"):
+            write_csv(path, ["a", "b"], [[[1.0], ["x"]], [[3.0], ["y", "z"]]])
+        assert path.read_bytes() == b"a,b\r\n1,x\r\n"  # no row of the bad block
 
     def test_write_csv_memory_is_bounded_by_a_block(self, tmp_path):
         # one block of text is held at a time: ten blocks of rows peak within
