@@ -17,7 +17,7 @@ each decision is from the boundary.
 
 All quantities are dimensionless (hbar = 1); rate-like entries carry units
 of inverse time as documented by the caller; ``require_positive`` is the
-one check of a rate or a step.
+one check of a rate or a step, and ``require_count`` of a count.
 """
 
 from __future__ import annotations
@@ -75,6 +75,16 @@ def require_positive(value, name: str):
         ok = False
     if not ok:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def require_count(value, name: str, minimum=None):
+    """``value``, refused unless it is an integer (not a bool) and, when
+    ``minimum`` is given, at least ``minimum``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return value
 
 
@@ -247,10 +257,7 @@ def propagate_affine(a: np.ndarray, c: np.ndarray, x0: np.ndarray,
     if x0.shape != (a.shape[0],) or c.shape != (a.shape[0],):
         raise ValueError("dimension mismatch between matrix, offset and state")
     require_positive(dt, "dt")
-    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
-        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be at least 0, got {n_steps}")
+    require_count(n_steps, "n_steps", 0)
     dim = x0.size
     augmented = np.zeros((dim + 1, dim + 1))
     augmented[:dim, :dim] = a

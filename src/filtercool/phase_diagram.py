@@ -19,10 +19,10 @@ Text is made only when a block is written.  :func:`sweep` gathers the
 blocks into a :class:`PhaseGridResult`; :func:`write_phase_csv` writes each
 block as it comes, so it holds one block at a time at any grid size.
 
-Each hand-typed moment matrix is affine in (gamma, Omega) at fixed (lam,
-omega) with small-integer coefficients, so three builds per protocol
-assemble every cell's A = A0 + gamma dA_gamma + Omega dA_Omega, bit-equal to
-a per-cell build.
+Each hand-typed moment matrix A, and each drift K below, is affine in
+(gamma, Omega) at fixed (lam, omega) with small-integer coefficients, so
+three builds per protocol give its parts: A = A0 + gamma dA_gamma + Omega
+dA_Omega, assembled from them, is bit-equal to a per-cell build.
 
 The eigenvalues are not taken from A itself.  Every filtered-feedback
 moment system is one complex Lyapunov equation dX/dt = K X + X K^dagger + Q
@@ -30,10 +30,16 @@ for a small complex drift K (:func:`moment_systems.filter_drift`, m x m or
 (m+1) x (m+1) for an m-component filter), so the spectrum of A is
 {lambda_i(K) + conj(lambda_j(K))} and its largest real part is
 2 max Re lambda(K).  A cell is stable when 2 max Re lambda(K) <
--STABILITY_TOL ||A||_inf: the threshold of :func:`moment_systems.steady_state`,
-with ||A||_inf summed entry by entry from the affine parts of A, so no
-per-cell A is ever held.  ``steady_state`` keeps the direct eigenvalues of
-A and is the per-cell oracle of the cross-check.
+-STABILITY_TOL ||A||_inf: the threshold of :func:`moment_systems.steady_state`.
+``steady_state`` keeps the direct eigenvalues of A and is the per-cell
+oracle of the cross-check.
+
+||A||_inf comes from the three parts of A, and no per-cell A is ever
+held.  No entry of a hand-typed A mixes signs over its affine parts, so
+for gamma, Omega > 0 row i of |A| sums to the plane
+r0_i + gamma r_gamma_i + Omega r_Omega_i, each r the row sums of the
+absolute part; ||A||_inf is the largest of the n planes, one broadcast max
+per block.
 
 Nor are eigenvalues taken from K, except near the threshold.  The threshold
 says that B = (K + delta I)/||A||_inf, with delta = STABILITY_TOL
@@ -72,7 +78,7 @@ from .moment_systems import (
     filter_drift,
     steady_state,
 )
-from .numerics import NumericalError, hurwitz_test, require_positive
+from .numerics import NumericalError, hurwitz_test, require_count, require_positive
 
 ALL_PROTOCOLS = tuple(ProtocolKind)
 
@@ -104,9 +110,14 @@ _ENERGY_FN = {
 
 _CROSSCHECK_RTOL = 1e-9
 
+#: Cells that :func:`sweep` re-solves through the moment systems by
+#: default, and that :func:`write_phase_csv` always re-solves.
+_CROSSCHECK_CELLS = 50
+
 #: Smallest :func:`hurwitz_test` margin (a lower bound on min_j |1 - |k_j||)
 #: at which the polynomial test decides a cell; cells below it, which lie
-#: within about 1e-8 ||A||_inf of the threshold, are decided by ``eigvals``.
+#: within about 1e-8 ||A||_inf (the largest of A's row planes) of the
+#: threshold, are decided by ``eigvals``.
 STABILITY_MARGIN = 1e-8
 
 #: Cells per block of the sweep: the stability map's working arrays take
@@ -163,7 +174,10 @@ class GridSpec:
         """Geometrically spaced grid; defaults bracket both decision
         thresholds and the band-pass resonance.  Both ends of each range
         must be positive and finite, and the first must not exceed the
-        second (equal ends only for one point)."""
+        second (equal ends only for one point); each point count must be
+        an integer of at least 1."""
+        require_count(n_gamma, "n_gamma", 1)
+        require_count(n_Omega, "n_Omega", 1)
         for name, ends in (("gamma_range", gamma_range), ("Omega_range", Omega_range)):
             for k, v in enumerate(ends):
                 require_positive(v, f"{name}[{k}]")
@@ -233,29 +247,15 @@ def _on_grid(parts, gamma: np.ndarray, Omega: np.ndarray) -> np.ndarray:
     return (x0 + gamma[..., None, None] * d_gamma) + Omega[..., None, None] * d_Omega
 
 
-def _moment_parts(kind: ProtocolKind, spec: GridSpec):
-    return _affine_parts(lambda p: build_moment_system(p).A, kind, spec)
-
-
 def _stability_parts(kind: ProtocolKind, spec: GridSpec):
-    """The affine parts of A and of K that :func:`_stability` reads; None for
-    the single stage, whose A has the single eigenvalue -2 gamma."""
+    """What :func:`_stability` reads: the row sums of |part| over the three
+    affine parts of A, shape (3, n, 1, 1), whose planes give ||A||_inf, and
+    the affine parts of K; None for the single stage, whose A has the single
+    eigenvalue -2 gamma."""
     if kind is ProtocolKind.LOWPASS1:
         return None
-    return _moment_parts(kind, spec), _affine_parts(filter_drift, kind, spec)
-
-
-def _inf_norms(parts, gamma: np.ndarray, Omega: np.ndarray) -> np.ndarray:
-    """||A||_inf per cell of gamma x Omega, summed one nonzero entry of A at a time."""
-    a0, d_gamma, d_Omega = parts
-    gamma = gamma[:, None]
-    norms = np.zeros((gamma.size, Omega.size))
-    for i in range(a0.shape[0]):
-        row = np.zeros_like(norms)
-        for j in np.flatnonzero((a0[i] != 0) | (d_gamma[i] != 0) | (d_Omega[i] != 0)):
-            row += np.abs((a0[i, j] + gamma * d_gamma[i, j]) + Omega * d_Omega[i, j])
-        np.maximum(norms, row, out=norms)
-    return norms
+    moment = np.abs(_affine_parts(lambda p: build_moment_system(p).A, kind, spec))
+    return moment.sum(axis=-1)[..., None, None], _affine_parts(filter_drift, kind, spec)
 
 
 def _stability(parts, gamma: np.ndarray, Omega: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -270,8 +270,8 @@ def _stability(parts, gamma: np.ndarray, Omega: np.ndarray) -> Tuple[np.ndarray,
     """
     if parts is None:
         return np.ones((gamma.size, Omega.size), dtype=bool), 0
-    moment, drift = parts
-    scale = _inf_norms(moment, gamma, Omega)
+    (r0, r_gamma, r_Omega), drift = parts
+    scale = ((r0 + r_gamma * gamma[:, None]) + r_Omega * Omega).max(axis=0)
     shifted = _on_grid(drift, gamma[:, None], Omega)
     shifted /= scale[..., None, None]
     for i in range(shifted.shape[-1]):
@@ -327,16 +327,16 @@ def _blocks(spec: GridSpec):
         yield rows, energies, codes, winner, n_fallback
 
 
-def sweep(spec: GridSpec, n_crosscheck: int = 50) -> PhaseGridResult:
+def sweep(spec: GridSpec, n_crosscheck: int = _CROSSCHECK_CELLS) -> PhaseGridResult:
     """Evaluate and classify every cell, then pick the per-cell winner.
 
     ``n_crosscheck`` randomly sampled cells (deterministic choice) are
     re-solved through the moment systems and compared with the closed forms
     at relative 1e-9; a mismatch raises, since it would mean the two
     implementations have diverged.  The blocks of the sweep are gathered
-    into whole-grid arrays.
+    into whole-grid arrays.  ``n_crosscheck`` must be an integer of at least 0.
     """
-    checked, skipped, worst = _crosscheck(spec, n_crosscheck)
+    checked, skipped, worst = _crosscheck(spec, require_count(n_crosscheck, "n_crosscheck", 0))
     shape = (spec.gamma_values.size, spec.Omega_values.size)
     energies = {kind: np.empty(shape) for kind in spec.protocols}
     codes = {kind: np.empty(shape, dtype=np.uint8) for kind in spec.protocols}
@@ -507,12 +507,12 @@ def export_phase_csv(result: PhaseGridResult, path) -> None:
 def write_phase_csv(spec: GridSpec, path) -> None:
     """Sweep ``spec`` and write its phase CSV one block of gamma rows at a time.
 
-    The 50-cell cross-check of :func:`sweep` runs first, so a mismatch
+    The default cross-check of :func:`sweep` runs first, so a mismatch
     raises before ``path`` is opened; then each block is written as the
     sweep makes it, and only one is held.  The bytes are those of
     ``export_phase_csv(sweep(spec), path)``.
     """
-    _crosscheck(spec, 50)
+    _crosscheck(spec, _CROSSCHECK_CELLS)
     write_csv(path, CSV_HEADER, _csv_blocks(spec, _blocks(spec)))
 
 
@@ -524,7 +524,7 @@ def load_phase_csv(path):
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CSV_HEADER:
             raise ValueError(f"unexpected header {header}")
         gamma, Omega, energies, winner, flags = [], [], [], [], []

@@ -80,7 +80,8 @@ import numpy as np
 
 from .filters import FilterModel
 from .moment_systems import ProtocolParams
-from .numerics import NoiseStream, NumericalError, require_number, require_positive
+from .numerics import (NoiseStream, NumericalError, require_count, require_number,
+                       require_positive)
 
 #: Sum of the top two basis-state populations above which a run is flagged
 #: as truncation limited; it is sampled on the record grid.
@@ -340,12 +341,9 @@ class TrajectoryConfig:
 
     def __post_init__(self):
         require_positive(self.dt, "dt")
-        for name in ("base_seed", "n_steps", "n_traj", "record_stride", "chunk_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if name != "base_seed" and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        require_count(self.base_seed, "base_seed")
+        for name in ("n_steps", "n_traj", "record_stride", "chunk_size"):
+            require_count(getattr(self, name), name, 1)
         if self.n_steps % self.record_stride:
             raise ValueError(f"record_stride must divide n_steps, got "
                              f"{self.record_stride} and {self.n_steps}")

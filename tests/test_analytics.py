@@ -123,6 +123,12 @@ class TestBandpass:
         assert 3.5 < gaps[1] / gaps[0] < 4.5
         assert 3.5 < gaps[2] / gaps[1] < 4.5
 
+    @pytest.mark.parametrize("Omega", [-1e-3, np.array([1.0, -2.0])], ids=["scalar", "array"])
+    def test_negative_center_rejected(self, Omega):
+        # Omega = 0 is allowed, so the center keeps its own rule
+        with pytest.raises(ValueError, match="^Omega must be nonnegative, got "):
+            energy_bandpass(1.0, 1.0, Omega, 1.0)
+
 
 class TestLargeOmegaExpansions:
     def test_two_layer_value(self):
@@ -184,6 +190,11 @@ class TestBestProtocol:
         assert best_protocol_largeOmega(TWO_LAYER_THRESHOLD + eps) is ProtocolKind.LOWPASS2
         assert best_protocol_largeOmega(THREE_LAYER_THRESHOLD) is ProtocolKind.LOWPASS2
         assert best_protocol_largeOmega(THREE_LAYER_THRESHOLD + eps) is ProtocolKind.LOWPASS3
+
+    @pytest.mark.parametrize("ratio", [0.0, -2.0, math.nan])
+    def test_nonpositive_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match=f"^ratio must be positive, got {ratio}$"):
+            best_protocol_largeOmega(ratio)
 
     def test_numeric_argmin_matches_thresholds(self):
         lam, Om, w = 1.0, 1e4, 1.0

@@ -718,6 +718,11 @@ def test_config_file_equals_flags(tmp_path_factory, case, split):
                  id="stride-not-dividing-steps"),
     pytest.param(["phase-diagram", "--protocols", "", "--output", "{out}"], 2,
                  "filtercool: error: need at least one protocol", id="no-protocols"),
+    pytest.param(["phase-diagram", "--gamma-points", "-3", "--output", "{out}"], 2,
+                 "filtercool: error: n_gamma must be at least 1, got -3",
+                 id="negative-gamma-points"),
+    pytest.param(["phase-diagram", "--Omega-points", "0", "--output", "{out}"], 2,
+                 "filtercool: error: n_Omega must be at least 1, got 0", id="no-Omega-points"),
     # valid input whose moment system overflows float64
     pytest.param(["steady-state", "--protocol", "lowpass1", "--gamma", "1e200"], 3,
                  "filtercool: numerical failure: lowpass1 moment system overflows at "

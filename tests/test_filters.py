@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -248,3 +249,18 @@ class TestStationaryStatistics:
         estimate = var.mean()
         stderr = cov[0, 0] * np.sqrt(2.0 / (n_slices * cfg.n_traj - 1))
         assert abs(estimate - cov[0, 0]) < 3.0 * stderr
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: FilterModel(np.eye(2), np.ones(3)),
+                 "b length must match M dimension", id="FilterModel-b-length"),
+    pytest.param(lambda: KernelSpec((1.0, 2.0), (1.0,)),
+                 "need exactly one initial derivative per order", id="KernelSpec-derivatives"),
+    pytest.param(lambda: KernelSpec((np.inf,), (1.0,)),
+                 "kernel spec entries must be finite", id="KernelSpec-coefficient-inf"),
+    pytest.param(lambda: KernelSpec((1.0, 2.0), (1.0, np.nan)),
+                 "kernel spec entries must be finite", id="KernelSpec-derivative-nan"),
+])
+def test_bad_realization_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

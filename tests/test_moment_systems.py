@@ -217,6 +217,12 @@ class TestBandpassMoments:
         assert not ss.physical and ss.energy_over_hw < 0.5
 
 
+@pytest.mark.parametrize("labels", [(), ("x", "y")], ids=["none", "two"])
+def test_moment_system_needs_one_label_per_component(labels):
+    with pytest.raises(ValueError, match="^need one label per component$"):
+        MomentSystem(np.zeros((1, 1)), np.ones(1), labels)
+
+
 class TestSteadyState:
     def test_singular_system_rejected(self):
         sys = MomentSystem(np.zeros((1, 1)), np.ones(1), ("x",))

@@ -21,10 +21,11 @@ from filtercool.numerics import (
     eigenvalues,
     hurwitz_test,
     propagate_affine,
+    require_count,
     require_positive,
     solve_linear,
 )
-from filtercool.phase_diagram import GridSpec
+from filtercool.phase_diagram import GridSpec, sweep
 from filtercool.trajectory import (
     SystemModel,
     TrajectoryConfig,
@@ -105,6 +106,12 @@ class TestSolveLinear:
     def test_ill_conditioned_rejected(self):
         with pytest.raises(SingularMatrixError):
             solve_linear(np.diag([1.0, 1e-14]), [1.0, 1.0])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_right_hand_side_length_must_match(self, n):
+        with pytest.raises(ValueError, match=f"^right-hand side length {n} does not match "
+                                             "matrix size 2$"):
+            solve_linear(np.eye(2), np.ones(n))
 
 
 class TestEigenvalues:
@@ -437,3 +444,30 @@ def test_require_positive_refuses_what_is_not_a_real_number(value):
 def test_require_positive_returns_the_value():
     for value in (1, 2.5, np.float32(0.5), np.int64(3)):
         assert require_positive(value, "rate") is value
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 2.5, "3", None, "below"])
+@pytest.mark.parametrize("call, field, minimum", [
+    pytest.param(lambda v: GridSpec.log_spaced(n_gamma=v, n_Omega=3), "n_gamma", 1,
+                 id="log_spaced-n_gamma"),
+    pytest.param(lambda v: GridSpec.log_spaced(n_gamma=3, n_Omega=v), "n_Omega", 1,
+                 id="log_spaced-n_Omega"),
+    pytest.param(lambda v: sweep(GridSpec([1.0], [1.0]), n_crosscheck=v), "n_crosscheck", 0,
+                 id="sweep-n_crosscheck"),
+])
+def test_count_is_refused_naming_the_field(call, field, minimum, value):
+    # the check that propagate_affine and TrajectoryConfig make of their
+    # counts (tested with them); a bool is an int to Python
+    if value == "below":
+        value, message = minimum - 1, f"{field} must be at least {minimum}, got {minimum - 1}"
+    else:
+        message = f"{field} must be an integer, got {value!r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
+def test_require_count_returns_the_value():
+    for value, minimum in ((0, 0), (3, 1), (np.int64(7), 1), (np.int32(-5), None), (-5, None)):
+        assert require_count(value, "count", minimum) is value

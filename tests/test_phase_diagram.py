@@ -39,8 +39,8 @@ from filtercool.phase_diagram import (
     _FLAG_NAMES,
     _TIE_ORDER,
     _WINNER_NAMES,
+    _affine_parts,
     _blocks,
-    _moment_parts,
     _on_grid,
     _stability,
     _stability_parts,
@@ -60,6 +60,12 @@ _TRICKY_FLOATS = [0.0, -0.0, math.nan,
 _DRIFT_PROTOCOLS = (ProtocolKind.LOWPASS2, ProtocolKind.LOWPASS3, ProtocolKind.BANDPASS)
 _RATE = st.floats(min_value=0.01, max_value=100.0)
 _LOG_RATE = st.floats(min_value=-3.0, max_value=3.0).map(lambda x: 10.0 ** x)
+
+
+def _moment_parts(kind, spec):
+    """The affine parts of the hand-typed moment matrix A: the oracle the
+    sweep's stability map is checked against."""
+    return _affine_parts(lambda p: build_moment_system(p).A, kind, spec)
 
 
 class TestGridSpec:
@@ -199,6 +205,22 @@ class TestArrayAssembly:
             for j, Om in enumerate(spec.Omega_values):
                 p = ProtocolParams(spec.lam, spec.omega, g, Om, kind)
                 assert np.array_equal(mats[i, j], build_moment_system(p).A)
+
+    @pytest.mark.parametrize("kind", _DRIFT_PROTOCOLS)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(lam=_LOG_RATE, omega=_LOG_RATE, gamma=_LOG_RATE, Omega=_LOG_RATE)
+    def test_row_planes_give_the_inf_norm(self, kind, lam, omega, gamma, Omega):
+        # the stability scale's row planes are exact only while no entry of
+        # A mixes signs over its affine parts; a protocol whose A does must
+        # fail here rather than get a bound in place of ||A||_inf
+        spec = GridSpec([gamma], [Omega], lam, omega)
+        parts = np.array(_moment_parts(kind, spec))
+        assert not ((parts > 0).any(axis=0) & (parts < 0).any(axis=0)).any()
+        (r0, r_gamma, r_Omega), _ = _stability_parts(kind, spec)
+        scale = ((r0 + r_gamma * gamma) + r_Omega * Omega).max()
+        a = build_moment_system(ProtocolParams(lam, omega, gamma, Omega, kind)).A
+        norm = np.linalg.norm(a, np.inf)
+        assert abs(scale - norm) <= 4 * np.finfo(float).eps * norm
 
     def test_three_builds_per_protocol(self, monkeypatch):
         calls = []
@@ -417,6 +439,15 @@ class TestCrosscheckCounts:
 
 
 class TestCsv:
+    @pytest.mark.parametrize("text", [
+        "", "gamma,Omega,E1,E2,E3,Ebp,winner\r\n", "gamma,Omega,E1,E2,E3,Ebp,flags,winner\r\n",
+    ], ids=["empty", "short", "reordered"])
+    def test_load_rejects_a_bad_header(self, tmp_path, text):
+        path = tmp_path / "grid.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(ValueError, match="^unexpected header "):
+            load_phase_csv(path)
+
     def test_single_cell_round_trip(self, tmp_path):
         spec = GridSpec(np.array([2.0]), np.array([3.0]))
         result = sweep(spec, n_crosscheck=4)
