@@ -13,11 +13,13 @@ record.  Three constructors cover the cases used for cooling protocols:
 
 The drive z is white around the measured mean, so under a frozen mean the
 components form a multivariate Ornstein-Uhlenbeck process; their stationary
-mean and covariance are available from :func:`stationary_statistics`.
+mean and covariance are available from :func:`stationary_statistics`, and
+their exact map over a finite interval from :func:`exact_transition`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,3 +209,59 @@ def stationary_statistics(model: FilterModel, lam: float,
     L = np.kron(M, np.eye(n)) + np.kron(np.eye(n), M)
     sigma = solve_linear(L, -Q.reshape(-1)).reshape(n, n)
     return mean, 0.5 * (sigma + sigma.T)
+
+
+def exact_transition(model: FilterModel, lam: float, h: float):
+    """Exact map of the signals over an interval h under a white record.
+
+    With the record z = mean_A + white noise of intensity 1/(4 lam), as in
+    :func:`stationary_statistics`, the signals are Gaussian from one time to
+    the next: G(t + h) = Phi G(t) + Gamma mean_A + L xi with xi ~ N(0, I),
+    Phi = e^{M h}, Gamma = int_0^h e^{M s} b ds and
+    L L^T = Sigma = (1/(4 lam)) int_0^h e^{M s} b b^T e^{M^T s} ds.
+
+    Phi, Gamma and Sigma come from one Van Loan block exponential (IEEE TAC
+    23, 395 (1978)) of the drift [[M, b], [0, 0]] of the state (G, 1).  That
+    block holds e^{-M h}, which overflows for a stable M once ||M|| h is
+    about 710, so it is taken at h / 2^k with ||M||_1 h / 2^k <= 1/2 and
+    doubled k times: Phi <- Phi^2, Sigma <- Phi Sigma Phi^T + Sigma,
+    Gamma <- Phi Gamma + Gamma.  For a stable M the map converges to
+    :func:`stationary_statistics` as h grows; for an unstable one it
+    overflows as the exact map does, and L is then all NaN.  L is lower
+    triangular with a nonnegative diagonal, the Cholesky factor when Sigma
+    is positive definite.  It is R^T from the QR decomposition of
+    (V sqrt(max(w, 0)))^T, where Sigma = V diag(w) V^T, so a singular Sigma
+    (an inert component) is factored too.
+
+    Returns
+    -------
+    (Phi, Gamma, L) : ((n, n) array, (n,) array, (n, n) array)
+    """
+    from scipy.linalg import expm  # loaded with numerics, so free here
+
+    require_positive(lam, "lam")
+    require_positive(h, "h")
+    M, b, n = model.M, model.b, model.n
+    norm = np.abs(M).sum(axis=0).max()
+    k = max(0, math.ceil(math.log2(norm) + math.log2(h) + 1.0)) if norm > 0 else 0
+    drift = np.zeros((n + 1, n + 1))
+    drift[:n, :n], drift[:n, n] = M, b
+    block = np.zeros((2 * n + 2, 2 * n + 2))
+    block[:n + 1, :n + 1] = -drift
+    block[:n, n + 1:2 * n + 1] = np.outer(b, b) / (4.0 * lam)
+    block[n + 1:, n + 1:] = drift.T
+    hop = expm(block * math.ldexp(h, -k))
+    phi = hop[n + 1:, n + 1:].T
+    sigma = phi @ hop[:n + 1, n + 1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            sigma = phi @ sigma @ phi.T + sigma
+            phi = phi @ phi
+    sigma = 0.5 * (sigma[:n, :n] + sigma[:n, :n].T)
+    if np.isfinite(sigma).all():
+        w, V = np.linalg.eigh(sigma)
+        R = np.linalg.qr((V * np.sqrt(np.maximum(w, 0.0))).T, mode="r")
+        L = R.T * np.where(np.diag(R) < 0.0, -1.0, 1.0)
+    else:
+        L = np.full((n, n), np.nan)
+    return phi[:n, :n].copy(), phi[:n, n].copy(), L

@@ -520,7 +520,9 @@ def load_phase_csv(path):
     """Parse a file written by :func:`export_phase_csv`.
 
     Returns ``(gamma, Omega, energies, winner, flags)`` as flat per-row
-    arrays/lists, in file order.
+    arrays/lists, in file order.  A header other than ``CSV_HEADER``, or a
+    row without one field per header column, raises ``ValueError``; the
+    latter names the row's line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -529,6 +531,9 @@ def load_phase_csv(path):
             raise ValueError(f"unexpected header {header}")
         gamma, Omega, energies, winner, flags = [], [], [], [], []
         for row in reader:
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"line {reader.line_num}: expected {len(CSV_HEADER)} "
+                                 f"fields, got {len(row)}")
             gamma.append(float(row[0]))
             Omega.append(float(row[1]))
             energies.append([float(v) for v in row[2:6]])

@@ -11,21 +11,22 @@ increment per measurement channel:
 
 :func:`run_ensemble` is one driver for two engines.  The driver owns what
 every engine needs: chunking, the noise of trajectory i from
-``NoiseStream(base_seed, i)`` drawn ``NOISE_BLOCK`` steps at a time, the
+``NoiseStream(base_seed, i)`` drawn a block of engine steps at a time, the
 record window and its streamed reduction, and the truncation check.  One
 block loop (``_Engine.run_block``) steps both engines: it calls the
 driver's record at record steps, checks finiteness once per block and
 replays a failed block step by step to name the trajectory and step, and
-the filter recursion is stepped in place by one ``_filter_step``.  An
-engine supplies the start batch, the moments of a batch, one ``advance``
-and the record values (energy, <A_k> and, from d = 3 on, the top-two
-basis populations).  The engine is fixed by the model:
+the signals are stepped in place.  An engine supplies its step (``bind``),
+the start batch, the moments of a batch, one ``advance`` and the record
+values (energy, <A_k> and, from d = 3 on, the top-two basis populations).
+The engine is fixed by the model:
 
 * d = 1, the classical engine: psi is a phase, so <H0> and the <A_k> are
-  constants read once from the operators' single entries, the block's
-  noise becomes its records z dt in one pass, and a step is the filter
-  recursion alone (``frozen_signal_model`` runs here);
-* d > 1, the state-vector engine.
+  constants read once from the operators' single entries, and the filter
+  is a linear SDE with Gaussian transitions.  A step is one record
+  interval, taken exactly (``filters.exact_transition``), so the records
+  carry no dt bias (``frozen_signal_model`` runs here);
+* d > 1, the state-vector engine, one Euler-Maruyama step per dt.
 
 The measurement has unit efficiency, so a pure state stays pure.  A mixed
 start rho0 = sum_i p_i |psi_i><psi_i| is sampled: trajectory j draws its
@@ -58,8 +59,10 @@ Feedback is a Hamiltonian H(G) of the current signals.  The cooling
 protocols recentre the trap on one filter component (filter and tap from
 ``moment_systems.ProtocolParams``), linear in x and p, so whole ensembles
 step as one batched array operation.  A generic rule (any callable) runs
-once per state, n_traj * (n_steps + 1) times a run: the moments of a state
-carry <H(G)> to its record and H(G) to the step from it.
+once per state, n_traj * (n_steps + 1) times a run, and
+n_traj * (n_steps / record_stride + 1) times on the classical engine,
+whose states are the recorded ones: the moments of a state carry <H(G)>
+to its record and H(G) to the step from it.
 
 Ensembles are reproducible by construction: trajectory i draws its noise
 from ``NoiseStream(base_seed, i)`` and statistics are reduced in trajectory
@@ -78,7 +81,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .filters import FilterModel
+from .filters import FilterModel, exact_transition
 from .moment_systems import ProtocolParams
 from .numerics import (NoiseStream, NumericalError, require_count, require_number,
                        require_positive)
@@ -315,16 +318,21 @@ class TrajectoryConfig:
     """Run configuration for :func:`run_ensemble`.
 
     ``record_stride`` must divide ``n_steps``; observables are recorded at
-    step 0 and every stride-th step after.  ``chunk_size`` only bounds
-    memory, results are bit-identical for any value.  A run holds one
-    chunk's noise block and record window,
+    step 0 and every stride-th step after.  A d = 1 model steps from record
+    to record with the exact transition of its filter: its records are
+    exact, and ``dt`` sets only their spacing, record_stride * dt.
+    ``chunk_size`` only bounds memory, results are bit-identical for any
+    value.  A run holds one chunk's noise block and record window,
     chunk_size * (NOISE_BLOCK * ch + (NOISE_BLOCK // record_stride + 1) * q)
     doubles with q = 1 + ch + ch * m record columns, plus 4 * n_rec * q
-    doubles of per-slot sums; nothing grows with ``n_traj``.  The signals
-    step in place: a block adds two arrays of the chunk's signals (a
-    scratch and the copy a failed block is replayed from), nothing of the
-    block's size.  ``dt`` must be positive and finite, counts and the seed
-    integers (not bools) and ``initial_signals`` finite.
+    doubles of per-slot sums; nothing grows with ``n_traj``.  At d = 1 the
+    block is B = max(1, NOISE_BLOCK // record_stride) record intervals of
+    ch * m normals each, chunk_size * (B * ch * m + (B + 1) * q) doubles,
+    and m > 1 adds one scratch array of chunk_size * B * ch doubles.  The
+    signals step in place: a block adds two arrays of the chunk's signals
+    (a scratch and the copy a failed block is replayed from).  ``dt`` must
+    be positive and finite, counts and the seed integers (not bools) and
+    ``initial_signals`` finite.
     A mixed ``initial_state`` (default: the ground state of H0) is sampled,
     one component per trajectory, so the ensemble means are its own and
     the standard errors those of the sampled estimator.
@@ -383,11 +391,11 @@ class _Engine:
 
     A batch is state vectors, shape (n, d), one per trajectory; a mixed
     start reaches it already sampled.  The interface :func:`run_ensemble`
-    drives is :meth:`start`, :meth:`_moments`, :meth:`run_block` (the one
-    block loop), :meth:`energies`, :meth:`op_means` and
-    :meth:`edge_populations`; :class:`_ClassicalEngine` replaces
-    :meth:`start`, :meth:`_moments`, :meth:`_block_noise` and
-    :meth:`advance` for d = 1.  :meth:`_moments` is the one evaluation per
+    drives is :meth:`bind`, :meth:`start`, :meth:`_moments`,
+    :meth:`run_block` (the one block loop), :meth:`energies`,
+    :meth:`op_means` and :meth:`edge_populations`; :class:`_ClassicalEngine`
+    replaces :meth:`bind`, :attr:`draw_shape`, :meth:`start`,
+    :meth:`_moments`, :meth:`_block_noise` and :meth:`advance` for d = 1.  :meth:`_moments` is the one evaluation per
     state, read by its record and the next step; the feedback rule is
     ``trap`` (the :class:`ShiftedTrapFeedback`) or ``fb`` (a generic rule).
 
@@ -398,7 +406,8 @@ class _Engine:
     makes one coefficient product per trajectory, sum_j c_j B_j psi + c0 psi:
     each step builds the columns of c, -i dt on H0, -lam dt / 2 on S, kick_k
     on A_k and +i dt w g on the trap's x, p blocks (see :meth:`advance`).
-    The engine keeps no per-run state.
+    The engine keeps no per-run state; the classical engine keeps its run's
+    transition, set by :meth:`bind`.
     """
 
     def __init__(self, model: SystemModel):
@@ -409,6 +418,7 @@ class _Engine:
         self.lam = model.lam
         self.sqrt_lam = np.sqrt(model.lam) if self.n_ch else 0.0
         self.noise_gain = 1.0 / np.sqrt(4.0 * model.lam) if self.n_ch else 0.0
+        self.filter_model = model.filter_model
         self.M_T = model.filter_model.M.T.copy() if self.m else None
         self.b = model.filter_model.b if self.m else None
         fb = model.feedback
@@ -445,6 +455,18 @@ class _Engine:
         that run no trajectories never import it."""
         from scipy.sparse import csr_array
         return csr_array(np.concatenate(self.blocks))
+
+    #: Steps of dt that one engine step spans: the SSE takes every step.
+    span = 1
+
+    def bind(self, dt: float, stride: int) -> int:
+        """Fix a run's step dt and record stride; returns :attr:`span`."""
+        return self.span
+
+    @property
+    def draw_shape(self) -> tuple:
+        """Standard normals per trajectory and engine step: one per channel."""
+        return (self.n_ch,)
 
     def start(self, psi: np.ndarray) -> np.ndarray:
         """The start batch from the trajectories' state vectors, shape (n, d)."""
@@ -505,27 +527,30 @@ class _Engine:
         return out
 
     def _block_noise(self, dW, mom, dt):
-        """What the steps of a noise block read: the Wiener increments dW
-        themselves, since the state-vector engine's records move with psi."""
+        """What the steps of a noise block read: the Wiener increments,
+        the block's standard normals scaled by sqrt(dt) in place, since the
+        state-vector engine's records move with psi."""
+        dW *= np.sqrt(dt)
         return dW
 
-    def run_block(self, state, G, mom, dW, dt, first, stride, record, start):
-        """Steps first + 1 .. first + rows of a batch on one noise block.
+    def run_block(self, state, G, mom, dW, dt, first, every, record, start):
+        """Engine steps first + 1 .. first + rows of a batch on one noise block.
 
-        dW holds the steps' Wiener increments, shape (n, rows, ch), which
-        :meth:`_block_noise` may rewrite.  Each step is one :meth:`advance`:
-        a new state, and G stepped in place with the block's one scratch
-        array.  Then the moments are taken (constant at d = 1 without a
-        generic rule) and ``record(s, state, G, mom)`` runs when ``stride``
-        divides step s.  Returns (state, G, mom) after the last step.
+        dW holds the steps' standard normals, shape (n, rows) +
+        :attr:`draw_shape`, which :meth:`_block_noise` turns into what the
+        steps read.  Each step is one :meth:`advance`: a new state, and G
+        stepped in place with the block's one scratch array.  Then the
+        moments are taken (constant at d = 1 without a generic rule) and
+        ``record(s, state, G, mom)`` runs when ``every`` divides engine step
+        s.  Returns (state, G, mom) after the last step.
 
         Finiteness is checked after the last step only: psi is renormalized
         by its own norm and G is added into its successor, so a non-finite
         entry stays non-finite.  A block that fails is replayed from its
         start with :func:`_check_finite` after every step, which names the
-        first trajectory (row i is trajectory start + i) and step.  A
-        generic rule sees only finite signals: under one, every step is
-        checked as it is taken.
+        first trajectory (row i is trajectory start + i) and the step of dt,
+        s * :attr:`span`.  A generic rule sees only finite signals: under
+        one, every step is checked as it is taken.
         """
         noise = self._block_noise(dW, mom, dt)
         scratch = np.empty_like(G)
@@ -537,10 +562,10 @@ class _Engine:
                 s = first + j + 1  # steps taken, this one included
                 state, _ = self.advance(state, G, noise[:, j], dt, mom, G, scratch)
                 if check:
-                    _check_finite(state, G, s, start)
+                    _check_finite(state, G, s * self.span, start)
                 if retake:
                     mom = self._moments(state, G)
-                if s % stride == 0:
+                if s % every == 0:
                     record(s, state, G, mom)
             return state, mom
 
@@ -605,10 +630,31 @@ class _ClassicalEngine(_Engine):
 
     There psi is a phase that no step can make observable, so every moment
     is a constant: <H0> and the <A_k> are the operators' single entries,
-    read once.  The batch state is the (n, 1 + ch) array of those moments,
-    a step is the filter recursion alone, and the operator stack ``Wt`` is
-    never built.  Under a generic feedback rule the energy is H(G)[0, 0].
+    read once.  The batch state is the (n, 1 + ch) array of those moments
+    and the operator stack ``Wt`` is never built.  Under a generic feedback
+    rule the energy is H(G)[0, 0].
+
+    The filter is then a linear SDE driven by a record of constant mean,
+    so its signals are Gaussian from one record to the next.  A step is one
+    record interval h = record_stride * dt, taken exactly with
+    :func:`filters.exact_transition`: per channel
+    G <- Phi G + Gamma <A_k> + L xi, with m standard normals xi per channel
+    and interval.  The records carry no dt bias; dt sets only their spacing.
     """
+
+    def bind(self, dt, stride):
+        """One step per record: Phi^T, Gamma and L of h = stride * dt."""
+        self.span = stride
+        if self.m and self.n_ch:
+            phi, self.Gamma, self.L = exact_transition(self.filter_model, self.lam,
+                                                       stride * dt)
+            self.Phi_T = phi.T.copy()
+        return stride
+
+    @property
+    def draw_shape(self):
+        """m standard normals per channel and record interval."""
+        return (self.n_ch, self.m)
 
     def start(self, psi):
         return np.tile([B[0, 0].real for B in self.blocks[:self.n_ev]], (len(psi), 1))
@@ -619,17 +665,32 @@ class _ClassicalEngine(_Engine):
             state[:, 0] = self._feedback_hamiltonians(G)[:, 0, 0].real
         return None, state, None
 
-    def _block_noise(self, dW, mom, dt):
-        """The block's records z dt = <A> dt + dW / sqrt(4 lam), written
-        over dW in one pass: the <A_k> are constants."""
-        if self.m and self.n_ch:
-            dW *= self.noise_gain
-            dW += (self.op_means(mom) * dt)[:, None, :]
-        return dW
+    def _block_noise(self, xi, mom, dt):
+        """The block's increments L xi + Gamma <A_k>, written over the
+        normals xi, shape (n, rows, ch, m); the <A_k> are constants.  L is
+        lower triangular, so component i is written before the components
+        j < i it reads are, and one scratch array of a component's size
+        (none for m = 1) is all the product adds."""
+        if not (self.m and self.n_ch):
+            return xi
+        tmp = None
+        for i in reversed(range(self.m)):
+            xi_i = xi[..., i]
+            xi_i *= self.L[i, i]
+            for j in range(i):
+                tmp = np.multiply(xi[..., j], self.L[i, j], out=tmp)
+                xi_i += tmp
+        xi += self.Gamma * self.op_means(mom)[:, None, :, None]
+        return xi
 
-    def advance(self, state, G, z_dt, dt, mom, out, scratch):
-        """The filter step alone, on one step of :meth:`_block_noise`."""
-        return state, self._filter_step(G, z_dt, dt, out, scratch)
+    def advance(self, state, G, inc, dt, mom, out, scratch):
+        """One record interval, G Phi^T + inc into ``out`` with G Phi^T in
+        ``scratch``, on one interval of :meth:`_block_noise`."""
+        if not (self.m and self.n_ch):
+            return state, G
+        np.matmul(G, self.Phi_T, out=scratch)
+        np.add(scratch, inc, out=out)
+        return state, out
 
 
 def _initial_state(model: SystemModel, config: TrajectoryConfig):
@@ -709,8 +770,11 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
 
     Trajectory i is driven by ``NoiseStream(config.base_seed, i)``; the
     default initial condition is the ground state of H0 with zero signals.
-    A one-dimensional model runs on the classical engine (the filter
-    recursion alone), any other on the state-vector engine (SSE).  A mixed
+    A one-dimensional model runs on the classical engine, any other on the
+    state-vector engine (SSE).  The classical engine steps the filter from
+    record to record with its exact Gaussian transition, m normals per
+    channel and interval, so its records are exact at any dt; a failure
+    there is named at its record step k * record_stride.  A mixed
     initial state (top eigenvalue at most 1 - 1e-12) is sampled: trajectory
     i takes the eigenvector of rho0 picked by one uniform draw, the first
     of its stream, with the eigenvalues as probabilities.  The means are
@@ -726,7 +790,8 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     Statistics are reduced while the run goes, so no per-trajectory record
     is kept.  Each chunk writes its records (energy, <A_k>, flattened
     signals: q = 1 + ch + ch*m values per slot) into a window holding the
-    slots of one noise block, at most ``NOISE_BLOCK // record_stride + 1``,
+    slots of one noise block, at most ``NOISE_BLOCK // record_stride + 1``
+    on either engine,
     and adds the window into per-slot sums at the end of each block, in
     trajectory order.  Means are sum / n.  Variances come from sums of the
     deviations d from trajectory 0's value at each slot,
@@ -737,10 +802,14 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     ------
     TrajectoryError
         If any trajectory produces a non-finite state; the message names
-        the trajectory index and step.
+        the trajectory index and step.  Also if a mean or variance is
+        non-finite, as when finite records sum or square past the largest
+        double; the message names the first such record and its time.
     """
     engine = _ClassicalEngine(model) if model.dim == 1 else _Engine(model)
     stride = config.record_stride
+    span = engine.bind(config.dt, stride)  # steps of dt per engine step
+    every = stride // span  # engine steps per record
     n_rec = config.n_steps // stride + 1
     n_traj = config.n_traj
     ch, m = engine.n_ch, engine.m
@@ -751,11 +820,13 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     q = 1 + ch + ch * m
     acc = np.zeros((3, n_rec, q))
     ref = np.empty((n_rec, q))
-    # Noise and record window of one block, shared by all chunks.
-    block = min(NOISE_BLOCK, config.n_steps)
+    # Noise and record window of one block of engine steps, shared by all
+    # chunks.
+    n_moves = config.n_steps // span
+    block = min(max(1, NOISE_BLOCK // span), n_moves)
     n_max = min(config.chunk_size, n_traj)
-    dW_buf = np.empty((n_max, block, ch))
-    win_buf = np.empty((n_max, block // stride + 1, q))
+    dW_buf = np.empty((n_max, block) + engine.draw_shape)
+    win_buf = np.empty((n_max, block // every + 1, q))
     max_edge = 0.0
 
     for start in range(0, n_traj, config.chunk_size):
@@ -763,7 +834,8 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
         n = stop - start
         # Each trajectory's Philox stream is read in sequence: under a mixed
         # start one uniform picks its component, then its noise block by
-        # block, so the draws equal one up-front (n_steps, ch) array.
+        # block, so the draws equal one up-front (n_moves,) + draw_shape
+        # array.
         gens = [NoiseStream(config.base_seed, start + i).generator()
                 for i in range(n)]
         pick = (np.zeros(n, dtype=int) if cdf is None else
@@ -775,7 +847,7 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
         lo = 0  # first slot held in the window
 
         def record(s, state, G, mom):
-            row = win[:, s // stride - lo]
+            row = win[:, s // every - lo]
             row[:, 0] = engine.energies(G, mom)
             row[:, 1:1 + ch] = engine.op_means(mom)
             row[:, 1 + ch:] = G.reshape(n, -1)
@@ -787,32 +859,38 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
             # The moments of each state serve its record and the next step.
             mom = engine._moments(state, G)
             record(0, state, G, mom)
-            for first in range(0, config.n_steps, NOISE_BLOCK):
-                rows = min(NOISE_BLOCK, config.n_steps - first)
+            for first in range(0, n_moves, block):
+                rows = min(block, n_moves - first)
                 for i, gen in enumerate(gens):
-                    dW[i, :rows] = gen.standard_normal((rows, ch))
-                dW[:, :rows] *= np.sqrt(config.dt)
+                    dW[i, :rows] = gen.standard_normal((rows,) + engine.draw_shape)
                 state, G, mom = engine.run_block(state, G, mom, dW[:, :rows], config.dt,
-                                                 first, stride, record, start)
-                hi = (first + rows) // stride + 1
+                                                 first, every, record, start)
+                hi = (first + rows) // every + 1
                 if hi > lo:
                     _accumulate(acc, ref, win, lo, hi, start == 0)
                 lo = hi
         max_edge = max(max_edge, float(edge.max()))
 
     times = np.arange(n_rec) * (stride * config.dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = acc[0] / n_traj
+        if n_traj > 1:
+            var = np.maximum(acc[2] - acc[1]**2 / n_traj, 0.0) / (n_traj - 1)
+        else:
+            var = np.zeros((n_rec, q))
+    # Finite records can still sum or square past the largest double.
+    bad = ~(np.isfinite(mean) & np.isfinite(var)).all(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        raise TrajectoryError(f"ensemble statistics became non-finite at record {k} "
+                              f"(t = {times[k]:.12g})")
+    stderr = np.sqrt(var) / np.sqrt(n_traj)
+
     warn = max_edge > EDGE_POPULATION_LIMIT
     if warn:
         warnings.warn(
             f"top-two basis populations reached {max_edge:.2e}; "
             "results are truncation limited", RuntimeWarning, stacklevel=2)
-
-    mean = acc[0] / n_traj
-    if n_traj > 1:
-        var = np.maximum(acc[2] - acc[1]**2 / n_traj, 0.0) / (n_traj - 1)
-    else:
-        var = np.zeros((n_rec, q))
-    stderr = np.sqrt(var) / np.sqrt(n_traj)
 
     def signal_part(stat):
         return np.moveaxis(stat[:, 1 + ch:].reshape(n_rec, ch, m), 0, -1)

@@ -170,6 +170,10 @@ def test_criterion_07_filter_realization_equivalence():
 
 
 def test_criterion_08_ou_statistics():
+    # the frozen-signal model is d = 1, so it runs on the classical engine:
+    # eight exact record intervals of h = 2.5 (filters.exact_transition),
+    # whose records carry no dt bias; dt sets only the record spacing.  The
+    # late-time variance must match the stationary gamma / (8 lam)
     g, lam = 1.0, 1.0
     model = frozen_signal_model(lowpass_cascade((g,)), lam)
     cfg = TrajectoryConfig(dt=1e-3, n_steps=20000, n_traj=200, base_seed=19,

@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad, quad_vec, solve_ivp
+from scipy.linalg import expm
 
 from filtercool.filters import (
     FilterModel,
     KernelSpec,
     bandpass,
+    exact_transition,
     impulse_response,
     kernel_filter,
     lowpass_cascade,
@@ -249,6 +251,108 @@ class TestStationaryStatistics:
         estimate = var.mean()
         stderr = cov[0, 0] * np.sqrt(2.0 / (n_slices * cfg.n_traj - 1))
         assert abs(estimate - cov[0, 0]) < 3.0 * stderr
+
+
+_EPS = np.finfo(float).eps
+
+#: The m = 1-3 low-pass cascades, the band-pass and a band-pass with an
+#: inert second component (Omega = 0), whose covariance is singular.
+_FILTERS = {
+    "lowpass1": lowpass_cascade((1.0,)),
+    "lowpass2": lowpass_cascade((1.2, 0.8)),
+    "lowpass3": lowpass_cascade((1.0, 2.0, 3.0)),
+    "bandpass": bandpass(1.0, 2.0),
+    "bandpass-inert": bandpass(0.5, 0.0),
+}
+
+
+class TestExactTransition:
+    """(Phi, Gamma, L) over an interval h: G(t + h) = Phi G(t) + Gamma mean_A
+    + L xi, checked against closed forms, quadrature, the semigroup law and
+    the stationary statistics."""
+
+    @pytest.mark.parametrize("g, lam, h", [(1.0, 1.0, 1e-3), (2.0, 0.5, 0.37),
+                                           (0.3, 2.0, 40.0)])
+    def test_scalar_ou_closed_form(self, g, lam, h):
+        # Phi = e^{-g h}, Gamma = 1 - e^{-g h}, Sigma = g/(8 lam) (1 - e^{-2 g h});
+        # e^{-g h} has condition number g h, the bound on Phi scales with it
+        phi, gamma, L = exact_transition(lowpass_cascade((g,)), lam, h)
+        assert abs(phi[0, 0] / np.exp(-g * h) - 1.0) <= 8 * _EPS * max(1.0, g * h)
+        assert abs(gamma[0] / -np.expm1(-g * h) - 1.0) <= 8 * _EPS
+        sigma = g / (8.0 * lam) * -np.expm1(-2.0 * g * h)
+        assert abs(L[0, 0]**2 / sigma - 1.0) <= 8 * _EPS
+
+    @pytest.mark.parametrize("name", list(_FILTERS))
+    def test_matches_quadrature_and_the_semigroup_law(self, name):
+        # Sigma(h) and Sigma(2 h) against direct quadrature of
+        # (1/(4 lam)) int_0^h e^{M s} b b^T e^{M^T s} ds, and the two-interval
+        # map against the one-interval map applied twice
+        model, lam, h = _FILTERS[name], 0.7, 0.45
+
+        def direct(t):
+            def integrand(s):
+                v = expm(model.M * s) @ model.b
+                return np.outer(v, v) / (4.0 * lam)
+            return quad_vec(integrand, 0.0, t, epsabs=0.0, epsrel=1e-13)[0]
+
+        phi, gamma, L = exact_transition(model, lam, h)
+        phi2, gamma2, L2 = exact_transition(model, lam, 2.0 * h)
+        sigma, sigma2 = L @ L.T, L2 @ L2.T
+        scale = np.abs(sigma2).max()
+        for got, t in ((sigma, h), (sigma2, 2.0 * h)):
+            assert np.abs(got - direct(t)).max() <= 1e-12 * scale, t
+        assert np.abs(phi @ sigma @ phi.T + sigma - sigma2).max() <= 1e-14 * scale
+        assert np.abs(phi @ phi - phi2).max() <= 1e-14
+        assert np.abs(phi @ gamma + gamma - gamma2).max() <= 1e-14 * np.abs(gamma2).max()
+        assert np.abs(phi - expm(model.M * h)).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", list(_FILTERS))
+    def test_long_interval_reaches_the_stationary_statistics(self, name):
+        # at gamma h = 1e4 the textbook Van Loan block [[-M, Q], [0, M^T]] h
+        # holds e^{1e4} and is not finite; the halved and doubled map is
+        # the stationary state: Phi = 0, Gamma mean_A the stationary mean
+        # and Sigma the stationary covariance
+        model, lam, mean_A = _FILTERS[name], 0.7, 0.3
+        h = 1e4 / -model.M[0, 0]
+        n = model.n
+        naive = np.zeros((2 * n, 2 * n))
+        naive[:n, :n], naive[n:, n:] = -model.M, model.M.T
+        naive[:n, n:] = np.outer(model.b, model.b) / (4.0 * lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(expm(naive * h)).all()
+        phi, gamma, L = exact_transition(model, lam, h)
+        mean, cov = stationary_statistics(model, lam, mean_A)
+        assert np.abs(phi).max() <= 1e-300
+        assert np.abs(gamma * mean_A - mean).max() <= 1e-14 * np.abs(mean).max()
+        assert np.abs(L @ L.T - cov).max() <= 1e-14 * np.abs(cov).max()
+
+    @pytest.mark.parametrize("name", list(_FILTERS))
+    def test_factor_is_lower_triangular(self, name):
+        # L L^T = Sigma with a nonnegative diagonal, singular Sigma included
+        _, _, L = exact_transition(_FILTERS[name], 0.7, 1e-3)
+        assert not np.triu(L, 1).any() and (np.diag(L) >= 0.0).all()
+        if name == "bandpass-inert":
+            assert not L[1].any()
+
+    def test_unstable_filter_overflows_honestly(self):
+        # e^{2 h} overflows at h = 1e3: the map is not finite and L is NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi, gamma, L = exact_transition(FilterModel([[2.0]], [1.0]), 1.0, 1e3)
+        assert not np.isfinite(phi).all() and not np.isfinite(gamma).all()
+        assert np.isnan(L).all()
+
+    def test_zero_drift_is_a_wiener_integral(self):
+        # M = 0: G integrates the record, Gamma = b h and Sigma = b^2 h / (4 lam)
+        phi, gamma, L = exact_transition(FilterModel([[0.0]], [3.0]), 0.5, 2.0)
+        assert abs(phi[0, 0] - 1.0) <= 2 * _EPS and abs(gamma[0] - 6.0) <= 8 * _EPS
+        assert abs(L[0, 0]**2 - 9.0) <= 8 * _EPS * 9.0
+
+    @pytest.mark.parametrize("lam, h, name", [(1.0, 0.0, "h"), (1.0, np.inf, "h"),
+                                              (0.0, 1.0, "lam"), (np.nan, 1.0, "lam")])
+    def test_bad_input_is_named(self, lam, h, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            exact_transition(lowpass_cascade((1.0,)), lam, h)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -1,5 +1,6 @@
 """Package-level checks: the README's library example and command lines,
-the lazy import of ``scipy.sparse`` and the committed benchmark records."""
+the lazy import of ``scipy.sparse``, the modules an import leaves unloaded
+and the committed benchmark records."""
 
 import json
 import os
@@ -87,6 +88,22 @@ print("scipy.sparse" in sys.modules)
 def test_one_dimensional_runs_do_not_import_scipy_sparse():
     # a d = 1 model runs on the classical engine, which applies no stack
     assert _run_python(_CLASSICAL_PROBE).split() == ["False"]
+
+
+_IMPORT_PROBE = """
+import sys
+import filtercool, filtercool.cli, filtercool.trajectory
+
+heavy = ("scipy.sparse", "scipy.signal", "scipy.stats", "scipy.optimize",
+         "scipy.integrate", "numba")
+print(" ".join(name for name in heavy if name in sys.modules) or "none")
+"""
+
+
+def test_import_loads_no_heavy_module():
+    # every command pays its imports before it does any work; none of these
+    # modules is needed to import the package, its CLI or the trajectories
+    assert _run_python(_IMPORT_PROBE).split() == ["none"]
 
 
 def test_bench_records_hold_the_claimed_medians():

@@ -448,6 +448,16 @@ class TestCsv:
         with pytest.raises(ValueError, match="^unexpected header "):
             load_phase_csv(path)
 
+    @pytest.mark.parametrize("row, fields", [("1,2,3", 3), ("", 0)], ids=["short", "blank"])
+    def test_load_rejects_a_short_row_naming_its_line(self, tmp_path, row, fields):
+        # a good header and first row, then a row without eight fields
+        header = ",".join(CSV_HEADER)
+        good = "1,2,0.5,0.5,0.5,0.5,lowpass1,ok;ok;ok;ok"
+        path = tmp_path / "grid.csv"
+        path.write_text(f"{header}\r\n{good}\r\n{row}\r\n", newline="")
+        with pytest.raises(ValueError, match=f"^line 3: expected 8 fields, got {fields}$"):
+            load_phase_csv(path)
+
     def test_single_cell_round_trip(self, tmp_path):
         spec = GridSpec(np.array([2.0]), np.array([3.0]))
         result = sweep(spec, n_crosscheck=4)

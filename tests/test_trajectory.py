@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 
 from _reference import sme_ensemble, sme_step
 from filtercool import trajectory
-from filtercool.filters import lowpass_cascade
+from filtercool.filters import FilterModel, lowpass_cascade
 from filtercool.moment_systems import ProtocolKind, ProtocolParams, build_moment_system, evolve
 from filtercool.numerics import NoiseStream
 from filtercool.trajectory import (
@@ -483,6 +484,37 @@ def _sse_paths(model, cfg):
     return energy, opmeans, signals
 
 
+def _classical_paths(model, cfg):
+    """The records of :func:`_sse_paths` for a d = 1 run.  The classical
+    engine steps all trajectories as one batch from record to record with
+    the exact transition of ``bind``, on each trajectory's draws taken up
+    front, one trajectory at a time: (n_rec - 1, ch, m) normals made into
+    increments in one ``_block_noise``."""
+    engine = trajectory._ClassicalEngine(model)
+    engine.bind(cfg.dt, cfg.record_stride)
+    psi0, _, G0 = trajectory._initial_state(model, cfg)
+    n, ch, m = cfg.n_traj, engine.n_ch, engine.m
+    n_rec = cfg.n_steps // cfg.record_stride + 1
+    xi = np.stack([NoiseStream(cfg.base_seed, i).generator().standard_normal(
+        (n_rec - 1, ch, m)) for i in range(n)])
+    state = engine.start(np.repeat(psi0, n, axis=0))
+    G = np.broadcast_to(G0, (n,) + G0.shape).copy()
+    mom = engine._moments(state, G)
+    inc = engine._block_noise(xi, mom, cfg.dt)
+    energy = np.empty((n, n_rec))
+    opmeans = np.empty((n, n_rec, ch))
+    signals = np.empty((n, n_rec, ch, m))
+    for k in range(n_rec):
+        if k:
+            state, G = engine.advance(state, G, inc[:, k - 1], cfg.dt, mom,
+                                      np.empty_like(G), np.empty_like(G))
+            mom = engine._moments(state, G)
+        energy[:, k] = engine.energies(G, mom)
+        opmeans[:, k] = engine.op_means(mom)
+        signals[:, k] = G
+    return energy, opmeans, signals
+
+
 def _assert_common_noise_match(model, cfg):
     """The SSE and the reference SME on each trajectory's own draws, from the
     same pure start: energies and <A_k> equal at t = 0 and, after it, the
@@ -644,15 +676,16 @@ class TestSparseStack:
 
     def test_all_zero_stack_record_is_pinned(self):
         # mean_A = 0 makes H0, A and S zero, so the stack stores nothing and
-        # psi never moves; the record (digest taken before the stack was
-        # sparse) is the filter's alone, to the bit
+        # psi never moves; the record is the filter's alone, to the bit.  The
+        # digest was taken when the d = 1 engine began to step exactly from
+        # record to record
         model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
         assert trajectory._Engine(model).Wt.nnz == 0
         rec = run_ensemble(model, TrajectoryConfig(
             dt=1e-3, n_steps=300, n_traj=9, base_seed=5, record_stride=10,
             chunk_size=4))
         assert _record_digest(rec) == (
-            "537e99342bd1cffae8c9f89c97a503e946135a22b92c20e676005934fecfb19f")
+            "90950a8df12ca904b4552a5b8f5dffe049197d6113be7994acb99fe781f0bf05")
 
     def test_density_matrix_record_is_pinned(self):
         # a mixed start, each trajectory's component drawn ahead of its noise
@@ -732,22 +765,30 @@ class TestGenericRule:
     @pytest.mark.parametrize("label", ["psi", "rho", "classical"])
     @pytest.mark.parametrize("stride", [1, 10])
     def test_rule_runs_once_per_state(self, label, stride):
-        # each trajectory's n_steps + 1 states serve the record and the
-        # next step from one evaluation: 164 calls for 4 x 40 at any stride
+        # each trajectory's states serve the record and the next step from
+        # one evaluation: n_steps + 1 states on the state-vector engine, 164
+        # calls for 4 x 40 at any stride; the classical engine steps from
+        # record to record, so only the n_steps / stride + 1 recorded states
+        # exist
         runs, calls = _generic_models()
         model, cfg = runs[label]
         run_ensemble(model, dataclasses.replace(cfg, record_stride=stride))
-        assert len(calls) == cfg.n_traj * (cfg.n_steps + 1) == 164
+        states = cfg.n_steps // stride if label == "classical" else cfg.n_steps
+        assert len(calls) == cfg.n_traj * (states + 1)
 
 
 def test_finite_signals_whose_sum_overflows_pass():
-    # the per-step check sums the whole batch; a sum that overflows from
-    # finite rows must fall back to the row check, not fail the run
-    model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
-    cfg = TrajectoryConfig(dt=1e-3, n_steps=20, n_traj=3, base_seed=0,
-                           record_stride=10, initial_signals=np.full((1, 1), 1e308))
+    # the per-step check, which a generic rule runs at every step, sums the
+    # whole batch; a sum that overflows from finite rows must fall back to
+    # the row check, not fail the run.  Two trajectories of two components
+    # near 8e307 overflow that sum but not a component's ensemble sum
+    model = SystemModel(np.zeros((1, 1)), (np.zeros((1, 1)),), 1.0,
+                        lowpass_cascade((1.0, 1.0)), lambda G: np.zeros((1, 1)))
+    cfg = TrajectoryConfig(dt=1e-3, n_steps=20, n_traj=2, base_seed=0,
+                           record_stride=10, initial_signals=np.full((1, 2), 8e307))
     rec = run_ensemble(model, cfg)
-    assert not rec.energy_mean.any() and not rec.signal_var.any()
+    assert not rec.energy_mean.any() and np.isfinite(rec.signal_mean).all()
+    assert not rec.signal_var.any()
 
 
 class TestConfigInputs:
@@ -801,11 +842,13 @@ class TestConfigInputs:
 def _full_record_reference(model, cfg):
     """Ensemble statistics from every trajectory's full record.
 
-    Keeps the (n_traj, n_rec, ...) arrays of :func:`_sse_paths` and reduces
-    them with numpy's two-pass mean/std/var, the reference that
-    run_ensemble's streamed statistics are held to.
+    Keeps the (n_traj, n_rec, ...) arrays of :func:`_sse_paths`, or of
+    :func:`_classical_paths` for a d = 1 model, and reduces them with
+    numpy's two-pass mean/std/var, the reference that run_ensemble's
+    streamed statistics are held to.
     """
-    energy, opmeans, signals = _sse_paths(model, cfg)
+    paths = _classical_paths if model.dim == 1 else _sse_paths
+    energy, opmeans, signals = paths(model, cfg)
     n, (ch, m) = cfg.n_traj, signals.shape[2:]
     n_rec = energy.shape[1]
 
@@ -838,10 +881,11 @@ class TestStreamedStatistics:
         p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
         lowpass2 = oscillator_cooling_model(p, 10)
         ou = frozen_signal_model(lowpass_cascade((1.0,)), 1.0, mean_A=0.3)
-        # lowpass2 fits one noise block; the OU run spans three, and its
-        # -0.0 start makes the mean at t = 0 a signed zero.  The m = 2 and
-        # m = 3 cascades run on the classical engine, which steps a whole
-        # block per call; the reference steps them through _filter_step.
+        # lowpass2 fits one noise block; the OU run's 300 record intervals
+        # span three blocks of 146, and its -0.0 start makes the mean at
+        # t = 0 a signed zero.  The d = 1 models run on the classical engine,
+        # which takes a block of record intervals per call; the reference
+        # takes all of a trajectory's intervals at once.
         cascades = [frozen_signal_model(lowpass_cascade(gammas), 1.0, mean_A=0.3)
                     for gammas in ((1.2, 0.8), (1.0, 2.0, 3.0))]
         return [(lowpass2, dict(dt=1e-3, n_steps=60, record_stride=5)),
@@ -1030,8 +1074,8 @@ class TestClassicalEngine:
         rec = run_ensemble(model, cfg)
         want = [fb(rec.signal_mean[..., t])[0, 0] for t in range(len(rec.times))]
         assert np.array_equal(rec.energy_mean, want)
-        # the state-vector path carries the phase of psi through the same
-        # steps, so it agrees to rounding
+        # the reference steps every trajectory through the same transition
+        # and reduces the full record with numpy, so it agrees to rounding
         for n_traj in (1, 4):
             cfg = dataclasses.replace(cfg, n_traj=n_traj)
             rec, ref = run_ensemble(model, cfg), _full_record_reference(model, cfg)
@@ -1042,36 +1086,103 @@ class TestClassicalEngine:
                 4 * eps * np.abs(ref["signal_mean"]).max())
 
     def test_divergent_filter_names_trajectory_and_step(self):
-        # dt = 50 makes the explicit recursion G <- (1 - gamma dt) G + ...
-        # grow by about 49 per step, so it overflows within 400 steps
-        model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
-        cfg = TrajectoryConfig(dt=50.0, n_steps=400, n_traj=2, base_seed=0,
+        # an exact step of a stable filter never diverges, so the filter
+        # dG = 2 G dt + z dt is unstable in continuous time.  Over one
+        # record interval of h = 400 its exact map e^{2h} overflows, so the
+        # first interval is non-finite and is named by its record step
+        model = frozen_signal_model(FilterModel([[2.0]], [1.0]), 1.0)
+        cfg = TrajectoryConfig(dt=1.0, n_steps=400, n_traj=2, base_seed=0,
                                record_stride=400)
         with pytest.raises(TrajectoryError,
-                           match=r"trajectory [01] became non-finite at step \d+"):
+                           match="^trajectory 0 became non-finite at step 400$"):
             run_ensemble(model, cfg)
 
     @pytest.mark.parametrize("n_traj, chunk_size, block, message", [
-        pytest.param(2, 256, None, "trajectory 0 became non-finite at step 184",
+        pytest.param(2, 256, None, "trajectory 1 became non-finite at step 356",
                      id="one-chunk"),
-        pytest.param(7, 3, None, "trajectory 2 became non-finite at step 183",
+        pytest.param(7, 3, None, "trajectory 1 became non-finite at step 356",
                      id="chunks-of-three"),
-        # 100-step blocks: the failure lands mid-block, so the block that
-        # failed its end-of-block check is replayed step by step
-        pytest.param(7, 3, 100, "trajectory 2 became non-finite at step 183",
+        # 100-step blocks hold 50 record intervals: the failure lands
+        # mid-block, so the block that failed its end-of-block check is
+        # replayed interval by interval
+        pytest.param(7, 3, 100, "trajectory 1 became non-finite at step 356",
                      id="mid-block"),
     ])
     def test_divergence_names_the_first_trajectory_and_step(
             self, monkeypatch, n_traj, chunk_size, block, message):
-        # the setup above; the messages were taken while every step was
-        # checked as it was taken
+        # the unstable filter above, stepped exactly over record intervals
+        # of two steps: its signals grow as e^{2t} and overflow near
+        # t = 355.  A step is named by its record step k * stride; the
+        # messages were taken with one-interval blocks, so every interval
+        # was checked as it was taken
         if block is not None:
             monkeypatch.setattr(trajectory, "NOISE_BLOCK", block)
-        model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
-        cfg = TrajectoryConfig(dt=50.0, n_steps=400, n_traj=n_traj, base_seed=0,
-                               record_stride=400, chunk_size=chunk_size)
+        model = frozen_signal_model(FilterModel([[2.0]], [1.0]), 1.0)
+        cfg = TrajectoryConfig(dt=1.0, n_steps=400, n_traj=n_traj, base_seed=0,
+                               record_stride=2, chunk_size=chunk_size)
         with pytest.raises(TrajectoryError, match=f"^{message}$"):
             run_ensemble(model, cfg)
+
+    def test_overflowing_statistics_name_the_first_record(self):
+        # the unstable filter's signals stay finite (below 1e260 at t = 300)
+        # but their squared deviations overflow from t = 179 on; a variance
+        # that is NaN from finite records is the run's to report, as a
+        # TrajectoryError, not as a RuntimeWarning or a silent NaN
+        model = frozen_signal_model(FilterModel([[2.0]], [1.0]), 1.0)
+        cfg = TrajectoryConfig(dt=1.0, n_steps=300, n_traj=2, base_seed=0,
+                               record_stride=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrajectoryError, match=(
+                    r"^ensemble statistics became non-finite at record 179 \(t = 179\)$")):
+                run_ensemble(model, cfg)
+
+    def test_records_depend_on_dt_only_through_the_record_interval(self):
+        # a step is one record interval h = stride * dt, taken exactly on
+        # m normals per channel, so runs with the same h and record count
+        # are the same run
+        model = frozen_signal_model(lowpass_cascade((1.2, 0.8)), 1.0, mean_A=0.3)
+        recs = [_record_arrays(run_ensemble(model, TrajectoryConfig(
+            dt=dt, n_steps=stride * 30, n_traj=5, base_seed=4, record_stride=stride)))
+            for dt, stride in ((1.0, 1), (0.5, 2), (0.25, 4))]
+        for rec in recs[1:]:
+            for name, arr in rec.items():
+                assert np.array_equal(arr, recs[0][name]), name
+
+    def test_standard_errors_cover_the_exact_transient(self):
+        # 200 runs of 50 trajectories of the (1.2, 0.8) cascade from
+        # G0 = (1, -0.5) under a record of mean 0.3.  At t = 1 the exact mean
+        # is mu + e^{M t}(G0 - mu) and the exact covariance X - Phi X Phi^T,
+        # with (mu, X) the stationary statistics and Phi = e^{M t}.  Per
+        # component, the share of runs whose mean lies within 2 of its
+        # standard errors of the exact one must lie inside the central 99.9%
+        # of Binomial(200, 0.954); the runs' mean variance must lie within 4
+        # of its standard errors of the exact one
+        from scipy.linalg import expm
+
+        from filtercool.filters import stationary_statistics
+
+        fm, runs, n_traj = lowpass_cascade((1.2, 0.8)), 200, 50
+        model = frozen_signal_model(fm, 1.0, mean_A=0.3)
+        G0 = np.array([[1.0, -0.5]])
+        mu, X = stationary_statistics(fm, 1.0, 0.3)
+        phi = expm(fm.M * 1.0)
+        mean = mu + phi @ (G0[0] - mu)
+        var = np.diag(X - phi @ X @ phi.T)
+        hits, variances = np.zeros(2, dtype=int), []
+        for seed in range(runs):
+            rec = run_ensemble(model, TrajectoryConfig(
+                dt=0.05, n_steps=20, n_traj=n_traj, base_seed=seed, record_stride=10,
+                initial_signals=G0))
+            assert rec.times[-1] == 1.0
+            se = np.sqrt(rec.signal_var[0, :, -1] / n_traj)
+            hits += np.abs(rec.signal_mean[0, :, -1] - mean) <= 2.0 * se
+            variances.append(rec.signal_var[0, :, -1])
+        low, high = _binomial_interval(0.999, runs, 0.954)
+        assert ((low <= hits) & (hits <= high)).all(), hits
+        variances = np.array(variances)
+        se = variances.std(axis=0, ddof=1) / np.sqrt(runs)
+        assert (np.abs(variances.mean(axis=0) - var) <= 4.0 * se).all()
 
     def test_peak_memory_of_a_block(self):
         # 256 trajectories x 2000 steps at stride 10: the 256 x 1024 noise
@@ -1088,6 +1199,14 @@ class TestClassicalEngine:
         finally:
             tracemalloc.stop()
         assert peak_mb <= 3.3
+
+
+def _binomial_interval(coverage, n, p):
+    """The central interval of Binomial(n, p) as ``scipy.stats.binom.interval``
+    gives it, without the half-second import of ``scipy.stats``."""
+    cdf = np.cumsum([math.comb(n, k) * p**k * (1.0 - p)**(n - k) for k in range(n + 1)])
+    tail = 0.5 * (1.0 - coverage)
+    return int(np.searchsorted(cdf, tail)), int(np.searchsorted(cdf, 1.0 - tail))
 
 
 def _trap_model(ops, filter_model, tap=0):
