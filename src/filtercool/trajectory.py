@@ -12,21 +12,23 @@ increment per measurement channel:
 :func:`run_ensemble` is one driver for two engines.  The driver owns what
 every engine needs: chunking, the noise of trajectory i from
 ``NoiseStream(base_seed, i)`` drawn a block of engine steps at a time, the
-record window and its streamed reduction, and the truncation check.  One
-block loop (``_Engine.run_block``) steps both engines: it calls the
-driver's record at record steps, checks finiteness once per block and
-replays a failed block step by step to name the trajectory and step, and
-the signals are stepped in place.  An engine supplies its step (``bind``),
-the start batch, the moments of a batch, one ``advance`` and the record
-values (energy, <A_k> and, from d = 3 on, the top-two basis populations).
-The engine is fixed by the model:
+record window and its streamed reduction, and the truncation check.  An
+engine steps a batch over one noise block at a time (``run_block``) into
+the window slots of the block's records, checks finiteness once per block
+and walks a failed block again to name the trajectory and step.  It also
+supplies its step (``bind``), the start batch, the moments of a batch and
+the record values (energy, <A_k> and, from d = 3 on, the top-two basis
+populations).  The engine is fixed by the model:
 
 * d = 1, the classical engine: psi is a phase, so <H0> and the <A_k> are
   constants read once from the operators' single entries, and the filter
   is a linear SDE with Gaussian transitions.  A step is one record
   interval, taken exactly (``filters.exact_transition``), so the records
-  carry no dt bias (``frozen_signal_model`` runs here);
-* d > 1, the state-vector engine, one Euler-Maruyama step per dt.
+  carry no dt bias (``frozen_signal_model`` runs here).  A block's signals
+  are written straight into its window slots, interval by interval, and
+  its constant columns once;
+* d > 1, the state-vector engine, one Euler-Maruyama step per dt, each
+  state's record written by the driver's ``record`` at record steps.
 
 The measurement has unit efficiency, so a pure state stays pure.  A mixed
 start rho0 = sum_i p_i |psi_i><psi_i| is sampled: trajectory j draws its
@@ -328,11 +330,14 @@ class TrajectoryConfig:
     doubles of per-slot sums; nothing grows with ``n_traj``.  At d = 1 the
     block is B = max(1, NOISE_BLOCK // record_stride) record intervals of
     ch * m normals each, chunk_size * (B * ch * m + (B + 1) * q) doubles,
-    and m > 1 adds one scratch array of chunk_size * B * ch doubles.  The
-    signals step in place: a block adds two arrays of the chunk's signals
-    (a scratch and the copy a failed block is replayed from).  ``dt`` must
-    be positive and finite, counts and the seed integers (not bools) and
-    ``initial_signals`` finite.
+    and m > 1 adds one scratch array of chunk_size * B * ch doubles; its
+    signals are stepped straight into the window, with one scratch array
+    of the chunk's signals.  The state-vector engine steps its signals in
+    place: a block adds two arrays of the chunk's signals (a scratch and
+    the copy a failed block is replayed from).  The reduction copies one
+    window row, (B + 1) * q doubles.  ``dt`` must be positive and finite,
+    counts and the seed integers (not bools) and ``initial_signals``
+    finite.
     A mixed ``initial_state`` (default: the ground state of H0) is sampled,
     one component per trajectory, so the ensemble means are its own and
     the standard errors those of the sampled estimator.
@@ -392,10 +397,10 @@ class _Engine:
     A batch is state vectors, shape (n, d), one per trajectory; a mixed
     start reaches it already sampled.  The interface :func:`run_ensemble`
     drives is :meth:`bind`, :meth:`start`, :meth:`_moments`,
-    :meth:`run_block` (the one block loop), :meth:`energies`,
-    :meth:`op_means` and :meth:`edge_populations`; :class:`_ClassicalEngine`
-    replaces :meth:`bind`, :attr:`draw_shape`, :meth:`start`,
-    :meth:`_moments`, :meth:`_block_noise` and :meth:`advance` for d = 1.  :meth:`_moments` is the one evaluation per
+    :meth:`run_block`, :meth:`energies`, :meth:`op_means` and
+    :meth:`edge_populations`; :class:`_ClassicalEngine` replaces
+    :meth:`bind`, :attr:`draw_shape`, :meth:`start`, :meth:`_moments` and
+    :meth:`run_block` for d = 1.  :meth:`_moments` is the one evaluation per
     state, read by its record and the next step; the feedback rule is
     ``trap`` (the :class:`ShiftedTrapFeedback`) or ``fb`` (a generic rule).
 
@@ -526,51 +531,42 @@ class _Engine:
         out += scratch
         return out
 
-    def _block_noise(self, dW, mom, dt):
-        """What the steps of a noise block read: the Wiener increments,
-        the block's standard normals scaled by sqrt(dt) in place, since the
-        state-vector engine's records move with psi."""
-        dW *= np.sqrt(dt)
-        return dW
-
-    def run_block(self, state, G, mom, dW, dt, first, every, record, start):
+    def run_block(self, state, G, mom, dW, dt, first, every, record, start, slots):
         """Engine steps first + 1 .. first + rows of a batch on one noise block.
 
-        dW holds the steps' standard normals, shape (n, rows) +
-        :attr:`draw_shape`, which :meth:`_block_noise` turns into what the
-        steps read.  Each step is one :meth:`advance`: a new state, and G
-        stepped in place with the block's one scratch array.  Then the
-        moments are taken (constant at d = 1 without a generic rule) and
-        ``record(s, state, G, mom)`` runs when ``every`` divides engine step
-        s.  Returns (state, G, mom) after the last step.
+        dW holds the steps' standard normals, shape (n, rows, ch), scaled in
+        place to the Wiener increments.  Each step is one :meth:`advance`: a
+        new state, and G stepped in place with the block's one scratch
+        array.  Then the moments are taken, and when ``every`` divides
+        engine step s, ``record(row, state, G, mom)`` fills the row of
+        ``slots`` (the window slots of the block's records, one per
+        ``every`` steps) that holds record s / every.  Returns
+        (state, G, mom) after the last step.
 
         Finiteness is checked after the last step only: psi is renormalized
         by its own norm and G is added into its successor, so a non-finite
         entry stays non-finite.  A block that fails is replayed from its
         start with :func:`_check_finite` after every step, which names the
-        first trajectory (row i is trajectory start + i) and the step of dt,
-        s * :attr:`span`.  A generic rule sees only finite signals: under
-        one, every step is checked as it is taken.
+        first trajectory (row i is trajectory start + i) and the step s.  A
+        generic rule sees only finite signals: under one, every step is
+        checked as it is taken.
         """
-        noise = self._block_noise(dW, mom, dt)
+        dW *= np.sqrt(dt)
         scratch = np.empty_like(G)
-        rule = self.fb is not None
-        retake = rule or self.d > 1
 
         def walk(state, mom, check):
-            for j in range(noise.shape[1]):
+            for j in range(dW.shape[1]):
                 s = first + j + 1  # steps taken, this one included
-                state, _ = self.advance(state, G, noise[:, j], dt, mom, G, scratch)
+                state, _ = self.advance(state, G, dW[:, j], dt, mom, G, scratch)
                 if check:
-                    _check_finite(state, G, s * self.span, start)
-                if retake:
-                    mom = self._moments(state, G)
+                    _check_finite(state, G, s, start)
+                mom = self._moments(state, G)
                 if s % every == 0:
-                    record(s, state, G, mom)
+                    record(slots[:, s // every - first // every - 1], state, G, mom)
             return state, mom
 
         state_start, G_start = state, G.copy()
-        state, mom_end = walk(state, mom, rule)
+        state, mom_end = walk(state, mom, self.fb is not None)
         if not (np.isfinite(state).all() and np.isfinite(G).all()):
             G[...] = G_start
             walk(state_start, mom, True)
@@ -640,6 +636,8 @@ class _ClassicalEngine(_Engine):
     :func:`filters.exact_transition`: per channel
     G <- Phi G + Gamma <A_k> + L xi, with m standard normals xi per channel
     and interval.  The records carry no dt bias; dt sets only their spacing.
+    Every state is a recorded one, so :meth:`run_block` writes the signals
+    into the record window itself.
     """
 
     def bind(self, dt, stride):
@@ -665,14 +663,12 @@ class _ClassicalEngine(_Engine):
             state[:, 0] = self._feedback_hamiltonians(G)[:, 0, 0].real
         return None, state, None
 
-    def _block_noise(self, xi, mom, dt):
+    def _block_noise(self, xi, mom):
         """The block's increments L xi + Gamma <A_k>, written over the
         normals xi, shape (n, rows, ch, m); the <A_k> are constants.  L is
         lower triangular, so component i is written before the components
         j < i it reads are, and one scratch array of a component's size
         (none for m = 1) is all the product adds."""
-        if not (self.m and self.n_ch):
-            return xi
         tmp = None
         for i in reversed(range(self.m)):
             xi_i = xi[..., i]
@@ -683,14 +679,50 @@ class _ClassicalEngine(_Engine):
         xi += self.Gamma * self.op_means(mom)[:, None, :, None]
         return xi
 
-    def advance(self, state, G, inc, dt, mom, out, scratch):
-        """One record interval, G Phi^T + inc into ``out`` with G Phi^T in
-        ``scratch``, on one interval of :meth:`_block_noise`."""
-        if not (self.m and self.n_ch):
-            return state, G
-        np.matmul(G, self.Phi_T, out=scratch)
-        np.add(scratch, inc, out=out)
-        return state, out
+    def run_block(self, state, G, mom, xi, dt, first, every, record, start, slots):
+        """Record intervals first + 1 .. first + rows of a batch, written
+        straight into ``slots``, the window slots of their records, shape
+        (n, rows, q); ``record`` is not called.
+
+        xi holds the intervals' standard normals, shape (n, rows, ch, m),
+        which :meth:`_block_noise` turns into the increments.  The energy
+        and <A_k> columns are filled once per block, and interval j writes
+        its signals G_j = G_{j-1} Phi^T + inc_j into slot j, from G before
+        the first.  The signals do not depend on the moments, so a generic
+        rule is evaluated after the block is stepped, interval by interval,
+        each interval checked before the rule sees it.  Without one only
+        the last signals are checked: a non-finite entry of any interval
+        reaches them through Phi.  A failed check names the first
+        trajectory of the first non-finite interval and its record step
+        (first + j + 1) * stride.  G takes the last slot's signals.
+        """
+        ch = self.n_ch
+        for k, column in enumerate(mom[1].T):  # column by column: long inner loops
+            slots[:, :, k] = column[:, None]
+        sig = slots[:, :, 1 + ch:].reshape(xi.shape, copy=False)
+        if G.size:
+            inc = self._block_noise(xi, mom)
+            product, factor = np.matmul, self.Phi_T
+            if self.m == 1:
+                # G Phi^T is G phi, one multiply per entry where matmul
+                # makes one call per trajectory.  matmul adds each product
+                # to +0.0, which turns a -0.0 product into +0.0; adding
+                # +0.0 to the increments instead gives the same sums to
+                # the bit, as a sum of two zeros is -0.0 only if both are.
+                product, factor = np.multiply, factor[0, 0]
+                inc += 0.0
+            scratch, prev = np.empty_like(G), G
+            for inc_j, sig_j in zip(inc.swapaxes(0, 1), sig.swapaxes(0, 1)):
+                product(prev, factor, out=scratch)
+                prev = np.add(scratch, inc_j, out=sig_j)
+        if self.fb is not None or not np.isfinite(sig[:, -1]).all():
+            for j, sig_j in enumerate(sig.swapaxes(0, 1)):
+                _check_finite(state, sig_j, (first + j + 1) * self.span, start)
+                if self.fb is not None:
+                    mom = self._moments(state, sig_j)
+                    slots[:, j, 0] = mom[1][:, 0]
+        G[...] = sig[:, -1]
+        return state, G, mom
 
 
 def _initial_state(model: SystemModel, config: TrajectoryConfig):
@@ -745,9 +777,9 @@ def _accumulate(acc, ref, win, lo, hi, first_chunk):
     """Add a chunk's window of record slots lo..hi-1 into the run's sums.
 
     ``acc`` holds per slot the sums of the values, of their deviations from
-    ``ref`` (trajectory 0's records) and of the squared deviations.  Rows
-    are added one trajectory at a time, so every sum runs in trajectory
-    order whatever the chunking.  Sums start from +0.0, as numpy's sum over
+    ``ref`` (trajectory 0's records) and of the squared deviations, each
+    added by :func:`_add_rows`, so every sum runs in trajectory order
+    whatever the chunking.  Sums start from +0.0, as numpy's sum over
     the leading axis of the full record does, so means are the same to the
     bit, signed zeros included.  The window is overwritten.
     """
@@ -755,14 +787,27 @@ def _accumulate(acc, ref, win, lo, hi, first_chunk):
     total, dev, dev_sq = acc[:, lo:hi]
     if first_chunk:
         ref[lo:hi] = rows[0]
-    for row in rows:
-        total += row
+    _add_rows(total, rows)
     np.subtract(rows, ref[lo:hi], out=rows)
-    for row in rows:
-        dev += row
+    _add_rows(dev, rows)
     np.square(rows, out=rows)
-    for row in rows:
-        dev_sq += row
+    _add_rows(dev_sq, rows)
+
+
+def _add_rows(total, rows):
+    """Add rows[0], rows[1], ... into ``total`` in that order, as one array
+    pass: ``total`` goes into rows[0] (restored after) and ``add.reduce``
+    over the leading axis adds the rows one after another.  A reduction
+    over that axis alone (one slot of one column) adds in pairs, so there
+    the rows are added one at a time."""
+    if total.size == 1:
+        for row in rows:
+            total += row
+        return
+    first = rows[0].copy()
+    rows[0] += total
+    np.add.reduce(rows, axis=0, out=total)
+    rows[0] = first
 
 
 def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryRecord:
@@ -791,9 +836,14 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     is kept.  Each chunk writes its records (energy, <A_k>, flattened
     signals: q = 1 + ch + ch*m values per slot) into a window holding the
     slots of one noise block, at most ``NOISE_BLOCK // record_stride + 1``
-    on either engine,
-    and adds the window into per-slot sums at the end of each block, in
-    trajectory order.  Means are sum / n.  Variances come from sums of the
+    on either engine: the classical engine steps a block's signals straight
+    into its slots and fills the constant columns once per block, the
+    state-vector engine fills a slot at each record step.  At the end of
+    each block the window is added into per-slot sums in three array
+    passes (values, deviations, squared deviations), each one
+    ``add.reduce`` over the trajectories with the running sum added into
+    the first row, so every sum is taken in trajectory order from +0.0
+    whatever the chunking.  Means are sum / n.  Variances come from sums of the
     deviations d from trajectory 0's value at each slot,
     var = (sum d^2 - (sum d)^2 / n) / (n - 1); the shift keeps the
     cancellation small.  :class:`TrajectoryConfig` gives the memory bound.
@@ -846,8 +896,7 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
         edge = np.zeros(n)
         lo = 0  # first slot held in the window
 
-        def record(s, state, G, mom):
-            row = win[:, s // every - lo]
+        def record(row, state, G, mom):
             row[:, 0] = engine.energies(G, mom)
             row[:, 1:1 + ch] = engine.op_means(mom)
             row[:, 1 + ch:] = G.reshape(n, -1)
@@ -858,14 +907,15 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # The moments of each state serve its record and the next step.
             mom = engine._moments(state, G)
-            record(0, state, G, mom)
+            record(win[:, 0], state, G, mom)
             for first in range(0, n_moves, block):
                 rows = min(block, n_moves - first)
                 for i, gen in enumerate(gens):
-                    dW[i, :rows] = gen.standard_normal((rows,) + engine.draw_shape)
-                state, G, mom = engine.run_block(state, G, mom, dW[:, :rows], config.dt,
-                                                 first, every, record, start)
+                    gen.standard_normal(out=dW[i, :rows])
                 hi = (first + rows) // every + 1
+                state, G, mom = engine.run_block(
+                    state, G, mom, dW[:, :rows], config.dt, first, every, record, start,
+                    win[:, first // every + 1 - lo:hi - lo])
                 if hi > lo:
                     _accumulate(acc, ref, win, lo, hi, start == 0)
                 lo = hi

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.linalg import expm
 
 from _reference import integrate_affine
@@ -373,6 +374,16 @@ class TestNoiseStream:
 
     def test_negative_seed_allowed(self):
         assert NoiseStream(-3, 0).generator().standard_normal(4).shape == (4,)
+
+    @pytest.mark.parametrize("base_seed, index", [
+        (0, 0), (12345, 255), (-3, 7), (2**64 - 1, 2**63)])
+    def test_draws_are_those_of_philox_keyed_by_seed_and_index(self, base_seed, index):
+        # the stream is Philox keyed by the two 64-bit words of
+        # (base_seed, index), however the generator is built
+        key = np.array([base_seed % 2**64, index % 2**64], dtype=np.uint64)
+        want, got = Generator(Philox(key=key)), NoiseStream(base_seed, index).generator()
+        assert got.random() == want.random()
+        assert np.array_equal(got.standard_normal(9), want.standard_normal(9))
 
 
 @pytest.mark.parametrize("call, field", [

@@ -6,10 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _reference import sme_ensemble, sme_step
 from filtercool import trajectory
-from filtercool.filters import FilterModel, lowpass_cascade
+from filtercool.filters import FilterModel, bandpass, lowpass_cascade
 from filtercool.moment_systems import ProtocolKind, ProtocolParams, build_moment_system, evolve
 from filtercool.numerics import NoiseStream
 from filtercool.trajectory import (
@@ -310,18 +312,28 @@ class TestStateVectorPath:
             assert np.array_equal(rec.op_mean, recs[0].op_mean)
             assert np.array_equal(rec.signal_var, recs[0].signal_var)
 
-    def test_noise_block_size_does_not_change_results(self, monkeypatch):
-        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
-        model = oscillator_cooling_model(p, 8)
-        cfg = TrajectoryConfig(dt=1e-3, n_steps=50, n_traj=4, base_seed=1,
-                               record_stride=5)
-        ref = run_ensemble(model, cfg)
-        monkeypatch.setattr(trajectory, "NOISE_BLOCK", 7)
-        rec = run_ensemble(model, cfg)
-        assert np.array_equal(rec.energy_mean, ref.energy_mean)
-        assert np.array_equal(rec.op_mean, ref.op_mean)
-        assert np.array_equal(rec.signal_mean, ref.signal_mean)
-        assert np.array_equal(rec.signal_var, ref.signal_var)
+@pytest.mark.parametrize("label", ["psi", "classical", "classical-rule"])
+def test_noise_block_size_does_not_change_results(monkeypatch, label):
+    # the default block holds all ten record intervals; blocks of 1, 3 and 7
+    # engine steps (a classical step is one record interval of 5 steps), in
+    # chunks that do not divide n_traj, give the same bits
+    p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+    model = {"psi": oscillator_cooling_model(p, 8),
+             "classical": frozen_signal_model(lowpass_cascade((1.2, 0.8)), 1.0, mean_A=0.3),
+             "classical-rule": _classical_pin_runs()["generic"][0]}[label]
+    cfg = TrajectoryConfig(dt=1e-3, n_steps=50, n_traj=4, base_seed=1, record_stride=5)
+    span = 1 if label == "psi" else cfg.record_stride
+    assert trajectory.NOISE_BLOCK // span > cfg.n_steps // span
+    ref = _record_arrays(run_ensemble(model, cfg))
+    for steps in (1, 3, 7):
+        for chunk in (3, 256):
+            with monkeypatch.context() as mp:
+                mp.setattr(trajectory, "NOISE_BLOCK", steps * span)
+                rec = _record_arrays(run_ensemble(
+                    model, dataclasses.replace(cfg, chunk_size=chunk)))
+            for name, arr in rec.items():
+                assert np.array_equal(arr, ref[name]), (steps, chunk, name)
+                assert np.array_equal(np.signbit(arr), np.signbit(ref[name]))
 
 
 @pytest.mark.parametrize("seed, n_traj, chunk_size, n_steps, block, message", [
@@ -489,7 +501,7 @@ def _classical_paths(model, cfg):
     engine steps all trajectories as one batch from record to record with
     the exact transition of ``bind``, on each trajectory's draws taken up
     front, one trajectory at a time: (n_rec - 1, ch, m) normals made into
-    increments in one ``_block_noise``."""
+    increments in one ``_block_noise``, and G <- G Phi^T + increment."""
     engine = trajectory._ClassicalEngine(model)
     engine.bind(cfg.dt, cfg.record_stride)
     psi0, _, G0 = trajectory._initial_state(model, cfg)
@@ -500,14 +512,13 @@ def _classical_paths(model, cfg):
     state = engine.start(np.repeat(psi0, n, axis=0))
     G = np.broadcast_to(G0, (n,) + G0.shape).copy()
     mom = engine._moments(state, G)
-    inc = engine._block_noise(xi, mom, cfg.dt)
+    inc = engine._block_noise(xi, mom)
     energy = np.empty((n, n_rec))
     opmeans = np.empty((n, n_rec, ch))
     signals = np.empty((n, n_rec, ch, m))
     for k in range(n_rec):
         if k:
-            state, G = engine.advance(state, G, inc[:, k - 1], cfg.dt, mom,
-                                      np.empty_like(G), np.empty_like(G))
+            G = G @ engine.Phi_T + inc[:, k - 1]
             mom = engine._moments(state, G)
         energy[:, k] = engine.energies(G, mom)
         opmeans[:, k] = engine.op_means(mom)
@@ -973,6 +984,51 @@ class TestStreamedStatistics:
         assert large < 10.0
 
 
+@st.composite
+def _windowed_records(draw):
+    """Records of shape (n_traj, n_rec, q) with signed zeros among them, a
+    chunk size, the window cuts of the record slots and how many slots the
+    window buffer has beyond the widest window."""
+    n_traj, n_rec, q = (draw(st.integers(1, hi)) for hi in (12, 6, 3))
+    entry = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e16, -1e16])
+    values = draw(st.lists(entry, min_size=n_traj * n_rec * q, max_size=n_traj * n_rec * q))
+    cuts = draw(st.sets(st.integers(1, n_rec - 1))) if n_rec > 1 else set()
+    return (np.reshape(values, (n_traj, n_rec, q)), draw(st.integers(1, n_traj)),
+            sorted(cuts), draw(st.integers(0, 2)))
+
+
+# one slot and one column: the window reduces over its trajectory axis alone
+_ONE_SLOT = np.array([1.0, 1e16, -1e16, 1.0, -0.0, 3.0, 0.5, -2.0, 1.0, 7.0]).reshape(10, 1, 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_windowed_records())
+@example(case=(_ONE_SLOT, 10, [], 0))
+@example(case=(_ONE_SLOT, 10, [], 1))
+@example(case=(-_ONE_SLOT * 0.0, 4, [], 1))
+def test_accumulate_adds_rows_in_trajectory_order(case):
+    # the window's sums equal row-by-row sums from +0.0 in trajectory order
+    # to the bit, whatever the chunks and windows
+    values, chunk, cuts, spare = case
+    n_traj, n_rec, q = values.shape
+    windows = list(zip([0] + cuts, cuts + [n_rec]))
+    acc, ref = np.zeros((3, n_rec, q)), np.empty((n_rec, q))
+    win_buf = np.empty((chunk, max(hi - lo for lo, hi in windows) + spare, q))
+    for start in range(0, n_traj, chunk):
+        rows = values[start:start + chunk]
+        win = win_buf[:len(rows)]
+        for lo, hi in windows:
+            win[:, :hi - lo] = rows[:, lo:hi]
+            trajectory._accumulate(acc, ref, win, lo, hi, start == 0)
+    want = np.zeros((3, n_rec, q))
+    for row in values:
+        want[0] += row
+    for row in values - values[0]:
+        want[1] += row
+        want[2] += row * row
+    assert np.array_equal(acc.view(np.uint64), want.view(np.uint64))
+
+
 class TestSystemModelInputs:
     """Non-finite operators or strengths are bad input (ValueError), not a
     numerical failure found steps into a run."""
@@ -1007,6 +1063,31 @@ class TestSystemModelInputs:
         with pytest.raises(ValueError, match="dimension"):
             run_ensemble(model, TrajectoryConfig(dt=1e-3, n_steps=2, n_traj=1,
                                                  base_seed=0))
+
+
+def _classical_pin_runs():
+    """Runs of the classical (d = 1) engine whose records are pinned: the
+    (1.2, 0.8) cascade under a record of mean 0.3, a band-pass filter on two
+    channels of other means and a generic rule.  Each ends on a short noise
+    block (250 record intervals in blocks of 102, 400 in blocks of 341),
+    in chunks that do not divide ``n_traj``."""
+    def rule(G):
+        return np.array([[0.5 + G[0, 0]**2 - 0.25 * G[0, 1]]])
+
+    cascade = frozen_signal_model(lowpass_cascade((1.2, 0.8)), 1.0, mean_A=0.3)
+    two_channels = SystemModel(np.array([[0.25]]), (np.array([[0.3]]), np.array([[-0.1]])),
+                               0.7, bandpass(1.5, 2.0))
+    generic = SystemModel(np.array([[0.5]]), (np.array([[0.2]]),), 1.0,
+                          lowpass_cascade((1.0, 1.5)), rule)
+    every_ten = dict(dt=1e-3, n_steps=2500, record_stride=10)
+    return {
+        "cascade": (cascade, TrajectoryConfig(n_traj=11, base_seed=8, chunk_size=4,
+                                              **every_ten)),
+        "bandpass": (two_channels, TrajectoryConfig(
+            dt=2e-3, n_steps=1200, n_traj=7, base_seed=9, record_stride=3, chunk_size=5)),
+        "generic": (generic, TrajectoryConfig(n_traj=5, base_seed=10, chunk_size=2,
+                                              **every_ten)),
+    }
 
 
 class TestClassicalEngine:
@@ -1049,6 +1130,17 @@ class TestClassicalEngine:
                 for name, arr in rec.items():
                     assert np.array_equal(arr, recs[0][name]), (gammas, name)
                     assert np.array_equal(np.signbit(arr), np.signbit(recs[0][name]))
+
+    @pytest.mark.parametrize("label, digest", [
+        ("cascade", "c974b5c920ef1a63a8c47e67b62a296c48903734da6cbfa77676949fa7709d4c"),
+        ("bandpass", "637d78a71a58a56ce5c875400a7ea40711f428276d223239626c428059c215a5"),
+        ("generic", "7bc335261681401147e2584f877a4b24b865af6320859a8fde7ee8042a52d4f8"),
+    ])
+    def test_record_is_pinned(self, label, digest):
+        # the digests were taken before the engine wrote a block's records
+        # straight into the record window
+        model, cfg = _classical_pin_runs()[label]
+        assert _record_digest(run_ensemble(model, cfg)) == digest
 
     def test_constant_moments_are_exact(self):
         # every trajectory records the operators' single entries to the
@@ -1185,10 +1277,12 @@ class TestClassicalEngine:
         assert (np.abs(variances.mean(axis=0) - var) <= 4.0 * se).all()
 
     def test_peak_memory_of_a_block(self):
-        # 256 trajectories x 2000 steps at stride 10: the 256 x 1024 noise
-        # block (2.1 MB), the 256 x 103 x 3 record window (0.63 MB) and the
-        # per-slot sums; the block is stepped in place, so nothing else of
-        # its size is allocated
+        # 256 trajectories x 2000 steps at stride 10: 200 record intervals
+        # in blocks of 102, so the 256 x 102 noise block (0.21 MB), the
+        # 256 x 103 x 3 record window (0.63 MB), the 256 generators
+        # (0.16 MB) and the per-slot sums; the peak is 1.23 MB.  The block
+        # is stepped into the window; a copy of the window would break the
+        # bound, about 1.2 times the peak
         model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
         cfg = TrajectoryConfig(dt=1e-3, n_steps=2000, n_traj=256, base_seed=0,
                                record_stride=10)
@@ -1198,7 +1292,7 @@ class TestClassicalEngine:
             peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
-        assert peak_mb <= 3.3
+        assert peak_mb <= 1.5
 
 
 def _binomial_interval(coverage, n, p):
