@@ -263,13 +263,23 @@ def _build_filter(cfg: dict) -> FilterModel:
     return build(*values)
 
 
+def _sized(options: str, fn, *args):
+    """fn(*args), whose arrays ``options`` size: one it cannot allocate is
+    bad input."""
+    try:
+        return fn(*args)
+    except MemoryError as exc:
+        raise ConfigError(f"{options} too large for memory: {exc}") from exc
+
+
 def _cmd_filter_response(cfg: dict) -> None:
     model = _build_filter(cfg)
     if cfg["t_max"] <= 0 or cfg["points"] < 2:
         raise ConfigError("t-max must be positive and points at least 2")
     # h(t) = exp(M t) b solves dh/dt = M h from h(0) = b: exact on the grid
     n = cfg["points"] - 1
-    h = propagate_affine(model.M, np.zeros(model.n), model.b, cfg["t_max"] / n, n)
+    h = _sized("--points", propagate_affine,
+               model.M, np.zeros(model.n), model.b, cfg["t_max"] / n, n)
     write_csv(cfg["output"], ["t"] + [f"h_{k + 1}" for k in range(model.n)],
               [[np.linspace(0.0, cfg["t_max"], n + 1), *h.T]])
 
@@ -300,7 +310,7 @@ def _cmd_evolve(cfg: dict) -> None:
     stride = cfg["stride"]
     if not np.isfinite(cfg["dt"] * stride):
         raise NumericalError(f"dt * stride overflows: {cfg['dt']:g} * {stride}")
-    path = evolve(system, x0, cfg["dt"] * stride, cfg["steps"] // stride)
+    path = _sized("--steps", evolve, system, x0, cfg["dt"] * stride, cfg["steps"] // stride)
     times = [j * stride * cfg["dt"] for j in range(len(path))]
     write_csv(cfg["output"], ["t"] + list(system.labels), [[times, *path.T]])
 
@@ -310,7 +320,7 @@ def _cmd_trajectory(cfg: dict) -> None:
     run_cfg = TrajectoryConfig(dt=cfg["dt"], n_steps=cfg["steps"],
                                n_traj=cfg["ntraj"], base_seed=cfg["seed"],
                                record_stride=cfg["stride"])
-    record = run_ensemble(model, run_cfg)
+    record = _sized("--steps", run_ensemble, model, run_cfg)
     tap = model.feedback.tap_index
     write_csv(cfg["output"], ["t", "mean_energy", "stderr_energy", "mean_Dx", "var_Dx",
                               "mean_Dp", "var_Dp"],

@@ -11,24 +11,22 @@ increment per measurement channel:
 
 :func:`run_ensemble` is one driver for two engines.  The driver owns what
 every engine needs: chunking, the noise of trajectory i from
-``NoiseStream(base_seed, i)`` drawn a block of engine steps at a time, the
-record window and its streamed reduction, and the truncation check.  An
-engine steps a batch over one noise block at a time (``run_block``) into
+``NoiseStream(base_seed, i)`` drawn a block of engine steps at a time, and
+the record window and its streamed reduction.  An engine is built for one
+run and writes every record row itself: ``start`` makes the start batch
+and its record, and ``run_block`` steps a batch over one noise block into
 the window slots of the block's records, checks finiteness once per block
-and walks a failed block again to name the trajectory and step.  It also
-supplies its step (``bind``), the start batch, the moments of a batch and
-the record values (energy, <A_k> and, from d = 3 on, the top-two basis
-populations).  The engine is fixed by the model:
+and walks a failed block again to name the trajectory and step.  The
+driver reads only these, ``span``, ``draw_shape`` and ``max_edge`` (the
+largest top-two basis population recorded, for the truncation check).
+The engine is fixed by the model:
 
 * d = 1, the classical engine: psi is a phase, so <H0> and the <A_k> are
   constants read once from the operators' single entries, and the filter
   is a linear SDE with Gaussian transitions.  A step is one record
   interval, taken exactly (``filters.exact_transition``), so the records
-  carry no dt bias (``frozen_signal_model`` runs here).  A block's signals
-  are written straight into its window slots, interval by interval, and
-  its constant columns once;
-* d > 1, the state-vector engine, one Euler-Maruyama step per dt, each
-  state's record written by the driver's ``record`` at record steps.
+  carry no dt bias (``frozen_signal_model`` runs here);
+* d > 1, the state-vector engine, one Euler-Maruyama step per dt.
 
 The measurement has unit efficiency, so a pure state stays pure.  A mixed
 start rho0 = sum_i p_i |psi_i><psi_i| is sampled: trajectory j draws its
@@ -336,8 +334,8 @@ class TrajectoryConfig:
     place: a block adds two arrays of the chunk's signals (a scratch and
     the copy a failed block is replayed from).  The reduction copies one
     window row, (B + 1) * q doubles.  ``dt`` must be positive and finite,
-    counts and the seed integers (not bools) and ``initial_signals``
-    finite.
+    counts and the seed integers (not bools), the seed below 2**64 (one
+    Philox key, so no two seeds alias) and ``initial_signals`` finite.
     A mixed ``initial_state`` (default: the ground state of H0) is sampled,
     one component per trajectory, so the ensemble means are its own and
     the standard errors those of the sampled estimator.
@@ -355,6 +353,8 @@ class TrajectoryConfig:
     def __post_init__(self):
         require_positive(self.dt, "dt")
         require_count(self.base_seed, "base_seed")
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
         for name in ("n_steps", "n_traj", "record_stride", "chunk_size"):
             require_count(getattr(self, name), name, 1)
         if self.n_steps % self.record_stride:
@@ -392,17 +392,19 @@ class TrajectoryRecord:
 
 
 class _Engine:
-    """The state-vector engine: the batched SSE kernel for one SystemModel.
+    """The state-vector engine: the batched SSE kernel of one run.
 
-    A batch is state vectors, shape (n, d), one per trajectory; a mixed
-    start reaches it already sampled.  The interface :func:`run_ensemble`
-    drives is :meth:`bind`, :meth:`start`, :meth:`_moments`,
-    :meth:`run_block`, :meth:`energies`, :meth:`op_means` and
-    :meth:`edge_populations`; :class:`_ClassicalEngine` replaces
-    :meth:`bind`, :attr:`draw_shape`, :meth:`start`, :meth:`_moments` and
-    :meth:`run_block` for d = 1.  :meth:`_moments` is the one evaluation per
-    state, read by its record and the next step; the feedback rule is
-    ``trap`` (the :class:`ShiftedTrapFeedback`) or ``fb`` (a generic rule).
+    It holds the run's step dt, record stride and :attr:`max_edge`, the
+    largest top-two basis population of its records (0 below d = 3, where
+    those two states are the whole space), and writes every record row.
+    :func:`run_ensemble` uses :attr:`span`, :attr:`draw_shape`,
+    :meth:`start`, :meth:`run_block` and :attr:`max_edge`;
+    :class:`_ClassicalEngine` supplies its own for d = 1, and its
+    transition.  A batch state is (psi, moments): state vectors, shape
+    (n, d), one per trajectory (a mixed start reaches it already sampled),
+    and their :meth:`_moments`, the one evaluation per state, read by its
+    record and the next step.  The feedback rule is ``trap`` (the
+    :class:`ShiftedTrapFeedback`) or ``fb`` (a generic rule).
 
     ``blocks`` is the operator stack B_j = [H0, A_1..A_ch, S = sum_k A_k^2],
     plus x, p only when they are not the measured pair: 4 blocks for the
@@ -411,11 +413,10 @@ class _Engine:
     makes one coefficient product per trajectory, sum_j c_j B_j psi + c0 psi:
     each step builds the columns of c, -i dt on H0, -lam dt / 2 on S, kick_k
     on A_k and +i dt w g on the trap's x, p blocks (see :meth:`advance`).
-    The engine keeps no per-run state; the classical engine keeps its run's
-    transition, set by :meth:`bind`.
     """
 
-    def __init__(self, model: SystemModel):
+    def __init__(self, model: SystemModel, dt: float, stride: int):
+        self.dt, self.stride, self.max_edge = dt, stride, 0.0
         self.d = model.dim
         self.n_ch = model.n_channels
         self.m = model.n_signal_components
@@ -464,24 +465,23 @@ class _Engine:
     #: Steps of dt that one engine step spans: the SSE takes every step.
     span = 1
 
-    def bind(self, dt: float, stride: int) -> int:
-        """Fix a run's step dt and record stride; returns :attr:`span`."""
-        return self.span
-
     @property
     def draw_shape(self) -> tuple:
         """Standard normals per trajectory and engine step: one per channel."""
         return (self.n_ch,)
 
-    def start(self, psi: np.ndarray) -> np.ndarray:
-        """The start batch from the trajectories' state vectors, shape (n, d)."""
-        return psi
+    def start(self, psi: np.ndarray, G: np.ndarray, row: np.ndarray):
+        """The start state of a batch of state vectors psi, shape (n, d),
+        with signals G; their record is written into ``row``."""
+        mom = self._moments(psi, G)
+        self._record(row, psi, G, mom)
+        return psi, mom
 
     def _moments(self, state: np.ndarray, G: np.ndarray):
-        """(prod, ev, HG) of a batch with signals G, the ``mom`` the other
-        methods take: prod[:, j] = B_j psi and ev[:, j] = <B_j> for the first
-        ``n_ev`` blocks, with <H(G)> in ev[:, 0] under a generic rule.  HG is
-        a generic rule's H(G) psi, else None."""
+        """(prod, ev, HG) of a batch with signals G: prod[:, j] = B_j psi
+        and ev[:, j] = <B_j> for the first ``n_ev`` blocks, with <H(G)> in
+        ev[:, 0] under a generic rule.  HG is a generic rule's H(G) psi,
+        else None."""
         HG = None if self.fb is None else self._feedback_hamiltonians(G)
         # A CSR product adds each output row's stored terms in one order, so
         # a trajectory's arithmetic is the same for any batch size.  It comes
@@ -496,10 +496,18 @@ class _Engine:
             ev[:, 0] = (state.conj() * HG).sum(axis=1).real
         return prod, ev, HG
 
-    def op_means(self, mom) -> np.ndarray:
-        """Conditional <A_k> of a batch from its :meth:`_moments`, shape
-        (n, channels)."""
-        return mom[1][:, 1:1 + self.n_ch]
+    def _record(self, row, psi, G, mom):
+        """Write the record of states psi with signals G and moments
+        ``mom`` into ``row``: energy, <A_k> and the flattened signals; from
+        d = 3 on, raise :attr:`max_edge` to their top-two populations."""
+        ch = self.n_ch
+        row[:, 0] = self.energies(G, mom)
+        row[:, 1:1 + ch] = mom[1][:, 1:1 + ch]
+        row[:, 1 + ch:] = G.reshape(len(G), -1)
+        if self.d >= 3:
+            edge = psi[:, -2:]
+            self.max_edge = max(self.max_edge,
+                                (edge.real**2 + edge.imag**2).sum(axis=1).max())
 
     def energies(self, G: np.ndarray, mom) -> np.ndarray:
         """<H(G)> of a batch with signals G and moments ``mom``: the trap
@@ -531,17 +539,16 @@ class _Engine:
         out += scratch
         return out
 
-    def run_block(self, state, G, mom, dW, dt, first, every, record, start, slots):
+    def run_block(self, state, G, dW, first, start, slots):
         """Engine steps first + 1 .. first + rows of a batch on one noise block.
 
         dW holds the steps' standard normals, shape (n, rows, ch), scaled in
         place to the Wiener increments.  Each step is one :meth:`advance`: a
-        new state, and G stepped in place with the block's one scratch
-        array.  Then the moments are taken, and when ``every`` divides
-        engine step s, ``record(row, state, G, mom)`` fills the row of
-        ``slots`` (the window slots of the block's records, one per
-        ``every`` steps) that holds record s / every.  Returns
-        (state, G, mom) after the last step.
+        new psi, and G stepped in place with the block's one scratch array.
+        Then the moments are taken, and when the stride divides step s,
+        the state's record is written into the row of ``slots`` (the window
+        slots of the block's records, one per stride) that holds record
+        s / stride.  Returns the state after the last step.
 
         Finiteness is checked after the last step only: psi is renormalized
         by its own norm and G is added into its successor, so a non-finite
@@ -551,26 +558,27 @@ class _Engine:
         generic rule sees only finite signals: under one, every step is
         checked as it is taken.
         """
+        dt, every = self.dt, self.stride
         dW *= np.sqrt(dt)
         scratch = np.empty_like(G)
 
-        def walk(state, mom, check):
+        def walk(psi, mom, check):
             for j in range(dW.shape[1]):
                 s = first + j + 1  # steps taken, this one included
-                state, _ = self.advance(state, G, dW[:, j], dt, mom, G, scratch)
+                psi, _ = self.advance(psi, G, dW[:, j], dt, mom, G, scratch)
                 if check:
-                    _check_finite(state, G, s, start)
-                mom = self._moments(state, G)
+                    _check_finite(psi, G, s, start)
+                mom = self._moments(psi, G)
                 if s % every == 0:
-                    record(slots[:, s // every - first // every - 1], state, G, mom)
-            return state, mom
+                    self._record(slots[:, s // every - first // every - 1], psi, G, mom)
+            return psi, mom
 
-        state_start, G_start = state, G.copy()
-        state, mom_end = walk(state, mom, self.fb is not None)
-        if not (np.isfinite(state).all() and np.isfinite(G).all()):
+        G_start = G.copy()
+        end = walk(*state, self.fb is not None)
+        if not (np.isfinite(end[0]).all() and np.isfinite(G).all()):
             G[...] = G_start
-            walk(state_start, mom, True)
-        return state, G, mom_end
+            walk(*state, True)
+        return end
 
     def advance(self, psi, G, dW, dt, mom, out=None, scratch=None):
         """One Euler-Maruyama SSE step of a batch on Wiener increments dW,
@@ -611,15 +619,6 @@ class _Engine:
         z_dt = a * dt + dW * self.noise_gain
         return psi, self._filter_step(G, z_dt, dt, out, scratch)
 
-    def edge_populations(self, state: np.ndarray) -> Optional[np.ndarray]:
-        """Sum of the top two basis populations per trajectory, which the
-        truncation check reads; None below d = 3, where the top two basis
-        states are the whole space."""
-        if self.d < 3:
-            return None
-        edge = state[:, -2:]
-        return (edge.real**2 + edge.imag**2).sum(axis=1)
-
 
 class _ClassicalEngine(_Engine):
     """The engine of a one-dimensional model (d = 1).
@@ -632,43 +631,52 @@ class _ClassicalEngine(_Engine):
 
     The filter is then a linear SDE driven by a record of constant mean,
     so its signals are Gaussian from one record to the next.  A step is one
-    record interval h = record_stride * dt, taken exactly with
-    :func:`filters.exact_transition`: per channel
-    G <- Phi G + Gamma <A_k> + L xi, with m standard normals xi per channel
-    and interval.  The records carry no dt bias; dt sets only their spacing.
-    Every state is a recorded one, so :meth:`run_block` writes the signals
-    into the record window itself.
+    record interval h = stride * dt, taken exactly with
+    :func:`filters.exact_transition`, whose Phi^T, Gamma and L the engine
+    computes when it is built: per channel G <- Phi G + Gamma <A_k> + L xi,
+    with m standard normals xi per channel and interval.  The records carry
+    no dt bias; dt sets only their spacing.  No state has populations to
+    watch, so :attr:`max_edge` stays 0.
     """
 
-    def bind(self, dt, stride):
-        """One step per record: Phi^T, Gamma and L of h = stride * dt."""
+    def __init__(self, model: SystemModel, dt: float, stride: int):
+        super().__init__(model, dt, stride)
         self.span = stride
         if self.m and self.n_ch:
             phi, self.Gamma, self.L = exact_transition(self.filter_model, self.lam,
                                                        stride * dt)
             self.Phi_T = phi.T.copy()
-        return stride
 
     @property
     def draw_shape(self):
         """m standard normals per channel and record interval."""
         return (self.n_ch, self.m)
 
-    def start(self, psi):
-        return np.tile([B[0, 0].real for B in self.blocks[:self.n_ev]], (len(psi), 1))
+    def start(self, psi, G, row):
+        state = np.tile([B[0, 0].real for B in self.blocks[:self.n_ev]], (len(psi), 1))
+        self._rows(state, row[:, None])[:, 0] = G
+        self._rule_energy(row, G)
+        return state
 
-    def _moments(self, state, G):
-        if self.fb is not None:
-            state = state.copy()
-            state[:, 0] = self._feedback_hamiltonians(G)[:, 0, 0].real
-        return None, state, None
+    def _rows(self, state, slots):
+        """The signal columns, shape (n, rows, ch, m), of the record rows
+        ``slots``, whose energy and <A_k> columns take ``state``."""
+        for k, column in enumerate(state.T):  # column by column: long inner loops
+            slots[:, :, k] = column[:, None]
+        return slots[:, :, 1 + self.n_ch:].reshape(slots.shape[:2] + (self.n_ch, self.m),
+                                                   copy=False)
 
-    def _block_noise(self, xi, mom):
+    def _rule_energy(self, row, G):
+        if self.fb is not None:  # a generic rule's energy is H(G)[0, 0]
+            row[:, 0] = self._feedback_hamiltonians(G)[:, 0, 0].real
+
+    def _block_noise(self, xi, state):
         """The block's increments L xi + Gamma <A_k>, written over the
-        normals xi, shape (n, rows, ch, m); the <A_k> are constants.  L is
-        lower triangular, so component i is written before the components
-        j < i it reads are, and one scratch array of a component's size
-        (none for m = 1) is all the product adds."""
+        normals xi, shape (n, rows, ch, m); the <A_k> are the constant
+        columns of ``state``.  L is lower triangular, so component i is
+        written before the components j < i it reads are, and one scratch
+        array of a component's size (none for m = 1) is all the product
+        adds."""
         tmp = None
         for i in reversed(range(self.m)):
             xi_i = xi[..., i]
@@ -676,13 +684,13 @@ class _ClassicalEngine(_Engine):
             for j in range(i):
                 tmp = np.multiply(xi[..., j], self.L[i, j], out=tmp)
                 xi_i += tmp
-        xi += self.Gamma * self.op_means(mom)[:, None, :, None]
+        xi += self.Gamma * state[:, None, 1:, None]
         return xi
 
-    def run_block(self, state, G, mom, xi, dt, first, every, record, start, slots):
+    def run_block(self, state, G, xi, first, start, slots):
         """Record intervals first + 1 .. first + rows of a batch, written
         straight into ``slots``, the window slots of their records, shape
-        (n, rows, q); ``record`` is not called.
+        (n, rows, q).
 
         xi holds the intervals' standard normals, shape (n, rows, ch, m),
         which :meth:`_block_noise` turns into the increments.  The energy
@@ -696,12 +704,9 @@ class _ClassicalEngine(_Engine):
         trajectory of the first non-finite interval and its record step
         (first + j + 1) * stride.  G takes the last slot's signals.
         """
-        ch = self.n_ch
-        for k, column in enumerate(mom[1].T):  # column by column: long inner loops
-            slots[:, :, k] = column[:, None]
-        sig = slots[:, :, 1 + ch:].reshape(xi.shape, copy=False)
+        sig = self._rows(state, slots)
         if G.size:
-            inc = self._block_noise(xi, mom)
+            inc = self._block_noise(xi, state)
             product, factor = np.matmul, self.Phi_T
             if self.m == 1:
                 # G Phi^T is G phi, one multiply per entry where matmul
@@ -718,11 +723,9 @@ class _ClassicalEngine(_Engine):
         if self.fb is not None or not np.isfinite(sig[:, -1]).all():
             for j, sig_j in enumerate(sig.swapaxes(0, 1)):
                 _check_finite(state, sig_j, (first + j + 1) * self.span, start)
-                if self.fb is not None:
-                    mom = self._moments(state, sig_j)
-                    slots[:, j, 0] = mom[1][:, 0]
+                self._rule_energy(slots[:, j], sig_j)
         G[...] = sig[:, -1]
-        return state, G, mom
+        return state
 
 
 def _initial_state(model: SystemModel, config: TrajectoryConfig):
@@ -828,17 +831,16 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     is deterministic for fixed configuration, independent of chunking.  A
     run whose top-two basis populations exceed ``EDGE_POPULATION_LIMIT`` at
     any recorded step is flagged and a ``RuntimeWarning`` is emitted, since
-    its energies are no longer trustworthy; the populations are read from
-    each sampled trajectory's psi on the record grid only, so an excursion
+    its energies are no longer trustworthy; the engine reads them from each
+    sampled trajectory's psi as it writes a record, so an excursion
     between records goes unseen.
 
     Statistics are reduced while the run goes, so no per-trajectory record
-    is kept.  Each chunk writes its records (energy, <A_k>, flattened
-    signals: q = 1 + ch + ch*m values per slot) into a window holding the
-    slots of one noise block, at most ``NOISE_BLOCK // record_stride + 1``
-    on either engine: the classical engine steps a block's signals straight
-    into its slots and fills the constant columns once per block, the
-    state-vector engine fills a slot at each record step.  At the end of
+    is kept.  The engine, built for the run, writes each chunk's records
+    (energy, <A_k>, flattened signals: q = 1 + ch + ch*m values per slot),
+    record 0 in ``start`` and the rest in ``run_block``, into a window
+    holding the slots of one noise block, at most
+    ``NOISE_BLOCK // record_stride + 1`` on either engine.  At the end of
     each block the window is added into per-slot sums in three array
     passes (values, deviations, squared deviations), each one
     ``add.reduce`` over the trajectories with the running sum added into
@@ -856,10 +858,9 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
         non-finite, as when finite records sum or square past the largest
         double; the message names the first such record and its time.
     """
-    engine = _ClassicalEngine(model) if model.dim == 1 else _Engine(model)
     stride = config.record_stride
-    span = engine.bind(config.dt, stride)  # steps of dt per engine step
-    every = stride // span  # engine steps per record
+    engine = (_ClassicalEngine if model.dim == 1 else _Engine)(model, config.dt, stride)
+    every = stride // engine.span  # engine steps per record
     n_rec = config.n_steps // stride + 1
     n_traj = config.n_traj
     ch, m = engine.n_ch, engine.m
@@ -872,12 +873,11 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     ref = np.empty((n_rec, q))
     # Noise and record window of one block of engine steps, shared by all
     # chunks.
-    n_moves = config.n_steps // span
-    block = min(max(1, NOISE_BLOCK // span), n_moves)
+    n_moves = config.n_steps // engine.span
+    block = min(max(1, NOISE_BLOCK // engine.span), n_moves)
     n_max = min(config.chunk_size, n_traj)
     dW_buf = np.empty((n_max, block) + engine.draw_shape)
     win_buf = np.empty((n_max, block // every + 1, q))
-    max_edge = 0.0
 
     for start in range(0, n_traj, config.chunk_size):
         stop = min(start + config.chunk_size, n_traj)
@@ -890,36 +890,22 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
                 for i in range(n)]
         pick = (np.zeros(n, dtype=int) if cdf is None else
                 np.searchsorted(cdf, [gen.random() for gen in gens], side="right"))
-        state = engine.start(psi0[pick])
         G = np.broadcast_to(G0, (n,) + G0.shape).copy()
         dW, win = dW_buf[:n], win_buf[:n]
-        edge = np.zeros(n)
         lo = 0  # first slot held in the window
 
-        def record(row, state, G, mom):
-            row[:, 0] = engine.energies(G, mom)
-            row[:, 1:1 + ch] = engine.op_means(mom)
-            row[:, 1 + ch:] = G.reshape(n, -1)
-            pops = engine.edge_populations(state)
-            if pops is not None:
-                np.maximum(edge, pops, out=edge)
-
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # The moments of each state serve its record and the next step.
-            mom = engine._moments(state, G)
-            record(win[:, 0], state, G, mom)
+            state = engine.start(psi0[pick], G, win[:, 0])
             for first in range(0, n_moves, block):
                 rows = min(block, n_moves - first)
                 for i, gen in enumerate(gens):
                     gen.standard_normal(out=dW[i, :rows])
                 hi = (first + rows) // every + 1
-                state, G, mom = engine.run_block(
-                    state, G, mom, dW[:, :rows], config.dt, first, every, record, start,
-                    win[:, first // every + 1 - lo:hi - lo])
+                state = engine.run_block(state, G, dW[:, :rows], first, start,
+                                         win[:, first // every + 1 - lo:hi - lo])
                 if hi > lo:
                     _accumulate(acc, ref, win, lo, hi, start == 0)
                 lo = hi
-        max_edge = max(max_edge, float(edge.max()))
 
     times = np.arange(n_rec) * (stride * config.dt)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -936,10 +922,10 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
                               f"(t = {times[k]:.12g})")
     stderr = np.sqrt(var) / np.sqrt(n_traj)
 
-    warn = max_edge > EDGE_POPULATION_LIMIT
+    warn = engine.max_edge > EDGE_POPULATION_LIMIT
     if warn:
         warnings.warn(
-            f"top-two basis populations reached {max_edge:.2e}; "
+            f"top-two basis populations reached {engine.max_edge:.2e}; "
             "results are truncation limited", RuntimeWarning, stacklevel=2)
 
     def signal_part(stat):
@@ -954,6 +940,6 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
         signal_mean=signal_part(mean),
         signal_var=signal_part(var),
         n_traj=n_traj,
-        max_edge_population=max_edge,
+        max_edge_population=float(engine.max_edge),
         truncation_warning=bool(warn),
     )

@@ -723,6 +723,28 @@ def test_config_file_equals_flags(tmp_path_factory, case, split):
                  id="negative-gamma-points"),
     pytest.param(["phase-diagram", "--Omega-points", "0", "--output", "{out}"], 2,
                  "filtercool: error: n_Omega must be at least 1, got 0", id="no-Omega-points"),
+    # a seed outside one 64-bit Philox key word would alias one inside it
+    pytest.param(["trajectory", "--protocol", "lowpass1", "--gamma", "2", "--seed", "-1"], 2,
+                 "filtercool: error: base_seed must be in [0, 2**64), got -1",
+                 id="seed-negative"),
+    pytest.param(["trajectory", "--protocol", "lowpass1", "--gamma", "2",
+                  "--seed", str(2**64)], 2,
+                 f"filtercool: error: base_seed must be in [0, 2**64), got {2**64}",
+                 id="seed-2**64"),
+    # arrays of 7 PiB and more, beyond the address space a process gets,
+    # so the allocator refuses them at once; the message names the options
+    pytest.param(["trajectory", "--protocol", "lowpass1", "--gamma", "2",
+                  "--steps", str(10**15), "--stride", "1"], 2,
+                 "filtercool: error: --steps too large for memory: Unable to allocate ",
+                 id="trajectory-too-many-steps"),
+    pytest.param(["evolve", "--protocol", "lowpass1", "--gamma", "2",
+                  "--steps", str(10**15), "--stride", "1"], 2,
+                 "filtercool: error: --steps too large for memory: Unable to allocate ",
+                 id="evolve-too-many-steps"),
+    pytest.param(["filter-response", "--filter", "lowpass", "--gammas", "1",
+                  "--points", str(10**15)], 2,
+                 "filtercool: error: --points too large for memory: Unable to allocate ",
+                 id="filter-response-too-many-points"),
     # valid input whose moment system overflows float64
     pytest.param(["steady-state", "--protocol", "lowpass1", "--gamma", "1e200"], 3,
                  "filtercool: numerical failure: lowpass1 moment system overflows at "

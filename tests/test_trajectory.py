@@ -468,60 +468,64 @@ def _draws(cfg, ch):
         (cfg.n_steps, ch)) for i in range(cfg.n_traj)])
 
 
-def _sse_paths(model, cfg):
-    """Every trajectory's records of a pure-start run: energies (n, n_rec),
-    <A_k> (n, n_rec, ch) and signals (n, n_rec, ch, m).  The state-vector
-    engine steps all trajectories as one batch, ``advance`` on its
-    ``_moments``, with each trajectory's draws taken up front."""
-    engine = trajectory._Engine(model)
+def _sse_states(model, cfg):
+    """The recorded states of a pure-start run on the state-vector engine:
+    yields (engine, psi, G, moments) at each record step.  The engine steps
+    all trajectories as one batch, ``advance`` on its ``_moments``, with
+    each trajectory's draws taken up front."""
+    engine = trajectory._Engine(model, cfg.dt, cfg.record_stride)
     psi0, cdf, G0 = trajectory._initial_state(model, cfg)
     assert cdf is None, "a mixed start draws its component first"
-    n, ch, m, stride = cfg.n_traj, engine.n_ch, engine.m, cfg.record_stride
-    n_rec = cfg.n_steps // stride + 1
-    xi = _draws(cfg, ch)
+    n = cfg.n_traj
+    xi = _draws(cfg, engine.n_ch)
     state = np.repeat(psi0, n, axis=0)
     G = np.broadcast_to(G0, (n,) + G0.shape).copy()
-    energy = np.empty((n, n_rec))
-    opmeans = np.empty((n, n_rec, ch))
-    signals = np.empty((n, n_rec, ch, m))
     for s in range(cfg.n_steps + 1):
         if s:
             state, G = engine.advance(state, G, xi[:, s - 1] * np.sqrt(cfg.dt), cfg.dt,
                                       engine._moments(state, G))
-        if s % stride == 0:
-            mom = engine._moments(state, G)
-            energy[:, s // stride] = engine.energies(G, mom)
-            opmeans[:, s // stride] = engine.op_means(mom)
-            signals[:, s // stride] = G
-    return energy, opmeans, signals
+        if s % cfg.record_stride == 0:
+            yield engine, state, G, engine._moments(state, G)
+
+
+def _sse_paths(model, cfg):
+    """Every trajectory's records of a pure-start run from
+    :func:`_sse_states`: energies (n, n_rec), <A_k> (n, n_rec, ch) and
+    signals (n, n_rec, ch, m)."""
+    energy, opmeans, signals = [], [], []
+    for engine, _, G, mom in _sse_states(model, cfg):
+        energy.append(engine.energies(G, mom))
+        opmeans.append(mom[1][:, 1:1 + engine.n_ch])
+        signals.append(G)
+    return tuple(np.stack(rows, axis=1) for rows in (energy, opmeans, signals))
 
 
 def _classical_paths(model, cfg):
     """The records of :func:`_sse_paths` for a d = 1 run.  The classical
     engine steps all trajectories as one batch from record to record with
-    the exact transition of ``bind``, on each trajectory's draws taken up
-    front, one trajectory at a time: (n_rec - 1, ch, m) normals made into
-    increments in one ``_block_noise``, and G <- G Phi^T + increment."""
-    engine = trajectory._ClassicalEngine(model)
-    engine.bind(cfg.dt, cfg.record_stride)
-    psi0, _, G0 = trajectory._initial_state(model, cfg)
+    the exact transition it is built with, on each trajectory's draws taken
+    up front, one trajectory at a time: (n_rec - 1, ch, m) normals made into
+    increments in one ``_block_noise``, and G <- G Phi^T + increment.  The
+    moments are the operators' single entries, and a generic rule's energy
+    is its H(G)[0, 0]."""
+    engine = trajectory._ClassicalEngine(model, cfg.dt, cfg.record_stride)
+    _, _, G0 = trajectory._initial_state(model, cfg)
     n, ch, m = cfg.n_traj, engine.n_ch, engine.m
     n_rec = cfg.n_steps // cfg.record_stride + 1
     xi = np.stack([NoiseStream(cfg.base_seed, i).generator().standard_normal(
         (n_rec - 1, ch, m)) for i in range(n)])
-    state = engine.start(np.repeat(psi0, n, axis=0))
+    state = np.tile([B[0, 0].real for B in (model.H0, *model.measured_ops)], (n, 1))
     G = np.broadcast_to(G0, (n,) + G0.shape).copy()
-    mom = engine._moments(state, G)
-    inc = engine._block_noise(xi, mom)
+    inc = engine._block_noise(xi, state)
     energy = np.empty((n, n_rec))
     opmeans = np.empty((n, n_rec, ch))
     signals = np.empty((n, n_rec, ch, m))
     for k in range(n_rec):
         if k:
             G = G @ engine.Phi_T + inc[:, k - 1]
-            mom = engine._moments(state, G)
-        energy[:, k] = engine.energies(G, mom)
-        opmeans[:, k] = engine.op_means(mom)
+        energy[:, k] = state[:, 0] if model.feedback is None else [
+            model.feedback(Gi)[0, 0].real for Gi in G]
+        opmeans[:, k] = state[:, 1:]
         signals[:, k] = G
     return energy, opmeans, signals
 
@@ -571,7 +575,7 @@ class TestStepKernel:
     def test_step_psi_does_not_depend_on_batch_size(self, kind):
         d, n, dt = 24, 64, 1e-2
         rng = np.random.default_rng(17)
-        engine = trajectory._Engine(self._model(kind, d, rng))
+        engine = trajectory._Engine(self._model(kind, d, rng), dt, 1)
         psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         psi /= np.linalg.norm(psi, axis=1)[:, None]
         G = rng.normal(0.0, 0.5, (n, 2, 2))
@@ -621,7 +625,7 @@ class TestStepKernel:
         # [H0, x, p, S]: x and p are the measured pair, S = x^2 + p^2
         p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
         model = oscillator_cooling_model(p, 12)
-        blocks = trajectory._Engine(model).blocks
+        blocks = trajectory._Engine(model, 5e-4, 1).blocks
         assert [B.shape for B in blocks] == [(12, 12)] * 4
         x, p = model.measured_ops
         assert np.array_equal(blocks[3], x @ x + p @ p)
@@ -633,7 +637,7 @@ class TestStepKernel:
         v = (osc.p - osc.x) / np.sqrt(2.0)
         model = SystemModel(osc.H0, (u, v), 1.0, lowpass_cascade((2.0, 2.0)),
                             ShiftedTrapFeedback(osc, 1))
-        assert len(trajectory._Engine(model).blocks) == 6
+        assert len(trajectory._Engine(model, 5e-4, 1).blocks) == 6
         cfg = TrajectoryConfig(dt=5e-4, n_steps=400, n_traj=30, base_seed=4,
                                record_stride=80)
         _assert_common_noise_match(model, cfg)
@@ -655,7 +659,7 @@ class TestSparseStack:
         # diagonal H0 and S (24 each), tridiagonal x and p (46 each): the
         # per-step work is 140 complex multiply-adds per trajectory, not 2304
         p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
-        Wt = trajectory._Engine(oscillator_cooling_model(p, 24)).Wt
+        Wt = trajectory._Engine(oscillator_cooling_model(p, 24), 5e-4, 1).Wt
         assert Wt.shape == (4 * 24, 24)
         assert Wt.nnz == 140
 
@@ -666,7 +670,7 @@ class TestSparseStack:
         # most twice that
         d, n = 24, 16
         rng = np.random.default_rng(23)
-        engine = trajectory._Engine(TestStepKernel._model(kind, d, rng))
+        engine = trajectory._Engine(TestStepKernel._model(kind, d, rng), 1e-3, 1)
         psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         prod, _, _ = engine._moments(psi, np.zeros((n, 2, 2)))
         W = np.concatenate(engine.blocks).T
@@ -683,7 +687,7 @@ class TestSparseStack:
         v = (osc.p - osc.x) / np.sqrt(2.0)
         model = SystemModel(osc.H0, (u, v), 1.0, lowpass_cascade((2.0, 2.0)),
                             ShiftedTrapFeedback(osc, 1))
-        assert trajectory._Engine(model).Wt.shape == (6 * 12, 12)
+        assert trajectory._Engine(model, 1e-3, 1).Wt.shape == (6 * 12, 12)
 
     def test_all_zero_stack_record_is_pinned(self):
         # mean_A = 0 makes H0, A and S zero, so the stack stores nothing and
@@ -691,7 +695,7 @@ class TestSparseStack:
         # digest was taken when the d = 1 engine began to step exactly from
         # record to record
         model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
-        assert trajectory._Engine(model).Wt.nnz == 0
+        assert trajectory._Engine(model, 1e-3, 10).Wt.nnz == 0
         rec = run_ensemble(model, TrajectoryConfig(
             dt=1e-3, n_steps=300, n_traj=9, base_seed=5, record_stride=10,
             chunk_size=4))
@@ -723,6 +727,34 @@ class TestSparseStack:
         assert 1100 > trajectory.NOISE_BLOCK and not rec.truncation_warning
         assert _record_digest(rec) == (
             "83fa0861448a9eeb12c103bb621ae064be8db54e9590fb5ba7a6cfcb613e17d3")
+
+    @pytest.mark.parametrize("d, edge, flagged", [
+        pytest.param(8, "0x1.d50baa2a8f8adp-6", True, id="above-limit"),
+        pytest.param(12, "0x1.eb57c9a11f95bp-14", False, id="below-limit"),
+    ])
+    def test_edge_population_is_pinned(self, monkeypatch, d, edge, flagged):
+        # the truncation check's maximum, which the record digest leaves out:
+        # it peaks at step 32, mid-block for 7-step noise blocks, and is the
+        # same over chunkings and blocks and equal to the largest top-two
+        # population of the reference's recorded states
+        p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        model = oscillator_cooling_model(p, d)
+        cfg = TrajectoryConfig(dt=1e-2, n_steps=60, n_traj=11, base_seed=5,
+                               record_stride=4)
+        runs = [dataclasses.replace(cfg, chunk_size=chunk) for chunk in (1, 5, 64)]
+        recs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore" if flagged else "error")
+            recs += [run_ensemble(model, run) for run in runs]
+            with monkeypatch.context() as mp:
+                mp.setattr(trajectory, "NOISE_BLOCK", 7)
+                recs.append(run_ensemble(model, cfg))
+        for rec in recs:
+            assert rec.max_edge_population.hex() == edge
+            assert rec.truncation_warning is flagged
+        tops = [(psi[:, -2:].real**2 + psi[:, -2:].imag**2).sum(axis=1).max()
+                for _, psi, _, _ in _sse_states(model, cfg)]
+        assert max(tops) == float.fromhex(edge)
 
 
 def _generic_models():
@@ -832,6 +864,18 @@ class TestConfigInputs:
         with pytest.raises(ValueError) as info:
             self._config(**{name: 0})
         assert str(info.value) == f"{name} must be at least 1, got 0"
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_one_key_word_rejected(self, seed):
+        # NoiseStream keys Philox with the seed mod 2**64, so -1 and 2**64
+        # would run the streams of 2**64 - 1 and 0
+        with pytest.raises(ValueError) as info:
+            self._config(base_seed=seed)
+        assert str(info.value) == f"base_seed must be in [0, 2**64), got {seed}"
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_either_end_of_the_key_word_accepted(self, seed):
+        assert self._config(base_seed=seed).base_seed == seed
 
     def test_stride_that_does_not_divide_names_both(self):
         with pytest.raises(ValueError, match="record_stride must divide n_steps, "
@@ -1098,8 +1142,8 @@ class TestClassicalEngine:
         engines = []
 
         class Spy(trajectory._ClassicalEngine):
-            def __init__(self, model):
-                super().__init__(model)
+            def __init__(self, *args):
+                super().__init__(*args)
                 engines.append(self)
 
         def no_state_kernel(*args):
@@ -1315,11 +1359,12 @@ def _run(**start):
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: trajectory._Engine(_trap_model("x", lowpass_cascade((1.0,)))),
+    pytest.param(lambda: trajectory._Engine(_trap_model("x", lowpass_cascade((1.0,))), 1e-3, 1),
                  r"trap-shift feedback needs the \(x, p\) channel pair", id="one-channel"),
-    pytest.param(lambda: trajectory._Engine(_trap_model("xp", None)),
+    pytest.param(lambda: trajectory._Engine(_trap_model("xp", None), 1e-3, 1),
                  "trap-shift feedback needs a filter model", id="no-filter"),
-    pytest.param(lambda: trajectory._Engine(_trap_model("xp", lowpass_cascade((1.0,)), tap=1)),
+    pytest.param(lambda: trajectory._Engine(
+        _trap_model("xp", lowpass_cascade((1.0,)), tap=1), 1e-3, 1),
                  "tap index 1 out of range for 1-component filter", id="tap-out-of-range"),
     pytest.param(lambda: _run(initial_state=QuantumState.ground_state(3)),
                  "initial state dimension does not match the model", id="start-dimension"),
