@@ -54,7 +54,7 @@ from .numerics import (
     propagate_affine,
     solve_linear,
 )
-from .phase_diagram import GridSpec, PhaseGridResult, export_phase_csv, sweep
+from .phase_diagram import GridSpec, PhaseGridResult, sweep, write_phase_csv
 from .trajectory import (
     QuantumState,
     ShiftedTrapFeedback,

@@ -182,11 +182,11 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(path, known_keys=None) -> dict:
+def load_config(path, known_keys) -> dict:
     """Read a flat JSON config; keys are flag names.
 
     Raises ConfigError naming the offending line on parse errors, and the
-    offending key when ``known_keys`` is given and a key is not in it.
+    offending key when a key is not in ``known_keys``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -204,7 +204,7 @@ def load_config(path, known_keys=None) -> dict:
     for key, value in data.items():
         if isinstance(value, dict):
             raise ConfigError(f"{path}: key '{key}' must be a flat value")
-        if known_keys is not None and key not in known_keys:
+        if key not in known_keys:
             raise ConfigError(f"{path}: unknown key '{key}'")
     return data
 

@@ -16,8 +16,8 @@ gives each cell a small-int decision: per protocol a uint8 flag code (ok 0,
 unstable 1, unphysical 2, na 3: the index into _FLAG_NAMES) and a winner
 code, the winner's index in the tie-break order _TIE_ORDER or 4 for none.
 Text is made only when a block is written.  :func:`sweep` gathers the
-blocks into a :class:`PhaseGridResult`; :func:`write_phase_csv` writes each
-block as it comes, so it holds one block at a time at any grid size.
+blocks into a :class:`PhaseGridResult`; :func:`write_phase_csv`, the one CSV
+writer, writes each block as it comes, so it holds one block at any size.
 
 Each hand-typed moment matrix A, and each drift K below, is affine in
 (gamma, Omega) at fixed (lam, omega) with small-integer coefficients, so
@@ -110,8 +110,8 @@ _ENERGY_FN = {
 
 _CROSSCHECK_RTOL = 1e-9
 
-#: Cells that :func:`sweep` re-solves through the moment systems by
-#: default, and that :func:`write_phase_csv` always re-solves.
+#: Cells that :func:`sweep` and :func:`write_phase_csv` re-solve through
+#: the moment systems.
 _CROSSCHECK_CELLS = 50
 
 #: Smallest :func:`hurwitz_test` margin (a lower bound on min_j |1 - |k_j||)
@@ -204,8 +204,8 @@ class PhaseGridResult:
     The cross-check fields count the sampled cells re-solved through the
     moment systems (``crosscheck_cells``), the sampled cells it could not
     check because the closed form is not finite, the moment system
-    overflows or is singular, or its steady state overflows
-    (``crosscheck_skipped``), and
+    overflows or is singular, its steady state overflows, or it misses the
+    tolerance by no more than 1e4 cond(A) eps (``crosscheck_skipped``), and
     the largest |solved - closed form| / max(|closed form|, 1) among the
     checked ones (0 when none was checked).
 
@@ -327,16 +327,16 @@ def _blocks(spec: GridSpec):
         yield rows, energies, codes, winner, n_fallback
 
 
-def sweep(spec: GridSpec, n_crosscheck: int = _CROSSCHECK_CELLS) -> PhaseGridResult:
+def sweep(spec: GridSpec) -> PhaseGridResult:
     """Evaluate and classify every cell, then pick the per-cell winner.
 
-    ``n_crosscheck`` randomly sampled cells (deterministic choice) are
+    _CROSSCHECK_CELLS randomly sampled cells (deterministic choice) are
     re-solved through the moment systems and compared with the closed forms
-    at relative 1e-9; a mismatch raises, since it would mean the two
-    implementations have diverged.  The blocks of the sweep are gathered
-    into whole-grid arrays.  ``n_crosscheck`` must be an integer of at least 0.
+    (see :func:`_crosscheck`); a mismatch raises, since it would mean the
+    two implementations have diverged.  The blocks of the sweep are
+    gathered into whole-grid arrays.
     """
-    checked, skipped, worst = _crosscheck(spec, require_count(n_crosscheck, "n_crosscheck", 0))
+    checked, skipped, worst = _crosscheck(spec, _CROSSCHECK_CELLS)
     shape = (spec.gamma_values.size, spec.Omega_values.size)
     energies = {kind: np.empty(shape) for kind in spec.protocols}
     codes = {kind: np.empty(shape, dtype=np.uint8) for kind in spec.protocols}
@@ -355,9 +355,10 @@ def _crosscheck(spec: GridSpec, n_cells: int) -> Tuple[int, int, float]:
     """Spot-check the closed forms against moment-system steady states.
 
     The sampled cells' closed forms are evaluated as one array per
-    protocol, and each cell is solved by ``steady_state``.  Returns the
-    cells checked, the cells skipped and the worst relative residual (see
-    :class:`PhaseGridResult`).
+    protocol, and each cell is solved by ``steady_state``; a miss of
+    _CROSSCHECK_RTOL raises unless it is within 1e4 cond(A) eps, the float
+    solve's own error.  Returns the cells checked, the cells skipped and
+    the worst relative residual (see :class:`PhaseGridResult`).
     """
     rng = np.random.default_rng(1234)
     ng, nO, nk = spec.gamma_values.size, spec.Omega_values.size, len(spec.protocols)
@@ -381,19 +382,27 @@ def _crosscheck(spec: GridSpec, n_cells: int) -> Tuple[int, int, float]:
         p = ProtocolParams(spec.lam, spec.omega, spec.gamma_values[i], Om, kind)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                solved = steady_state(build_moment_system(p)).energy_over_hw
+                system = build_moment_system(p)
+                solved = steady_state(system).energy_over_hw
         except NumericalError:
             solved = np.nan
         if not np.isfinite(solved):
             skipped += 1
             continue
-        if abs(solved - exact) > _CROSSCHECK_RTOL * max(abs(exact), 1.0):
+        residual = abs(solved - exact) / max(abs(exact), 1.0)
+        if residual > _CROSSCHECK_RTOL:
+            # the float solve is good only to about cond(A) eps, which
+            # passes the tolerance on band-pass cells from cond(A) ~ 6e5;
+            # the worst of 75 000 random ones missed by 295 cond(A) eps
+            if residual <= 1e4 * np.finfo(float).eps * np.linalg.cond(system.A):
+                skipped += 1
+                continue
             raise NumericalError(
                 f"closed form and moment system disagree for {kind.value} at "
                 f"gamma={spec.gamma_values[i]}, Omega={spec.Omega_values[j]}: "
                 f"{exact} vs {solved}")
         checked += 1
-        worst = max(worst, abs(solved - exact) / max(abs(exact), 1.0))
+        worst = max(worst, residual)
     return checked, skipped, float(worst)
 
 
@@ -483,41 +492,21 @@ def _csv_blocks(spec: GridSpec, blocks):
         yield columns + [_WINNER_NAMES[winner.ravel()], _FLAG_FIELDS[flags]]
 
 
-def export_phase_csv(result: PhaseGridResult, path) -> None:
-    """Write the grid as CSV rows ``gamma,Omega,E1,E2,E3,Ebp,winner,flags``.
-
-    Energies are in units of hbar*omega with 12 significant digits (``nan``
-    for protocols that are not applicable or not requested); ``flags`` joins
-    the four per-protocol flags with semicolons in the order E1;E2;E3;Ebp.
-    Rows run over Omega fastest.  The names come from the result's codes in
-    blocks of gamma rows through :func:`write_csv`; a flag code outside
-    0..3 or a winner code outside 0..4 raises ``ValueError`` before
-    ``path`` is opened.  ``path`` ``"-"`` writes to standard output.
-    """
-    checks = [(f"{kind.value} flag", code, 3) for kind, code in result.flag_codes.items()]
-    for name, code, top in checks + [("winner", result.winner_codes, len(_TIE_ORDER))]:
-        if ((code < 0) | (code > top)).any():
-            raise ValueError(f"{name} codes must lie in 0..{top}, got {code.min()}..{code.max()}")
-    blocks = ((rows, {k: e[rows] for k, e in result.energies.items()},
-               {k: c[rows] for k, c in result.flag_codes.items()}, result.winner_codes[rows])
-              for rows in _row_blocks(result.spec))
-    write_csv(path, CSV_HEADER, _csv_blocks(result.spec, blocks))
-
-
 def write_phase_csv(spec: GridSpec, path) -> None:
     """Sweep ``spec`` and write its phase CSV one block of gamma rows at a time.
 
-    The default cross-check of :func:`sweep` runs first, so a mismatch
-    raises before ``path`` is opened; then each block is written as the
-    sweep makes it, and only one is held.  The bytes are those of
-    ``export_phase_csv(sweep(spec), path)``.
+    Rows of ``CSV_HEADER`` run over Omega fastest: energies in hbar*omega to
+    12 digits (``nan`` where not applicable or not requested), and flags
+    joined by semicolons in the order E1;E2;E3;Ebp.  The cross-check of
+    :func:`sweep` runs first, so a mismatch raises before ``path`` (``"-"``
+    is standard output) is opened; then each block is written as it comes.
     """
     _crosscheck(spec, _CROSSCHECK_CELLS)
     write_csv(path, CSV_HEADER, _csv_blocks(spec, _blocks(spec)))
 
 
 def load_phase_csv(path):
-    """Parse a file written by :func:`export_phase_csv`.
+    """Parse a file written by :func:`write_phase_csv`.
 
     Returns ``(gamma, Omega, energies, winner, flags)`` as flat per-row
     arrays/lists, in file order.  A header other than ``CSV_HEADER``, or a

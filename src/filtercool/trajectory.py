@@ -98,8 +98,11 @@ _TRACE_TOL = 1e-10
 _PURE_TOL = 1e-12
 
 #: Steps of noise drawn at once per trajectory; bounds the noise buffer at
-#: chunk_size * NOISE_BLOCK * channels doubles whatever the step count.
+#: CHUNK_SIZE * NOISE_BLOCK * channels doubles whatever the step count.
 NOISE_BLOCK = 1024
+
+#: Trajectories per chunk of :func:`run_ensemble`; bounds memory only.
+CHUNK_SIZE = 256
 
 
 class TrajectoryError(NumericalError):
@@ -321,14 +324,14 @@ class TrajectoryConfig:
     step 0 and every stride-th step after.  A d = 1 model steps from record
     to record with the exact transition of its filter: its records are
     exact, and ``dt`` sets only their spacing, record_stride * dt.
-    ``chunk_size`` only bounds memory, results are bit-identical for any
-    value.  A run holds one chunk's noise block and record window,
-    chunk_size * (NOISE_BLOCK * ch + (NOISE_BLOCK // record_stride + 1) * q)
+    Results are bit-identical for any CHUNK_SIZE.  A run holds one chunk's
+    noise block and record window,
+    CHUNK_SIZE * (NOISE_BLOCK * ch + (NOISE_BLOCK // record_stride + 1) * q)
     doubles with q = 1 + ch + ch * m record columns, plus 4 * n_rec * q
     doubles of per-slot sums; nothing grows with ``n_traj``.  At d = 1 the
     block is B = max(1, NOISE_BLOCK // record_stride) record intervals of
-    ch * m normals each, chunk_size * (B * ch * m + (B + 1) * q) doubles,
-    and m > 1 adds one scratch array of chunk_size * B * ch doubles; its
+    ch * m normals each, CHUNK_SIZE * (B * ch * m + (B + 1) * q) doubles,
+    and m > 1 adds one scratch array of CHUNK_SIZE * B * ch doubles; its
     signals are stepped straight into the window, with one scratch array
     of the chunk's signals.  The state-vector engine steps its signals in
     place: a block adds two arrays of the chunk's signals (a scratch and
@@ -348,14 +351,13 @@ class TrajectoryConfig:
     record_stride: int = 1
     initial_state: Optional[QuantumState] = None
     initial_signals: Optional[np.ndarray] = None
-    chunk_size: int = 256
 
     def __post_init__(self):
         require_positive(self.dt, "dt")
         require_count(self.base_seed, "base_seed")
         if not 0 <= self.base_seed < 2**64:
             raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
-        for name in ("n_steps", "n_traj", "record_stride", "chunk_size"):
+        for name in ("n_steps", "n_traj", "record_stride"):
             require_count(getattr(self, name), name, 1)
         if self.n_steps % self.record_stride:
             raise ValueError(f"record_stride must divide n_steps, got "
@@ -523,17 +525,17 @@ class _Engine:
     def _feedback_hamiltonians(self, G: np.ndarray) -> np.ndarray:
         return np.stack([np.asarray(self.fb(Gi), dtype=complex) for Gi in G])
 
-    def _filter_step(self, G, z_dt, dt, out=None, scratch=None):
-        """dG = M G dt + b z dt on the records z dt, shape (n, ch): writes
-        G + dt (G M^T) + b z dt to ``out`` (which may be G) with G M^T in
-        ``scratch``, both new when not given.  Returns the new signals, G
-        itself when no filter reads a record."""
+    def _filter_step(self, G, z_dt, out=None, scratch=None):
+        """dG = M G dt + b z dt on the records z dt, shape (n, ch), at the
+        engine's dt: writes G + dt (G M^T) + b z dt to ``out`` (which may
+        be G) with G M^T in ``scratch``, both new when not given.  Returns
+        the new signals, G itself when no filter reads a record."""
         if not (self.m and self.n_ch):
             return G
         if out is None:
             out, scratch = np.empty_like(G), np.empty_like(G)
         np.matmul(G, self.M_T, out=scratch)
-        scratch *= dt
+        scratch *= self.dt
         scratch += G
         np.multiply(self.b, z_dt[:, :, None], out=out)
         out += scratch
@@ -558,14 +560,14 @@ class _Engine:
         generic rule sees only finite signals: under one, every step is
         checked as it is taken.
         """
-        dt, every = self.dt, self.stride
-        dW *= np.sqrt(dt)
+        every = self.stride
+        dW *= np.sqrt(self.dt)
         scratch = np.empty_like(G)
 
         def walk(psi, mom, check):
             for j in range(dW.shape[1]):
                 s = first + j + 1  # steps taken, this one included
-                psi, _ = self.advance(psi, G, dW[:, j], dt, mom, G, scratch)
+                psi, _ = self.advance(psi, G, dW[:, j], mom, G, scratch)
                 if check:
                     _check_finite(psi, G, s, start)
                 mom = self._moments(psi, G)
@@ -580,11 +582,11 @@ class _Engine:
             walk(*state, True)
         return end
 
-    def advance(self, psi, G, dW, dt, mom, out=None, scratch=None):
-        """One Euler-Maruyama SSE step of a batch on Wiener increments dW,
-        shape (n, ch), and its :meth:`_moments`.  Returns (psi, G): psi is
-        a new array, and the signals step through :meth:`_filter_step` into
-        ``out`` with ``scratch``.
+    def advance(self, psi, G, dW, mom, out=None, scratch=None):
+        """One Euler-Maruyama SSE step of a batch, of the engine's dt, on
+        Wiener increments dW, shape (n, ch), and its :meth:`_moments`.
+        Returns (psi, G): psi is a new array, and the signals step through
+        :meth:`_filter_step` into ``out`` with ``scratch``.
 
         With kick_k = sqrt(lam) dW_k + lam dt a_k, the SSE move expanded in
         powers of A_k (S carries sum_k A_k^2) is
@@ -594,7 +596,7 @@ class _Engine:
         blocks; the constant drops out.  A generic rule puts 0 on H0 and
         adds the moments' -i dt H(G) psi apart.
         """
-        ch = self.n_ch
+        ch, dt = self.n_ch, self.dt
         prod, ev, Hpsi = mom
         a = ev[:, 1:1 + ch]
         c = np.zeros((len(psi), len(self.blocks)), dtype=complex)
@@ -617,7 +619,7 @@ class _Engine:
         v = psi.view(float)
         psi /= np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
         z_dt = a * dt + dW * self.noise_gain
-        return psi, self._filter_step(G, z_dt, dt, out, scratch)
+        return psi, self._filter_step(G, z_dt, out, scratch)
 
 
 class _ClassicalEngine(_Engine):
@@ -875,12 +877,12 @@ def run_ensemble(model: SystemModel, config: TrajectoryConfig) -> TrajectoryReco
     # chunks.
     n_moves = config.n_steps // engine.span
     block = min(max(1, NOISE_BLOCK // engine.span), n_moves)
-    n_max = min(config.chunk_size, n_traj)
+    n_max = min(CHUNK_SIZE, n_traj)
     dW_buf = np.empty((n_max, block) + engine.draw_shape)
     win_buf = np.empty((n_max, block // every + 1, q))
 
-    for start in range(0, n_traj, config.chunk_size):
-        stop = min(start + config.chunk_size, n_traj)
+    for start in range(0, n_traj, CHUNK_SIZE):
+        stop = min(start + CHUNK_SIZE, n_traj)
         n = stop - start
         # Each trajectory's Philox stream is read in sequence: under a mixed
         # start one uniform picks its component, then its noise block by

@@ -324,15 +324,31 @@ class TestPhaseDiagram:
                 "--Omega-min", "0.3", "--Omega-max", "80", "--Omega-points", "31",
                 "--lambda", "0.37", "--omega", "2.9"]
         whole = tmp_path / "whole.csv"
-        spec = phase_diagram.GridSpec.log_spaced((0.2, 50.0), (0.3, 80.0), 23, 31, 0.37, 2.9)
-        phase_diagram.export_phase_csv(phase_diagram.sweep(spec), whole)
+        assert main(["phase-diagram", *args, "--output", str(whole)]) == 0
         # blocks of two gamma rows and a last one of one, each written as a
         # 45-row and a 17-row piece
-        monkeypatch.setattr(phase_diagram, "_BLOCK_CELLS", 70)
-        monkeypatch.setattr(phase_diagram, "_CSV_BLOCK_ROWS", 45)
-        streamed = tmp_path / "streamed.csv"
-        assert main(["phase-diagram", *args, "--output", str(streamed)]) == 0
+        with monkeypatch.context() as mp:
+            mp.setattr(phase_diagram, "_BLOCK_CELLS", 70)
+            mp.setattr(phase_diagram, "_CSV_BLOCK_ROWS", 45)
+            streamed = tmp_path / "streamed.csv"
+            assert main(["phase-diagram", *args, "--output", str(streamed)]) == 0
         assert streamed.read_bytes() == whole.read_bytes()
+
+        # the file holds the library's sweep cell for cell, to its 12 digits
+        spec = phase_diagram.GridSpec.log_spaced((0.2, 50.0), (0.3, 80.0), 23, 31, 0.37, 2.9)
+        result = phase_diagram.sweep(spec)
+        gamma, Omega, energies, winner, flags = phase_diagram.load_phase_csv(streamed)
+
+        def printed(x):
+            return np.array([float("%.12g" % v) for v in np.ravel(x)])
+
+        assert np.array_equal(gamma, printed(np.repeat(spec.gamma_values, 31)))
+        assert np.array_equal(Omega, printed(np.tile(spec.Omega_values, 23)))
+        for col, kind in enumerate(phase_diagram.ALL_PROTOCOLS):
+            assert np.array_equal(energies[:, col], printed(result.energies[kind]),
+                                  equal_nan=True), kind
+            assert [f[col] for f in flags] == list(result.flags[kind].ravel()), kind
+        assert winner == list(result.winner.ravel())
 
     def test_crosscheck_mismatch_exits_3_before_the_output_is_opened(
             self, tmp_path, monkeypatch, capsys):
@@ -349,6 +365,20 @@ class TestPhaseDiagram:
                      "--output", str(out)]) == 3
         assert "disagree" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--Omega-max", "100000"],
+        ["--gamma-min", "2", "--gamma-max", "4", "--gamma-points", "64",
+         "--Omega-min", "10000", "--Omega-max", "10000", "--Omega-points", "1"],
+    ], ids=["default-to-1e5", "gamma-2-4-at-1e4"])
+    def test_ill_conditioned_crosscheck_cells_do_not_fail(self, args, tmp_path, capsys):
+        # the cross-check samples band-pass cells whose moment solve runs at
+        # cond(A) > 1e8, where the float solve misses rtol 1e-9 though the
+        # closed form is right; such a cell is skipped, not a failure
+        out = tmp_path / "phase.csv"
+        assert main(["phase-diagram", *args, "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(read_rows(out)) > 1
 
     def test_streamed_memory_is_bounded_by_a_block(self, tmp_path):
         # one 40-row block of 100 cells per row, then four: the peak stays
@@ -446,13 +476,13 @@ class TestConfigFile:
         cfg = tmp_path / "c.json"
         cfg.write_text('{\n  "gamma": 2.0,\n  oops\n}')
         with pytest.raises(ConfigError, match="line 3"):
-            load_config(str(cfg))
+            load_config(str(cfg), {"gamma"})
 
     def test_nested_value_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"gamma": {"value": 2.0}}))
         with pytest.raises(ConfigError, match="flat"):
-            load_config(str(cfg))
+            load_config(str(cfg), {"gamma"})
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -592,7 +622,6 @@ def test_trajectory_zero_steps_names_the_field(capsys):
                  "--steps", "0"]) == 2
     err = capsys.readouterr().err
     assert "n_steps must be at least 1, got 0" in err
-    assert "chunk_size" not in err
 
 
 def test_trajectory_small_fock_reports_the_oscillator_check(capsys):

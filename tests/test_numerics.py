@@ -26,7 +26,7 @@ from filtercool.numerics import (
     require_positive,
     solve_linear,
 )
-from filtercool.phase_diagram import GridSpec, sweep
+from filtercool.phase_diagram import GridSpec
 from filtercool.trajectory import (
     SystemModel,
     TrajectoryConfig,
@@ -463,8 +463,6 @@ def test_require_positive_returns_the_value():
                  id="log_spaced-n_gamma"),
     pytest.param(lambda v: GridSpec.log_spaced(n_gamma=3, n_Omega=v), "n_Omega", 1,
                  id="log_spaced-n_Omega"),
-    pytest.param(lambda v: sweep(GridSpec([1.0], [1.0]), n_crosscheck=v), "n_crosscheck", 0,
-                 id="sweep-n_crosscheck"),
 ])
 def test_count_is_refused_naming_the_field(call, field, minimum, value):
     # the check that propagate_affine and TrajectoryConfig make of their

@@ -157,15 +157,22 @@ class TestStep:
         assert max_defect(5e-5, 2000) < coarse
 
 
+def _run_in_chunks(monkeypatch, model, cfg, chunk):
+    """:func:`run_ensemble` in chunks of ``chunk`` trajectories."""
+    with monkeypatch.context() as mp:
+        mp.setattr(trajectory, "CHUNK_SIZE", chunk)
+        return run_ensemble(model, cfg)
+
+
 class TestRunEnsemble:
-    def test_deterministic_and_chunk_independent(self):
+    def test_deterministic_and_chunk_independent(self, monkeypatch):
         p = ProtocolParams(1.0, 1.0, 2.0, None, ProtocolKind.LOWPASS1)
         model = oscillator_cooling_model(p, 8)
         recs = []
         for chunk in (3, 64):
             cfg = TrajectoryConfig(dt=1e-3, n_steps=50, n_traj=10, base_seed=12,
-                                   record_stride=10, chunk_size=chunk)
-            recs.append(run_ensemble(model, cfg))
+                                   record_stride=10)
+            recs.append(_run_in_chunks(monkeypatch, model, cfg, chunk))
         a, b = recs
         assert np.array_equal(a.energy_mean, b.energy_mean)
         assert np.array_equal(a.energy_stderr, b.energy_stderr)
@@ -300,12 +307,11 @@ class TestStateVectorPath:
         assert rec.energy_stderr[0] == 0.0
         assert np.isfinite(rec.energy_mean).all()
 
-    def test_trap_path_chunk_independent(self):
+    def test_trap_path_chunk_independent(self, monkeypatch):
         p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
         model = oscillator_cooling_model(p, 24)
-        recs = [run_ensemble(model, TrajectoryConfig(
-            dt=5e-4, n_steps=30, n_traj=11, base_seed=9, record_stride=10,
-            chunk_size=chunk)) for chunk in (1, 5, 64)]
+        cfg = TrajectoryConfig(dt=5e-4, n_steps=30, n_traj=11, base_seed=9, record_stride=10)
+        recs = [_run_in_chunks(monkeypatch, model, cfg, chunk) for chunk in (1, 5, 64)]
         for rec in recs[1:]:
             assert np.array_equal(rec.energy_mean, recs[0].energy_mean)
             assert np.array_equal(rec.energy_stderr, recs[0].energy_stderr)
@@ -329,14 +335,14 @@ def test_noise_block_size_does_not_change_results(monkeypatch, label):
         for chunk in (3, 256):
             with monkeypatch.context() as mp:
                 mp.setattr(trajectory, "NOISE_BLOCK", steps * span)
-                rec = _record_arrays(run_ensemble(
-                    model, dataclasses.replace(cfg, chunk_size=chunk)))
+                mp.setattr(trajectory, "CHUNK_SIZE", chunk)
+                rec = _record_arrays(run_ensemble(model, cfg))
             for name, arr in rec.items():
                 assert np.array_equal(arr, ref[name]), (steps, chunk, name)
                 assert np.array_equal(np.signbit(arr), np.signbit(ref[name]))
 
 
-@pytest.mark.parametrize("seed, n_traj, chunk_size, n_steps, block, message", [
+@pytest.mark.parametrize("seed, n_traj, chunk, n_steps, block, message", [
     pytest.param(1, 7, 256, 400, None, "trajectory 1 became non-finite at step 324",
                  id="one-chunk"),
     pytest.param(1, 7, 1, 400, None, "trajectory 0 became non-finite at step 325",
@@ -352,15 +358,16 @@ def test_noise_block_size_does_not_change_results(monkeypatch, label):
                  id="mid-block"),
 ])
 def test_state_vector_divergence_names_the_first_trajectory_and_step(
-        monkeypatch, seed, n_traj, chunk_size, n_steps, block, message):
+        monkeypatch, seed, n_traj, chunk, n_steps, block, message):
     # dt = 2 makes the explicit filter step G <- (1 - 2 dt) G + ... grow by
     # about 3 per step, and the trap shift drives psi with it; the messages
     # were taken while every step was checked as it was taken
     if block is not None:
         monkeypatch.setattr(trajectory, "NOISE_BLOCK", block)
+    monkeypatch.setattr(trajectory, "CHUNK_SIZE", chunk)
     p = ProtocolParams(1.0, 1.0, 2.0, None, ProtocolKind.LOWPASS1)
     cfg = TrajectoryConfig(dt=2.0, n_steps=n_steps, n_traj=n_traj, base_seed=seed,
-                           record_stride=n_steps, chunk_size=chunk_size)
+                           record_stride=n_steps)
     with pytest.raises(TrajectoryError, match=f"^{message}$"):
         run_ensemble(oscillator_cooling_model(p, 6), cfg)
 
@@ -482,7 +489,7 @@ def _sse_states(model, cfg):
     G = np.broadcast_to(G0, (n,) + G0.shape).copy()
     for s in range(cfg.n_steps + 1):
         if s:
-            state, G = engine.advance(state, G, xi[:, s - 1] * np.sqrt(cfg.dt), cfg.dt,
+            state, G = engine.advance(state, G, xi[:, s - 1] * np.sqrt(cfg.dt),
                                       engine._moments(state, G))
         if s % cfg.record_stride == 0:
             yield engine, state, G, engine._moments(state, G)
@@ -582,7 +589,7 @@ class TestStepKernel:
         xi = rng.standard_normal((n, 2))
 
         def step(psi, G, xi):
-            return engine.advance(psi, G, xi * np.sqrt(dt), dt, engine._moments(psi, G))
+            return engine.advance(psi, G, xi * np.sqrt(dt), engine._moments(psi, G))
 
         whole = step(psi, G, xi)
         for size in (1, 3, 5):
@@ -689,41 +696,42 @@ class TestSparseStack:
                             ShiftedTrapFeedback(osc, 1))
         assert trajectory._Engine(model, 1e-3, 1).Wt.shape == (6 * 12, 12)
 
-    def test_all_zero_stack_record_is_pinned(self):
+    def test_all_zero_stack_record_is_pinned(self, monkeypatch):
         # mean_A = 0 makes H0, A and S zero, so the stack stores nothing and
         # psi never moves; the record is the filter's alone, to the bit.  The
         # digest was taken when the d = 1 engine began to step exactly from
         # record to record
         model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
         assert trajectory._Engine(model, 1e-3, 10).Wt.nnz == 0
+        monkeypatch.setattr(trajectory, "CHUNK_SIZE", 4)
         rec = run_ensemble(model, TrajectoryConfig(
-            dt=1e-3, n_steps=300, n_traj=9, base_seed=5, record_stride=10,
-            chunk_size=4))
+            dt=1e-3, n_steps=300, n_traj=9, base_seed=5, record_stride=10))
         assert _record_digest(rec) == (
             "90950a8df12ca904b4552a5b8f5dffe049197d6113be7994acb99fe781f0bf05")
 
-    def test_density_matrix_record_is_pinned(self):
+    def test_density_matrix_record_is_pinned(self, monkeypatch):
         # a mixed start, each trajectory's component drawn ahead of its noise
         # over chunks of three; the digest was taken when sampling replaced
         # the density-matrix engine
         rho = np.zeros((10, 10), dtype=complex)
         rho[0, 0], rho[1, 1] = 0.7, 0.3
         p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        monkeypatch.setattr(trajectory, "CHUNK_SIZE", 3)
         rec = run_ensemble(oscillator_cooling_model(p, 10), TrajectoryConfig(
             dt=1e-3, n_steps=40, n_traj=7, base_seed=3, record_stride=10,
-            initial_state=QuantumState(rho), chunk_size=3))
+            initial_state=QuantumState(rho)))
         assert _record_digest(rec) == (
             "17533412472d851548c8c0aca126a6416b6fe081ad4a7e44aaa609d6bc6f20c7")
 
-    def test_state_vector_record_is_pinned(self):
+    def test_state_vector_record_is_pinned(self, monkeypatch):
         # the bench's lowpass2 run at d = 24 (dt 5e-4, stride 20) on the
         # state-vector path, over two noise blocks and with a chunk size that
         # does not divide n_traj; the digest was taken before the step built
         # its coefficient rows per step and the loop went block by block
         p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
+        monkeypatch.setattr(trajectory, "CHUNK_SIZE", 2)
         rec = run_ensemble(oscillator_cooling_model(p, 24), TrajectoryConfig(
-            dt=5e-4, n_steps=1100, n_traj=5, base_seed=7, record_stride=20,
-            chunk_size=2))
+            dt=5e-4, n_steps=1100, n_traj=5, base_seed=7, record_stride=20))
         assert 1100 > trajectory.NOISE_BLOCK and not rec.truncation_warning
         assert _record_digest(rec) == (
             "83fa0861448a9eeb12c103bb621ae064be8db54e9590fb5ba7a6cfcb613e17d3")
@@ -741,11 +749,10 @@ class TestSparseStack:
         model = oscillator_cooling_model(p, d)
         cfg = TrajectoryConfig(dt=1e-2, n_steps=60, n_traj=11, base_seed=5,
                                record_stride=4)
-        runs = [dataclasses.replace(cfg, chunk_size=chunk) for chunk in (1, 5, 64)]
         recs = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore" if flagged else "error")
-            recs += [run_ensemble(model, run) for run in runs]
+            recs += [_run_in_chunks(monkeypatch, model, cfg, chunk) for chunk in (1, 5, 64)]
             with monkeypatch.context() as mp:
                 mp.setattr(trajectory, "NOISE_BLOCK", 7)
                 recs.append(run_ensemble(model, cfg))
@@ -852,14 +859,12 @@ class TestConfigInputs:
         with pytest.raises(ValueError, match="initial signals"):
             self._config(initial_signals=signals)
 
-    @pytest.mark.parametrize("name", ["n_steps", "n_traj", "record_stride",
-                                      "chunk_size", "base_seed"])
+    @pytest.mark.parametrize("name", ["n_steps", "n_traj", "record_stride", "base_seed"])
     def test_non_integer_count_or_seed_rejected(self, name):
         with pytest.raises(ValueError, match=name):
             self._config(**{name: 10.0 if name == "n_steps" else 2.0})
 
-    @pytest.mark.parametrize("name", ["n_steps", "n_traj", "record_stride",
-                                      "chunk_size"])
+    @pytest.mark.parametrize("name", ["n_steps", "n_traj", "record_stride"])
     def test_count_below_one_names_the_field(self, name):
         with pytest.raises(ValueError) as info:
             self._config(**{name: 0})
@@ -882,16 +887,15 @@ class TestConfigInputs:
                                              "got 3 and 10"):
             self._config(record_stride=3)
 
-    @pytest.mark.parametrize("name", ["n_steps", "n_traj", "record_stride",
-                                      "chunk_size", "base_seed"])
+    @pytest.mark.parametrize("name", ["n_steps", "n_traj", "record_stride", "base_seed"])
     def test_boolean_count_or_seed_rejected(self, name):
         # a bool is an int to Python; as a count or seed it is a mistake
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
             self._config(**{name: True})
 
     def test_numpy_integer_counts_accepted(self):
-        cfg = self._config(n_steps=np.int64(10), chunk_size=np.int32(3))
-        assert cfg.n_steps == 10 and cfg.chunk_size == 3
+        cfg = self._config(n_steps=np.int64(10), n_traj=np.int32(3))
+        assert cfg.n_steps == 10 and cfg.n_traj == 3
 
 
 def _full_record_reference(model, cfg):
@@ -950,9 +954,10 @@ class TestStreamedStatistics:
                 for cascade in cascades]
 
     @pytest.mark.parametrize("n_traj", [1, 2, 9])
-    def test_matches_full_record_reference(self, n_traj):
+    def test_matches_full_record_reference(self, monkeypatch, n_traj):
+        monkeypatch.setattr(trajectory, "CHUNK_SIZE", 4)
         for model, kw in self._models():
-            cfg = TrajectoryConfig(n_traj=n_traj, base_seed=4, chunk_size=4, **kw)
+            cfg = TrajectoryConfig(n_traj=n_traj, base_seed=4, **kw)
             rec = run_ensemble(model, cfg)
             ref = _full_record_reference(model, cfg)
             for name in ("energy", "op", "signal"):
@@ -972,14 +977,13 @@ class TestStreamedStatistics:
             else:
                 assert rec.signal_var[..., -1].all()
 
-    def test_variance_of_large_offset_keeps_its_digits(self):
+    def test_variance_of_large_offset_keeps_its_digits(self, monkeypatch):
         # signals near 1e6 with a spread near 0.1: sums of x and x^2 would
         # cancel about 13 digits, deviations from trajectory 0 cancel none
         model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
         cfg = TrajectoryConfig(dt=1e-3, n_steps=60, n_traj=9, base_seed=2,
-                               record_stride=6, chunk_size=4,
-                               initial_signals=np.full((1, 1), 1e6))
-        got = run_ensemble(model, cfg).signal_var
+                               record_stride=6, initial_signals=np.full((1, 1), 1e6))
+        got = _run_in_chunks(monkeypatch, model, cfg, 4).signal_var
         want = _full_record_reference(model, cfg)["signal_var"]
         assert want[..., 1:].min() > 1e-3
         assert np.abs(got - want).max() <= 1e-9 * want.max()
@@ -992,9 +996,9 @@ class TestStreamedStatistics:
         starts = {"psi": None, "rho": QuantumState(rho)}
         for label, state in starts.items():
             def run(chunk):
-                return _record_arrays(run_ensemble(model, TrajectoryConfig(
+                return _record_arrays(_run_in_chunks(monkeypatch, model, TrajectoryConfig(
                     dt=1e-3, n_steps=42, n_traj=7, base_seed=3, record_stride=3,
-                    initial_state=state, chunk_size=chunk)))
+                    initial_state=state), chunk))
 
             default_block = run(256)
             with monkeypatch.context() as mp:
@@ -1014,8 +1018,7 @@ class TestStreamedStatistics:
         model = frozen_signal_model(lowpass_cascade((1.0,)), 1.0)
 
         def peak_mb(n_traj):
-            cfg = TrajectoryConfig(dt=1e-3, n_steps=2000, n_traj=n_traj,
-                                   base_seed=0, chunk_size=256)
+            cfg = TrajectoryConfig(dt=1e-3, n_steps=2000, n_traj=n_traj, base_seed=0)
             tracemalloc.start()
             try:
                 run_ensemble(model, cfg)
@@ -1114,7 +1117,8 @@ def _classical_pin_runs():
     (1.2, 0.8) cascade under a record of mean 0.3, a band-pass filter on two
     channels of other means and a generic rule.  Each ends on a short noise
     block (250 record intervals in blocks of 102, 400 in blocks of 341),
-    in chunks that do not divide ``n_traj``."""
+    in chunks that do not divide ``n_traj``: each run is (model, config,
+    chunk size)."""
     def rule(G):
         return np.array([[0.5 + G[0, 0]**2 - 0.25 * G[0, 1]]])
 
@@ -1125,12 +1129,10 @@ def _classical_pin_runs():
                           lowpass_cascade((1.0, 1.5)), rule)
     every_ten = dict(dt=1e-3, n_steps=2500, record_stride=10)
     return {
-        "cascade": (cascade, TrajectoryConfig(n_traj=11, base_seed=8, chunk_size=4,
-                                              **every_ten)),
+        "cascade": (cascade, TrajectoryConfig(n_traj=11, base_seed=8, **every_ten), 4),
         "bandpass": (two_channels, TrajectoryConfig(
-            dt=2e-3, n_steps=1200, n_traj=7, base_seed=9, record_stride=3, chunk_size=5)),
-        "generic": (generic, TrajectoryConfig(n_traj=5, base_seed=10, chunk_size=2,
-                                              **every_ten)),
+            dt=2e-3, n_steps=1200, n_traj=7, base_seed=9, record_stride=3), 5),
+        "generic": (generic, TrajectoryConfig(n_traj=5, base_seed=10, **every_ten), 2),
     }
 
 
@@ -1162,9 +1164,8 @@ class TestClassicalEngine:
             model = frozen_signal_model(lowpass_cascade(gammas), 1.0, mean_A=0.3)
 
             def run(chunk):
-                return _record_arrays(run_ensemble(model, TrajectoryConfig(
-                    dt=1e-3, n_steps=60, n_traj=9, base_seed=2, record_stride=3,
-                    chunk_size=chunk)))
+                return _record_arrays(_run_in_chunks(monkeypatch, model, TrajectoryConfig(
+                    dt=1e-3, n_steps=60, n_traj=9, base_seed=2, record_stride=3), chunk))
 
             recs = [run(chunk) for chunk in (1, 4, 256)]
             with monkeypatch.context() as mp:
@@ -1180,21 +1181,20 @@ class TestClassicalEngine:
         ("bandpass", "637d78a71a58a56ce5c875400a7ea40711f428276d223239626c428059c215a5"),
         ("generic", "7bc335261681401147e2584f877a4b24b865af6320859a8fde7ee8042a52d4f8"),
     ])
-    def test_record_is_pinned(self, label, digest):
+    def test_record_is_pinned(self, monkeypatch, label, digest):
         # the digests were taken before the engine wrote a block's records
         # straight into the record window
-        model, cfg = _classical_pin_runs()[label]
-        assert _record_digest(run_ensemble(model, cfg)) == digest
+        model, cfg, chunk = _classical_pin_runs()[label]
+        assert _record_digest(_run_in_chunks(monkeypatch, model, cfg, chunk)) == digest
 
-    def test_constant_moments_are_exact(self):
+    def test_constant_moments_are_exact(self, monkeypatch):
         # every trajectory records the operators' single entries to the
         # bit: the spread is exactly zero, and the mean of five equal values
         # is the value
         model = SystemModel(np.array([[0.37]]), (np.array([[0.8]]),), 1.0,
                             lowpass_cascade((1.0,)))
-        rec = run_ensemble(model, TrajectoryConfig(
-            dt=1e-3, n_steps=30, n_traj=5, base_seed=1, record_stride=10,
-            chunk_size=2))
+        rec = _run_in_chunks(monkeypatch, model, TrajectoryConfig(
+            dt=1e-3, n_steps=30, n_traj=5, base_seed=1, record_stride=10), 2)
         assert (rec.op_mean == 0.8).all() and (rec.energy_mean == 0.37).all()
         assert not rec.op_stderr.any() and not rec.energy_stderr.any()
         assert rec.signal_var[..., -1].all()
@@ -1233,7 +1233,7 @@ class TestClassicalEngine:
                            match="^trajectory 0 became non-finite at step 400$"):
             run_ensemble(model, cfg)
 
-    @pytest.mark.parametrize("n_traj, chunk_size, block, message", [
+    @pytest.mark.parametrize("n_traj, chunk, block, message", [
         pytest.param(2, 256, None, "trajectory 1 became non-finite at step 356",
                      id="one-chunk"),
         pytest.param(7, 3, None, "trajectory 1 became non-finite at step 356",
@@ -1245,7 +1245,7 @@ class TestClassicalEngine:
                      id="mid-block"),
     ])
     def test_divergence_names_the_first_trajectory_and_step(
-            self, monkeypatch, n_traj, chunk_size, block, message):
+            self, monkeypatch, n_traj, chunk, block, message):
         # the unstable filter above, stepped exactly over record intervals
         # of two steps: its signals grow as e^{2t} and overflow near
         # t = 355.  A step is named by its record step k * stride; the
@@ -1253,9 +1253,10 @@ class TestClassicalEngine:
         # was checked as it was taken
         if block is not None:
             monkeypatch.setattr(trajectory, "NOISE_BLOCK", block)
+        monkeypatch.setattr(trajectory, "CHUNK_SIZE", chunk)
         model = frozen_signal_model(FilterModel([[2.0]], [1.0]), 1.0)
         cfg = TrajectoryConfig(dt=1.0, n_steps=400, n_traj=n_traj, base_seed=0,
-                               record_stride=2, chunk_size=chunk_size)
+                               record_stride=2)
         with pytest.raises(TrajectoryError, match=f"^{message}$"):
             run_ensemble(model, cfg)
 
