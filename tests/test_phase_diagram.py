@@ -456,6 +456,33 @@ class TestCrosscheckCounts:
                         protocols=(ProtocolKind.BANDPASS,))
         assert _crosscheck(spec, 3) == (0, 3, 0.0)
 
+    @pytest.mark.parametrize("lam, omega, gamma, Omega", [
+        (1.0, 1.0, 3.956231872544294, 1e4),
+        (0.1, 2.0, 797.0, 1150.0),
+    ], ids=["cond-5.7e11", "cond-8.3e6"])
+    def test_skip_is_bounded_by_the_solve_error(self, monkeypatch, lam, omega, gamma, Omega):
+        # on the same ill-conditioned cells, a miss of half of 1e4 cond(A) eps
+        # is skipped and one of twice that fails
+        p = ProtocolParams(lam, omega, gamma, Omega, ProtocolKind.BANDPASS)
+        bound = 1e4 * np.finfo(float).eps * np.linalg.cond(build_moment_system(p).A)
+        exact = energy_bandpass(lam, gamma, Omega, omega).energy_over_hw
+        assert abs(exact) > 1.0
+        real = phase_diagram.steady_state
+        spec = GridSpec([gamma], [Omega], lam=lam, omega=omega,
+                        protocols=(ProtocolKind.BANDPASS,))
+        for factor, raises in ((0.5, False), (2.0, True)):
+            def missed(system):
+                ss = real(system)
+                ss.energy_over_hw = exact * (1.0 + factor * bound)
+                return ss
+
+            monkeypatch.setattr(phase_diagram, "steady_state", missed)
+            if raises:
+                with pytest.raises(NumericalError, match="disagree for bandpass"):
+                    _crosscheck(spec, 3)
+            else:
+                assert _crosscheck(spec, 3) == (0, 3, 0.0)
+
 
 class TestCsv:
     @pytest.mark.parametrize("text", [
@@ -489,6 +516,43 @@ class TestCsv:
             assert energies[0, col] == pytest.approx(expect, rel=1e-11)
         assert winner[0] == result.winner[0, 0]
         assert flags[0] == tuple(result.flags[k][0, 0] for k in ALL_PROTOCOLS)
+
+    @pytest.mark.parametrize("kind", ALL_PROTOCOLS, ids=[k.value for k in ALL_PROTOCOLS])
+    def test_one_protocol_file_matches_its_sweep(self, tmp_path, kind):
+        # the columns of protocols not requested are nan and na; the
+        # requested one holds the sweep's energies, flags and winner
+        spec = GridSpec.log_spaced((0.3, 30.0), (0.4, 40.0), 7, 6, protocols=(kind,))
+        result = sweep(spec)
+        path = tmp_path / "grid.csv"
+        write_phase_csv(spec, path)
+        _, _, energies, winner, flags = load_phase_csv(path)
+        for col, other in enumerate(ALL_PROTOCOLS):
+            if other is kind:
+                want = [float("%.12g" % e) for e in result.energies[kind].ravel()]
+                assert np.array_equal(energies[:, col], want, equal_nan=True)
+                assert [f[col] for f in flags] == list(result.flags[kind].ravel())
+            else:
+                assert np.isnan(energies[:, col]).all()
+                assert {f[col] for f in flags} == {FLAG_NA}
+        assert winner == list(result.winner.ravel())
+        assert set(winner) <= {kind.value, "none"}
+
+    @pytest.mark.parametrize("to", ["file", "stdout"])
+    def test_crosscheck_mismatch_writes_nothing(self, tmp_path, monkeypatch, capsys, to):
+        real = phase_diagram.steady_state
+
+        def shifted(system):
+            ss = real(system)
+            ss.energy_over_hw += 1e-6
+            return ss
+
+        monkeypatch.setattr(phase_diagram, "steady_state", shifted)
+        path = tmp_path / "grid.csv"
+        with pytest.raises(NumericalError, match="disagree"):
+            write_phase_csv(GridSpec.log_spaced(n_gamma=5, n_Omega=5),
+                            path if to == "file" else "-")
+        assert not path.exists()
+        assert capsys.readouterr().out == ""
 
     def test_code_tables(self):
         # the code order the CSV and the flags/winner views read

@@ -179,6 +179,17 @@ class TestRunEnsemble:
         assert np.array_equal(a.signal_mean, b.signal_mean)
         assert np.array_equal(a.op_mean, b.op_mean)
 
+    def test_default_chunk_boundary_changes_nothing(self, monkeypatch):
+        # three trajectories past one default chunk, against chunks of seven
+        p = ProtocolParams(1.0, 1.0, 2.0, None, ProtocolKind.LOWPASS1)
+        model = oscillator_cooling_model(p, 6)
+        cfg = TrajectoryConfig(dt=1e-3, n_steps=20, n_traj=trajectory.CHUNK_SIZE + 3,
+                               base_seed=21, record_stride=5)
+        whole = _record_arrays(run_ensemble(model, cfg))
+        small = _record_arrays(_run_in_chunks(monkeypatch, model, cfg, 7))
+        for name, arr in whole.items():
+            assert np.array_equal(arr, small[name]), name
+
     def test_initial_point_is_ground_state(self):
         p = ProtocolParams(1.0, 1.0, 2.0, 2.0, ProtocolKind.LOWPASS2)
         model = oscillator_cooling_model(p, 10)
