@@ -5,12 +5,18 @@ complex128).  Matrices in this package are tiny (at most 9x9 for the moment
 systems, a few tens for truncated oscillators), so robustness is preferred
 over speed: linear solves are LU with partial pivoting and an explicit
 condition guard.  Affine systems dx/dt = A x + c are stepped exactly by
-``propagate_affine``, the package's only ODE stepper and only matrix
-exponential: one scaling-and-squaring exponential of the augmented matrix
-[[A, c], [0, 0]] and then one matvec per step, written in place into the
-path.  It checks finiteness only at power-of-two steps and the last step
-(the error still names the first non-finite step), and stops stepping at a
-row whose bits repeat the row before it, a fixed point of the map.
+``propagate_affine``, the package's only ODE stepper: one
+scaling-and-squaring exponential of the augmented matrix [[A, c], [0, 0]]
+and then one matvec per step, written in place into the path.  It checks
+finiteness only at power-of-two steps and the last step (the error still
+names the first non-finite step), and stops stepping at a row whose bits
+repeat the row before it, a fixed point of the map.  The package takes
+one other matrix exponential, in ``filters.exact_transition``: a filter's
+random transition needs its noise covariance as well, so it exponentiates
+a Van Loan block.  That block holds e^{-M h}, which overflows for a
+stable filter once ||M|| h is about 710, so it is taken at h / 2^k and
+doubled k times; the augmented matrix here holds only e^{A dt}, and one
+call gives it.
 ``hurwitz_test`` decides whether stacks of small matrices are stable from
 their characteristic polynomials, without eigenvalues, and reports how far
 each decision is from the boundary.

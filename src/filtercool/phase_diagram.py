@@ -336,7 +336,7 @@ def sweep(spec: GridSpec) -> PhaseGridResult:
     two implementations have diverged.  The blocks of the sweep are
     gathered into whole-grid arrays.
     """
-    checked, skipped, worst = _crosscheck(spec, _CROSSCHECK_CELLS)
+    checked, skipped, worst = _crosscheck(spec)
     shape = (spec.gamma_values.size, spec.Omega_values.size)
     energies = {kind: np.empty(shape) for kind in spec.protocols}
     codes = {kind: np.empty(shape, dtype=np.uint8) for kind in spec.protocols}
@@ -351,21 +351,21 @@ def sweep(spec: GridSpec) -> PhaseGridResult:
     return PhaseGridResult(spec, energies, codes, winner, checked, skipped, worst, n_fallback)
 
 
-def _crosscheck(spec: GridSpec, n_cells: int) -> Tuple[int, int, float]:
+def _crosscheck(spec: GridSpec) -> Tuple[int, int, float]:
     """Spot-check the closed forms against moment-system steady states.
 
-    The sampled cells' closed forms are evaluated as one array per
-    protocol, and each cell is solved by ``steady_state``; a miss of
-    _CROSSCHECK_RTOL raises unless it is within 1e4 cond(A) eps, the float
-    solve's own error.  Returns the cells checked, the cells skipped and
+    _CROSSCHECK_CELLS cells are sampled (deterministic choice).  Their
+    closed forms are evaluated as one array per protocol, and each cell is
+    solved by ``steady_state``; a miss of _CROSSCHECK_RTOL raises unless it
+    is within 1e4 cond(A) eps, the float solve's own error.  Returns the cells checked, the cells skipped and
     the worst relative residual (see :class:`PhaseGridResult`).
     """
     rng = np.random.default_rng(1234)
     ng, nO, nk = spec.gamma_values.size, spec.Omega_values.size, len(spec.protocols)
     draws = np.array([[rng.integers(ng), rng.integers(nO), rng.integers(nk)]
-                      for _ in range(n_cells)], dtype=np.intp).reshape(n_cells, 3)
+                      for _ in range(_CROSSCHECK_CELLS)], dtype=np.intp).reshape(-1, 3)
     i_gamma, j_Omega, which = draws.T
-    closed = np.empty(n_cells)
+    closed = np.empty(len(draws))
     for n, kind in enumerate(spec.protocols):
         pick = which == n
         closed[pick] = _ENERGY_FN[kind](spec.lam, spec.gamma_values[i_gamma[pick]],
@@ -501,7 +501,7 @@ def write_phase_csv(spec: GridSpec, path) -> None:
     :func:`sweep` runs first, so a mismatch raises before ``path`` (``"-"``
     is standard output) is opened; then each block is written as it comes.
     """
-    _crosscheck(spec, _CROSSCHECK_CELLS)
+    _crosscheck(spec)
     write_csv(path, CSV_HEADER, _csv_blocks(spec, _blocks(spec)))
 
 

@@ -73,10 +73,8 @@ grow with the ensemble size.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -235,7 +233,9 @@ class SystemModel:
     Each measured operator defines one channel with its own record and its
     own copy of the filter.  ``feedback`` maps the stacked signal vectors of
     all channels to a Hermitian Hamiltonian; ``None`` means evolve under H0
-    alone.  Operators and ``lam`` must be finite.
+    alone.  Operators and ``lam`` must be finite.  A
+    :class:`ShiftedTrapFeedback` needs the (x, p) channel pair, a filter
+    with its tap and an oscillator of the model's dimension.
     """
 
     H0: np.ndarray
@@ -263,6 +263,18 @@ class SystemModel:
         if not (self.lam >= 0 and np.isfinite(self.lam)):
             raise ValueError("measurement strength lam must be finite and nonnegative")
         self.measured_ops = ops
+        fb = self.feedback
+        if isinstance(fb, ShiftedTrapFeedback):
+            if len(ops) != 2:
+                raise ValueError("trap-shift feedback needs the (x, p) channel pair")
+            if self.filter_model is None:
+                raise ValueError("trap-shift feedback needs a filter model")
+            if fb.tap_index >= self.filter_model.n:
+                raise ValueError(f"tap index {fb.tap_index} out of range for "
+                                 f"{self.filter_model.n}-component filter")
+            if fb.oscillator.dim != d:
+                raise ValueError("trap-shift feedback oscillator must have the "
+                                 "model's dimension")
 
     @property
     def dim(self) -> int:
@@ -399,10 +411,11 @@ class _Engine:
     It holds the run's step dt, record stride and :attr:`max_edge`, the
     largest top-two basis population of its records (0 below d = 3, where
     those two states are the whole space), and writes every record row.
-    :func:`run_ensemble` uses :attr:`span`, :attr:`draw_shape`,
-    :meth:`start`, :meth:`run_block` and :attr:`max_edge`;
-    :class:`_ClassicalEngine` supplies its own for d = 1, and its
-    transition.  A batch state is (psi, moments): state vectors, shape
+    :func:`run_ensemble` uses :attr:`span`, :attr:`draw_shape` (the
+    standard normals per trajectory and engine step: one per channel),
+    :meth:`start`, :meth:`run_block` and :attr:`max_edge`; the d = 1
+    engine, :class:`_ClassicalEngine`, has the same five and shares
+    nothing else.  A batch state is (psi, moments): state vectors, shape
     (n, d), one per trajectory (a mixed start reaches it already sampled),
     and their :meth:`_moments`, the one evaluation per state, read by its
     record and the next step.  The feedback rule is ``trap`` (the
@@ -411,38 +424,31 @@ class _Engine:
     ``blocks`` is the operator stack B_j = [H0, A_1..A_ch, S = sum_k A_k^2],
     plus x, p only when they are not the measured pair: 4 blocks for the
     cooling protocols.  The kernel applies them stacked as one CSR array,
-    :attr:`Wt`, so the products cost O(nnz) per trajectory.  A step then
-    makes one coefficient product per trajectory, sum_j c_j B_j psi + c0 psi:
-    each step builds the columns of c, -i dt on H0, -lam dt / 2 on S, kick_k
-    on A_k and +i dt w g on the trap's x, p blocks (see :meth:`advance`).
+    ``Wt``, so the products cost O(nnz) per trajectory; ``scipy.sparse``
+    (about 20 ms to import) is imported when the engine is built.  A step
+    then makes one coefficient product per trajectory,
+    sum_j c_j B_j psi + c0 psi: each step builds the columns of c, -i dt on
+    H0, -lam dt / 2 on S, kick_k on A_k and +i dt w g on the trap's x, p
+    blocks (see :meth:`advance`).
     """
 
     def __init__(self, model: SystemModel, dt: float, stride: int):
+        from scipy.sparse import csr_array
+
         self.dt, self.stride, self.max_edge = dt, stride, 0.0
         self.d = model.dim
         self.n_ch = model.n_channels
+        self.draw_shape = (self.n_ch,)
         self.m = model.n_signal_components
         ops = model.measured_ops
         self.lam = model.lam
         self.sqrt_lam = np.sqrt(model.lam) if self.n_ch else 0.0
         self.noise_gain = 1.0 / np.sqrt(4.0 * model.lam) if self.n_ch else 0.0
-        self.filter_model = model.filter_model
         self.M_T = model.filter_model.M.T.copy() if self.m else None
         self.b = model.filter_model.b if self.m else None
         fb = model.feedback
         self.trap = fb if isinstance(fb, ShiftedTrapFeedback) else None
         self.fb = None if self.trap else fb
-        if self.trap is not None:
-            if self.n_ch != 2:
-                raise ValueError("trap-shift feedback needs the (x, p) channel pair")
-            if self.m == 0:
-                raise ValueError("trap-shift feedback needs a filter model")
-            if fb.tap_index >= self.m:
-                raise ValueError(f"tap index {fb.tap_index} out of range for "
-                                 f"{self.m}-component filter")
-            if fb.oscillator.dim != self.d:
-                raise ValueError("trap-shift feedback oscillator must have the "
-                                 "model's dimension")
         blocks = [model.H0, *ops] + ([sum(A @ A for A in ops)] if self.n_ch else [])
         # <B> is taken of the first n_ev blocks: H0 and the A_k, and all of
         # them when x and p need blocks of their own after S.
@@ -454,23 +460,10 @@ class _Engine:
                 self.n_ev = len(blocks)
             self.xp = slice(self.n_ev - 2, self.n_ev)
         self.blocks = blocks
-
-    @cached_property
-    def Wt(self):
-        """The blocks stacked row-wise as a ``scipy.sparse.csr_array``.  It
-        is built, and ``scipy.sparse`` imported (about 20 ms), on first use:
-        the d = 1 classical engine never applies it, and the subcommands
-        that run no trajectories never import it."""
-        from scipy.sparse import csr_array
-        return csr_array(np.concatenate(self.blocks))
+        self.Wt = csr_array(np.concatenate(blocks))
 
     #: Steps of dt that one engine step spans: the SSE takes every step.
     span = 1
-
-    @property
-    def draw_shape(self) -> tuple:
-        """Standard normals per trajectory and engine step: one per channel."""
-        return (self.n_ch,)
 
     def start(self, psi: np.ndarray, G: np.ndarray, row: np.ndarray):
         """The start state of a batch of state vectors psi, shape (n, d),
@@ -484,7 +477,7 @@ class _Engine:
         and ev[:, j] = <B_j> for the first ``n_ev`` blocks, with <H(G)> in
         ev[:, 0] under a generic rule.  HG is a generic rule's H(G) psi,
         else None."""
-        HG = None if self.fb is None else self._feedback_hamiltonians(G)
+        HG = None if self.fb is None else _feedback_hamiltonians(self.fb, G)
         # A CSR product adds each output row's stored terms in one order, so
         # a trajectory's arithmetic is the same for any batch size.  It comes
         # back trajectory-minor; the copy gives every trajectory a contiguous
@@ -522,18 +515,13 @@ class _Engine:
         return (ev[:, 0] - w * (g * ev[:, self.xp]).sum(axis=1)
                 + 0.5 * w * (g**2).sum(axis=1))
 
-    def _feedback_hamiltonians(self, G: np.ndarray) -> np.ndarray:
-        return np.stack([np.asarray(self.fb(Gi), dtype=complex) for Gi in G])
-
-    def _filter_step(self, G, z_dt, out=None, scratch=None):
+    def _filter_step(self, G, z_dt, out, scratch):
         """dG = M G dt + b z dt on the records z dt, shape (n, ch), at the
         engine's dt: writes G + dt (G M^T) + b z dt to ``out`` (which may
-        be G) with G M^T in ``scratch``, both new when not given.  Returns
-        the new signals, G itself when no filter reads a record."""
+        be G) with G M^T in ``scratch``.  Returns the new signals, G itself
+        when no filter reads a record."""
         if not (self.m and self.n_ch):
             return G
-        if out is None:
-            out, scratch = np.empty_like(G), np.empty_like(G)
         np.matmul(G, self.M_T, out=scratch)
         scratch *= self.dt
         scratch += G
@@ -582,7 +570,7 @@ class _Engine:
             walk(*state, True)
         return end
 
-    def advance(self, psi, G, dW, mom, out=None, scratch=None):
+    def advance(self, psi, G, dW, mom, out, scratch):
         """One Euler-Maruyama SSE step of a batch, of the engine's dt, on
         Wiener increments dW, shape (n, ch), and its :meth:`_moments`.
         Returns (psi, G): psi is a new array, and the signals step through
@@ -622,14 +610,14 @@ class _Engine:
         return psi, self._filter_step(G, z_dt, out, scratch)
 
 
-class _ClassicalEngine(_Engine):
+class _ClassicalEngine:
     """The engine of a one-dimensional model (d = 1).
 
     There psi is a phase that no step can make observable, so every moment
     is a constant: <H0> and the <A_k> are the operators' single entries,
-    read once.  The batch state is the (n, 1 + ch) array of those moments
-    and the operator stack ``Wt`` is never built.  Under a generic feedback
-    rule the energy is H(G)[0, 0].
+    read once from the model.  The batch state is the (n, 1 + ch) array of
+    those moments; no operator is applied.  Under a feedback rule the
+    energy is H(G)[0, 0].
 
     The filter is then a linear SDE driven by a record of constant mean,
     so its signals are Gaussian from one record to the next.  A step is one
@@ -642,20 +630,18 @@ class _ClassicalEngine(_Engine):
     """
 
     def __init__(self, model: SystemModel, dt: float, stride: int):
-        super().__init__(model, dt, stride)
-        self.span = stride
+        self.span, self.max_edge = stride, 0.0
+        self.n_ch, self.m = model.n_channels, model.n_signal_components
+        self.draw_shape = (self.n_ch, self.m)  # normals per record interval
+        self.fb = model.feedback
+        self.moments = [B[0, 0].real for B in (model.H0, *model.measured_ops)]
         if self.m and self.n_ch:
-            phi, self.Gamma, self.L = exact_transition(self.filter_model, self.lam,
+            phi, self.Gamma, self.L = exact_transition(model.filter_model, model.lam,
                                                        stride * dt)
             self.Phi_T = phi.T.copy()
 
-    @property
-    def draw_shape(self):
-        """m standard normals per channel and record interval."""
-        return (self.n_ch, self.m)
-
     def start(self, psi, G, row):
-        state = np.tile([B[0, 0].real for B in self.blocks[:self.n_ev]], (len(psi), 1))
+        state = np.tile(self.moments, (len(psi), 1))
         self._rows(state, row[:, None])[:, 0] = G
         self._rule_energy(row, G)
         return state
@@ -669,8 +655,8 @@ class _ClassicalEngine(_Engine):
                                                    copy=False)
 
     def _rule_energy(self, row, G):
-        if self.fb is not None:  # a generic rule's energy is H(G)[0, 0]
-            row[:, 0] = self._feedback_hamiltonians(G)[:, 0, 0].real
+        if self.fb is not None:  # a rule's energy is H(G)[0, 0]
+            row[:, 0] = _feedback_hamiltonians(self.fb, G)[:, 0, 0].real
 
     def _block_noise(self, xi, state):
         """The block's increments L xi + Gamma <A_k>, written over the
@@ -698,7 +684,7 @@ class _ClassicalEngine(_Engine):
         which :meth:`_block_noise` turns into the increments.  The energy
         and <A_k> columns are filled once per block, and interval j writes
         its signals G_j = G_{j-1} Phi^T + inc_j into slot j, from G before
-        the first.  The signals do not depend on the moments, so a generic
+        the first.  The signals do not depend on the moments, so a feedback
         rule is evaluated after the block is stepped, interval by interval,
         each interval checked before the rule sees it.  Without one only
         the last signals are checked: a non-finite entry of any interval
@@ -712,12 +698,8 @@ class _ClassicalEngine(_Engine):
             product, factor = np.matmul, self.Phi_T
             if self.m == 1:
                 # G Phi^T is G phi, one multiply per entry where matmul
-                # makes one call per trajectory.  matmul adds each product
-                # to +0.0, which turns a -0.0 product into +0.0; adding
-                # +0.0 to the increments instead gives the same sums to
-                # the bit, as a sum of two zeros is -0.0 only if both are.
+                # makes one call per trajectory
                 product, factor = np.multiply, factor[0, 0]
-                inc += 0.0
             scratch, prev = np.empty_like(G), G
             for inc_j, sig_j in zip(inc.swapaxes(0, 1), sig.swapaxes(0, 1)):
                 product(prev, factor, out=scratch)
@@ -767,15 +749,16 @@ def _check_finite(state, G, s, start):
     """Raise :class:`TrajectoryError` naming the first trajectory of a batch
     whose state or signals are non-finite after step s; ``start`` is the
     index of the batch's first trajectory."""
-    # One sum finds a non-finite entry; then rows are checked.  (add.reduce
-    # and math.isfinite of its abs skip the ndarray.sum and np.isfinite
-    # wrappers, half the cost.)
-    if not math.isfinite(abs(np.add.reduce(state, None) + np.add.reduce(G, None))):
-        n = len(G)
-        ok = np.isfinite(np.c_[state.reshape(n, -1), G.reshape(n, -1)])
-        if not ok.all():
-            bad = int(np.nonzero(~ok.all(axis=1))[0][0]) + start
-            raise TrajectoryError(f"trajectory {bad} became non-finite at step {s}")
+    n = len(G)
+    ok = np.isfinite(np.c_[state.reshape(n, -1), G.reshape(n, -1)]).all(axis=1)
+    if not ok.all():
+        bad = int(np.nonzero(~ok)[0][0]) + start
+        raise TrajectoryError(f"trajectory {bad} became non-finite at step {s}")
+
+
+def _feedback_hamiltonians(rule, G: np.ndarray) -> np.ndarray:
+    """A feedback rule's H(G) of each trajectory's signals G[i], stacked."""
+    return np.stack([np.asarray(rule(Gi), dtype=complex) for Gi in G])
 
 
 def _accumulate(acc, ref, win, lo, hi, first_chunk):

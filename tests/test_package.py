@@ -5,7 +5,6 @@ and the committed benchmark records."""
 import json
 import os
 import re
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -34,19 +33,34 @@ def test_readme_library_example_runs_as_written():
     assert len(lines) == 3 and "+-" in lines[2]
 
 
+_COMMAND_LINES_PROBE = """
+import contextlib, io, json, os, shlex, sys, warnings
+from filtercool.cli import main
+
+os.chdir(sys.argv[1])
+done = []
+for line in json.loads(sys.argv[2]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \\
+            warnings.catch_warnings():
+        warnings.simplefilter("always")  # a warning seen by an earlier line shows again
+        done.append((line, main(shlex.split(line)), err.getvalue()))
+print(json.dumps(done))
+"""
+
+
 def test_readme_command_lines_run_clean(tmp_path):
     # every filtercool line of the command block, continuations joined, in a
-    # scratch directory: each exits 0 and none is truncation limited
+    # scratch directory and one interpreter: each exits 0 and none is
+    # truncation limited
     text = README.read_text().replace("\\\n", " ")
     lines = re.findall(r"^filtercool (.*)$", text, re.M)
     assert len(lines) == 6
-    env = dict(os.environ, PYTHONPATH=SRC)
-    for line in lines:
-        done = subprocess.run([sys.executable, "-m", "filtercool.cli", *shlex.split(line)],
-                              cwd=tmp_path, env=env, capture_output=True, text=True,
-                              timeout=300)
-        assert done.returncode == 0, (line, done.stderr)
-        assert "truncation" not in done.stderr, (line, done.stderr)
+    done = json.loads(_run_python(_COMMAND_LINES_PROBE, str(tmp_path), json.dumps(lines)))
+    assert [line for line, _, _ in done] == lines
+    for line, code, stderr in done:
+        assert code == 0, (line, stderr)
+        assert "truncation" not in stderr, (line, stderr)
 
 
 _SPARSE_PROBE = """

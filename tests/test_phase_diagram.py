@@ -395,20 +395,22 @@ class TestCrosscheckCounts:
         assert result.crosscheck_cells > 0
         assert 0.0 <= result.crosscheck_max_residual <= phase_diagram._CROSSCHECK_RTOL
 
-    def test_non_finite_closed_form_skipped(self):
+    def test_non_finite_closed_form_skipped(self, monkeypatch):
         # band-pass alone on its resonance 4 gamma^2 + omega^2 = 4 Omega^2,
         # where the closed form is not finite
         spec = GridSpec(np.array([1.0]), np.array([np.sqrt(2.0)]), omega=2.0,
                         protocols=(ProtocolKind.BANDPASS,))
         assert not np.isfinite(sweep(spec).energies[ProtocolKind.BANDPASS]).all()
-        assert _crosscheck(spec, 7) == (0, 7, 0.0)
+        monkeypatch.setattr(phase_diagram, "_CROSSCHECK_CELLS", 7)
+        assert _crosscheck(spec) == (0, 7, 0.0)
 
     def test_singular_cells_skipped(self, monkeypatch):
         def singular(system):
             raise SingularMatrixError("singular")
 
         monkeypatch.setattr(phase_diagram, "steady_state", singular)
-        assert _crosscheck(GridSpec.log_spaced(n_gamma=5, n_Omega=5), 9)[:2] == (0, 9)
+        monkeypatch.setattr(phase_diagram, "_CROSSCHECK_CELLS", 9)
+        assert _crosscheck(GridSpec.log_spaced(n_gamma=5, n_Omega=5))[:2] == (0, 9)
 
     def test_mismatch_raises(self, monkeypatch):
         real = phase_diagram.steady_state
@@ -433,14 +435,15 @@ class TestCrosscheckCounts:
         assert result.crosscheck_skipped > 0
         assert (result.flags[ProtocolKind.LOWPASS3] == FLAG_NA).any()
 
-    def test_no_crosscheck(self):
-        assert _crosscheck(GridSpec.log_spaced(n_gamma=5, n_Omega=5), 0) == (0, 0, 0.0)
+    def test_no_crosscheck(self, monkeypatch):
+        monkeypatch.setattr(phase_diagram, "_CROSSCHECK_CELLS", 0)
+        assert _crosscheck(GridSpec.log_spaced(n_gamma=5, n_Omega=5)) == (0, 0, 0.0)
 
     @pytest.mark.parametrize("lam, omega, gamma, Omega, cond", [
         (1.0, 1.0, 3.956231872544294, 1e4, 5.7e11),
         (0.1, 2.0, 797.0, 1150.0, 8.3e6),
     ], ids=["cond-5.7e11", "cond-8.3e6"])
-    def test_ill_conditioned_miss_skipped(self, lam, omega, gamma, Omega, cond):
+    def test_ill_conditioned_miss_skipped(self, monkeypatch, lam, omega, gamma, Omega, cond):
         # band-pass cells whose float moment solve misses the closed form by
         # more than 1e-9 relative, but within a few cond(A) eps: against a
         # 60-digit closed form at the same inputs the solve is 5.5e-9 and
@@ -454,7 +457,8 @@ class TestCrosscheckCounts:
         assert abs(solved - exact) > phase_diagram._CROSSCHECK_RTOL * abs(exact)
         spec = GridSpec([gamma], [Omega], lam=lam, omega=omega,
                         protocols=(ProtocolKind.BANDPASS,))
-        assert _crosscheck(spec, 3) == (0, 3, 0.0)
+        monkeypatch.setattr(phase_diagram, "_CROSSCHECK_CELLS", 3)
+        assert _crosscheck(spec) == (0, 3, 0.0)
 
     @pytest.mark.parametrize("lam, omega, gamma, Omega", [
         (1.0, 1.0, 3.956231872544294, 1e4),
@@ -470,6 +474,7 @@ class TestCrosscheckCounts:
         real = phase_diagram.steady_state
         spec = GridSpec([gamma], [Omega], lam=lam, omega=omega,
                         protocols=(ProtocolKind.BANDPASS,))
+        monkeypatch.setattr(phase_diagram, "_CROSSCHECK_CELLS", 3)
         for factor, raises in ((0.5, False), (2.0, True)):
             def missed(system):
                 ss = real(system)
@@ -479,9 +484,9 @@ class TestCrosscheckCounts:
             monkeypatch.setattr(phase_diagram, "steady_state", missed)
             if raises:
                 with pytest.raises(NumericalError, match="disagree for bandpass"):
-                    _crosscheck(spec, 3)
+                    _crosscheck(spec)
             else:
-                assert _crosscheck(spec, 3) == (0, 3, 0.0)
+                assert _crosscheck(spec) == (0, 3, 0.0)
 
 
 class TestCsv:

@@ -254,7 +254,9 @@ class TestRunEnsemble:
             run_ensemble(model, cfg)
 
     def test_generic_feedback_callable(self):
-        # a custom rule must reproduce the built-in trap shift exactly
+        # a custom rule must reproduce the built-in trap shift: the two
+        # paths form the same step in another rounding order, so the
+        # signals agree to a few ulps of the largest |G|
         p = ProtocolParams(1.0, 1.0, 1.5, 3.0, ProtocolKind.LOWPASS2)
         fast = oscillator_cooling_model(p, 7)
         osc = build_truncated_oscillator(7, 1.0)
@@ -266,7 +268,8 @@ class TestRunEnsemble:
         ra = run_ensemble(fast, cfg)
         rb = run_ensemble(slow, cfg)
         assert np.abs(ra.energy_mean - rb.energy_mean).max() < 1e-12
-        assert np.array_equal(ra.signal_mean, rb.signal_mean)
+        assert np.abs(ra.signal_mean - rb.signal_mean).max() <= (
+            4 * np.finfo(float).eps * np.abs(ra.signal_mean).max())
 
     def test_generic_feedback_on_mixed_start_matches_trap(self):
         # a mixed start is sampled alike under both rules; a custom rule takes
@@ -489,8 +492,8 @@ def _draws(cfg, ch):
 def _sse_states(model, cfg):
     """The recorded states of a pure-start run on the state-vector engine:
     yields (engine, psi, G, moments) at each record step.  The engine steps
-    all trajectories as one batch, ``advance`` on its ``_moments``, with
-    each trajectory's draws taken up front."""
+    all trajectories as one batch, ``advance`` on its ``_moments`` into new
+    signal arrays, with each trajectory's draws taken up front."""
     engine = trajectory._Engine(model, cfg.dt, cfg.record_stride)
     psi0, cdf, G0 = trajectory._initial_state(model, cfg)
     assert cdf is None, "a mixed start draws its component first"
@@ -501,7 +504,8 @@ def _sse_states(model, cfg):
     for s in range(cfg.n_steps + 1):
         if s:
             state, G = engine.advance(state, G, xi[:, s - 1] * np.sqrt(cfg.dt),
-                                      engine._moments(state, G))
+                                      engine._moments(state, G), np.empty_like(G),
+                                      np.empty_like(G))
         if s % cfg.record_stride == 0:
             yield engine, state, G, engine._moments(state, G)
 
@@ -600,7 +604,8 @@ class TestStepKernel:
         xi = rng.standard_normal((n, 2))
 
         def step(psi, G, xi):
-            return engine.advance(psi, G, xi * np.sqrt(dt), engine._moments(psi, G))
+            return engine.advance(psi, G, xi * np.sqrt(dt), engine._moments(psi, G),
+                                  np.empty_like(G), np.empty_like(G))
 
         whole = step(psi, G, xi)
         for size in (1, 3, 5):
@@ -1116,11 +1121,9 @@ class TestSystemModelInputs:
     def test_trap_oscillator_of_another_dimension_rejected(self):
         osc = build_truncated_oscillator(6, 1.0)
         one = np.ones((1, 1))
-        model = SystemModel(one, (one, one), 1.0, lowpass_cascade((1.0,)),
-                            ShiftedTrapFeedback(osc, 0))
         with pytest.raises(ValueError, match="dimension"):
-            run_ensemble(model, TrajectoryConfig(dt=1e-3, n_steps=2, n_traj=1,
-                                                 base_seed=0))
+            SystemModel(one, (one, one), 1.0, lowpass_cascade((1.0,)),
+                        ShiftedTrapFeedback(osc, 0))
 
 
 def _classical_pin_runs():
@@ -1403,7 +1406,7 @@ def _run(**start):
                  "omega must be positive and finite, got nan", id="oscillator-omega-nan"),
     pytest.param(lambda: _trap_model("xp", None, tap=-1),
                  "tap index must be nonnegative", id="negative-tap"),
-    pytest.param(lambda: _trap_model("xp", None).feedback(np.zeros((3, 1))),
+    pytest.param(lambda: _trap_model("xp", lowpass_cascade((1.0,))).feedback(np.zeros((3, 1))),
                  r"expected signals with one row per \(x, p\) channel",
                  id="feedback-signal-rows"),
 ])
